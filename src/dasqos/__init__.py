@@ -24,10 +24,8 @@ from .energy import (
     eval_energy,
 )
 from .errors import (
-    ClosedFormUnavailable,
     ConfigError,
     DasqosError,
-    IllConditionedPoles,
     NoRootError,
     StabilityError,
 )
@@ -47,13 +45,11 @@ from .outage import (
     CellScenario,
     ChannelParams,
     OutageEstimate,
-    PartialFractionExpansion,
     antenna_outage_closed_form,
     antenna_outage_mc,
     conditional_system_outage,
     expected_outage,
-    instantaneous_sinr_sample,
-    outage_expansion,
+    product_form_outage,
     system_outage,
 )
 from .placement import (

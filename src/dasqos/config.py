@@ -219,7 +219,7 @@ def _parse_flows(node: yaml.Node) -> tuple[TrafficFlow, ...]:
 
 def _parse_channel(node: yaml.Node) -> ChannelParams:
     fields = _mapping(node, "channel")
-    allowed = {"path_loss_exponent", "spectral_efficiency", "on_probability", "power_scale"}
+    allowed = {"path_loss_exponent", "spectral_efficiency", "on_probability"}
     _reject_unknown(fields, allowed, "channel")
     kwargs: dict[str, float] = {}
     for key in allowed:
@@ -345,7 +345,6 @@ def _parse_rm(node: yaml.Node) -> RMConfig:
         "convergence_window",
         "tolerance",
         "eval_samples",
-        "gradient_mc_trials",
     }
     _reject_unknown(fields, allowed, "rm")
     kwargs: dict[str, Any] = {}
@@ -354,7 +353,7 @@ def _parse_rm(node: yaml.Node) -> RMConfig:
     for key in ("step_scale", "step_exponent", "fd_step", "tolerance"):
         if key in fields:
             kwargs[key] = _float(fields[key], key)
-    for key in ("max_iter", "convergence_window", "eval_samples", "gradient_mc_trials"):
+    for key in ("max_iter", "convergence_window", "eval_samples"):
         if key in fields:
             kwargs[key] = _int(fields[key], key)
     return RMConfig(**kwargs)

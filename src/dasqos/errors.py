@@ -1,8 +1,7 @@
 """Exception types shared across the workbench.
 
 The CLI maps ConfigError to exit code 2 and the numerical failures
-(StabilityError, NoRootError, ClosedFormUnavailable, IllConditionedPoles)
-to exit code 3.
+(StabilityError, NoRootError) to exit code 3.
 """
 from __future__ import annotations
 
@@ -21,11 +20,3 @@ class StabilityError(DasqosError):
 
 class NoRootError(DasqosError):
     """The decay-rate root equation has no sign change on the search bracket."""
-
-
-class ClosedFormUnavailable(DasqosError):
-    """Closed-form outage requested outside its validity region (alpha != 1)."""
-
-
-class IllConditionedPoles(DasqosError):
-    """Interference poles nearly coincide; residue cancellation unsafe."""

@@ -5,32 +5,31 @@ exponentially faded (Rayleigh amplitude), so received powers are
 exponential with rate d^exponent for link distance d (transmit power
 cancels in the SIR). Outage at an antenna is P(SIR < K), K = 2^R - 1.
 
-With every interferer transmitting (alpha = 1) the difference
-Z = K * interference - signal has a rational two-sided Laplace transform;
-its partial-fraction expansion gives the outage in closed form as the
-positive-tail mass. For alpha < 1 only Monte Carlo is offered. The system
-is in outage only when every antenna fails; antenna outages are treated as
-independent, so the system outage is the per-antenna product.
+Given the interference I, the signal clears the threshold with probability
+exp(-a0*K*I), a0 the signal rate. Averaging over independent exponential
+interferer powers, each transmitting with probability alpha, gives the
+Laplace functional of the interference in product form (Haenggi & Ganti,
+Interference in Large Wireless Networks, 2009):
+
+    P(SIR >= K) = prod_i [1 - alpha * a0 / (q_i + a0)],  q_i = rate_i / K.
+
+product_form_outage evaluates it in log space. It is exact for every alpha
+in [0, 1], including coincident interferer distances, and keeps small
+outages accurate to their last digits. The system is in outage only when
+every antenna fails; antenna outages are treated as independent, so the
+system outage is the per-antenna product. antenna_outage_mc is the
+independent fading Monte Carlo that checks the formula.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ClosedFormUnavailable, ConfigError, IllConditionedPoles
+from .errors import ConfigError
 from .geometry import AntennaVector, ClusterLayout, UserVector, sample_user_batch, user_positions
-
-# Relative tolerances on interference pole spacing: closer than MERGE_TOL is
-# one repeated pole; between the two the residues cancel too violently and
-# the evaluation falls back to Monte Carlo.
-MERGE_TOL = 1e-9
-CONDITION_TOL = 1e-6
-
-RESULT_SLACK = 1e-9  # closed form must land in [0,1] within this before clamping
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class ChannelParams:
     path_loss_exponent: float
     spectral_efficiency: float = 1.0
     on_probability: float = 1.0
-    power_scale: float = 1.0  # documentation only; cancels out of the SIR
 
     def __post_init__(self) -> None:
         if not self.path_loss_exponent > 0.0:
@@ -81,191 +79,45 @@ class OutageEstimate:
     samples: int
 
 
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """Expansion of the transform of Z = K*interference - signal.
+def product_form_outage(a0, q, alpha: float) -> np.ndarray:
+    """P(SIR < K) for signal rates a0, shape (...), and interferer poles
+    q = rate / K, shape (..., n): 1 - prod_i [1 - alpha * a0 / (q_i + a0)].
 
-    The transform is scale * prod_n (s + pole_n)^(-mult_n); the expansion is
-    scale * sum_n sum_j residues[n][j-1] / (s + pole_n)^j. poles[0] is the
-    signal pole (negative); the rest come from interferers and are positive.
-    P(Z > 0), the outage, is the inverse transform's mass on (0, inf).
+    With no interferers (n = 0) the outage is 0.
     """
-
-    scale: float
-    poles: tuple[tuple[float, int], ...]
-    residues: tuple[tuple[float, ...], ...]
-
-    def reconstruct(self, s: complex) -> complex:
-        total = 0.0 + 0.0j
-        for (c, _), coeffs in zip(self.poles, self.residues):
-            for j, b in enumerate(coeffs, start=1):
-                total += b / (s + c) ** j
-        return self.scale * total
-
-    def positive_tail_mass(self) -> float:
-        """P(Z > 0): integrate the right-sided terms over (0, inf)."""
-        total = 0.0
-        for (c, _), coeffs in zip(self.poles, self.residues):
-            if c <= 0.0:
-                continue  # signal pole inverts to the negative axis
-            total += sum(b / c**j for j, b in enumerate(coeffs, start=1))
-        return self.scale * total
-
-
-def _merged_interferer_poles(
-    rates: np.ndarray,
-    k: float,
-    merge_tol: float = MERGE_TOL,
-    condition_tol: float = CONDITION_TOL,
-) -> list[tuple[float, int]]:
-    """Group interferer poles rates/K by relative proximity.
-
-    Raises IllConditionedPoles when two distinct groups are close enough to
-    wreck residue cancellation but too far to merge.
-    """
-    q = np.sort(rates / k)
-    groups: list[list[float]] = [[float(q[0])]]
-    for v in map(float, q[1:]):
-        if v - groups[-1][-1] <= merge_tol * max(v, groups[-1][-1]):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    centers = [sum(g) / len(g) for g in groups]
-    for a, b in zip(centers, centers[1:]):
-        if b - a < condition_tol * max(a, b):
-            raise IllConditionedPoles(
-                f"interference poles {a:.12g} and {b:.12g} nearly coincide"
-            )
-    return [(c, len(g)) for c, g in zip(centers, groups)]
-
-
-def outage_expansion(
-    signal_rate: float,
-    interferer_rates,
-    sir_threshold: float,
-    merge_tol: float = MERGE_TOL,
-    condition_tol: float = CONDITION_TOL,
-) -> PartialFractionExpansion:
-    """Build the partial-fraction expansion for one antenna.
-
-    signal_rate is d0^exponent for the target link; interferer_rates are the
-    corresponding per-interferer values. Requires at least one interferer.
-    """
-    rates = np.asarray(interferer_rates, dtype=float)
-    if rates.size < 1:
-        raise ConfigError("expansion needs at least one interferer")
-    if signal_rate <= 0.0 or np.any(rates <= 0.0):
-        raise ConfigError("power rates must be positive")
-    poles: list[tuple[float, int]] = [(-float(signal_rate), 1)]
-    poles.extend(
-        _merged_interferer_poles(rates, sir_threshold, merge_tol, condition_tol)
-    )
-
-    # scale = -signal_rate * prod(q_i) over all interferers (with multiplicity)
-    scale = -float(signal_rate)
-    for c, mult in poles[1:]:
-        scale *= c**mult
-
-    residues: list[tuple[float, ...]] = []
-    for n, (c_n, k_n) in enumerate(poles):
-        s0 = -c_n
-        others = [(c, k) for i, (c, k) in enumerate(poles) if i != n]
-        # G(s) = prod_others (s + c)^(-k); successive derivatives at s0 via
-        # G' = G * psi with psi the log-derivative.
-        g = [1.0]
-        for c, kk in others:
-            g[0] /= (s0 + c) ** kk
-        if k_n > 1:
-            psi = [
-                sum(kk * (-1.0) ** (t + 1) * math.factorial(t) / (s0 + c) ** (t + 1)
-                    for c, kk in others)
-                for t in range(k_n - 1)
-            ]
-            for r in range(k_n - 1):
-                g.append(sum(math.comb(r, j) * g[j] * psi[r - j] for j in range(r + 1)))
-        coeffs = tuple(g[k_n - j] / math.factorial(k_n - j) for j in range(1, k_n + 1))
-        residues.append(coeffs)
-    return PartialFractionExpansion(scale, tuple(poles), tuple(residues))
+    a0 = np.asarray(a0, dtype=float)[..., None]
+    log_clear = np.log1p(-alpha * a0 / (np.asarray(q, dtype=float) + a0))
+    # 0 - expm1 rather than -expm1: no outage comes out as +0, never -0
+    return 0.0 - np.expm1(log_clear.sum(axis=-1))
 
 
 def _link_rates(
-    scenario: CellScenario, users: UserVector
+    scenario: CellScenario, ux: np.ndarray, uy: np.ndarray, antenna: int
 ) -> np.ndarray:
-    """Exponential rates d^exponent of every (antenna, cell) link, shape (M, F)."""
-    apos = scenario.antennas.positions()
-    upos = user_positions(scenario.layout, users)
-    d2 = (
-        (upos[None, :, 0] - apos[:, None, 0]) ** 2
-        + (upos[None, :, 1] - apos[:, None, 1]) ** 2
-        + scenario.antennas.height**2
-    )
+    """Exponential rates d^exponent from users at (ux, uy) to one antenna."""
+    apos = scenario.antennas.positions()[antenna]
+    h = scenario.antennas.height
+    d2 = (ux - apos[0]) ** 2 + (uy - apos[1]) ** 2 + h * h
     return d2 ** (scenario.channel.path_loss_exponent / 2.0)
 
 
+def _user_rates(scenario: CellScenario, users: UserVector, antenna: int) -> np.ndarray:
+    """Rates of every cell's user to one antenna; the target cell comes first."""
+    upos = user_positions(scenario.layout, users)
+    return _link_rates(scenario, upos[:, 0], upos[:, 1], antenna)
+
+
 def antenna_outage_closed_form(
-    scenario: CellScenario, users: UserVector, antenna: int, force_merge: bool = False
+    scenario: CellScenario, users: UserVector, antenna: int
 ) -> float:
-    """Exact P(SIR < K) at one antenna with every interferer transmitting.
-
-    force_merge widens the pole-merge tolerance to the conditioning cutoff
-    instead of raising IllConditionedPoles. That biases each merged pole by
-    at most its relative gap (< 1e-6) but keeps the value a smooth function
-    of the geometry, which finite-difference probes need.
-    """
-    if scenario.channel.on_probability != 1.0:
-        raise ClosedFormUnavailable(
-            "closed-form outage holds only when every interferer is always on"
+    """Exact P(SIR < K) at one antenna for fixed users (product form)."""
+    rates = _user_rates(scenario, users, antenna)
+    channel = scenario.channel
+    return float(
+        product_form_outage(
+            rates[0], rates[1:] / channel.sir_threshold, channel.on_probability
         )
-    rates = _link_rates(scenario, users)[antenna]
-    if rates.size == 1:
-        return 0.0  # no interference: SIR is infinite
-    merge_tol = CONDITION_TOL if force_merge else MERGE_TOL
-    condition_tol = 0.0 if force_merge else CONDITION_TOL
-    expansion = outage_expansion(
-        float(rates[0]),
-        rates[1:],
-        scenario.channel.sir_threshold,
-        merge_tol,
-        condition_tol,
     )
-    value = expansion.positive_tail_mass()
-    if not (-RESULT_SLACK <= value <= 1.0 + RESULT_SLACK):
-        raise IllConditionedPoles(
-            f"closed-form outage {value!r} escaped [0, 1]; residues cancelled badly"
-        )
-    return min(1.0, max(0.0, value))
-
-
-def instantaneous_sinr_sample(
-    scenario: CellScenario, users: UserVector, antenna: int, rng: np.random.Generator
-) -> float:
-    """One SIR draw at an antenna: exponential fading, Bernoulli interferer gates.
-
-    Draws fading for every cell then one gate per interferer (the target is
-    never gated; an idle target has nothing to lose). Returns +inf when no
-    interferer transmits.
-    """
-    rates = _link_rates(scenario, users)[antenna]
-    fading = rng.exponential(1.0, rates.size)
-    signal = fading[0] / rates[0]
-    if rates.size == 1:
-        return math.inf
-    gates = rng.random(rates.size - 1) < scenario.channel.on_probability
-    interference = float(np.sum(gates * fading[1:] / rates[1:]))
-    if interference == 0.0:
-        return math.inf
-    return float(signal / interference)
-
-
-def _mc_outage_chunk(
-    rates: np.ndarray, k: float, alpha: float, trials: int, rng: np.random.Generator
-) -> int:
-    fading = rng.exponential(1.0, (trials, rates.size))
-    signal = fading[:, 0] / rates[0]
-    powers = fading[:, 1:] / rates[1:]
-    if alpha < 1.0:
-        powers = powers * (rng.random((trials, rates.size - 1)) < alpha)
-    return int(np.count_nonzero(signal < k * powers.sum(axis=1)))
 
 
 def antenna_outage_mc(
@@ -274,34 +126,24 @@ def antenna_outage_mc(
     antenna: int,
     trials: int,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo P(SIR < K) at one antenna; returns (estimate, std err).
 
-    Trials split evenly across workers, each on its own spawned stream, so
-    the result is deterministic for a fixed (rng state, workers) pair.
+    Draws exponential fading for every cell, then one Bernoulli gate per
+    interferer when alpha < 1 (the target is never gated; an idle target
+    has nothing to lose).
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    rates = _link_rates(scenario, users)[antenna]
-    if rates.size == 1:
-        return 0.0, 0.0
-    k = scenario.channel.sir_threshold
+    rates = _user_rates(scenario, users, antenna)
     alpha = scenario.channel.on_probability
-    if workers <= 1:
-        hits = _mc_outage_chunk(rates, k, alpha, trials, rng)
-    else:
-        streams = rng.spawn(workers)
-        counts = [trials // workers] * workers
-        counts[-1] += trials - sum(counts)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(
-                pool.map(
-                    lambda args: _mc_outage_chunk(rates, k, alpha, *args),
-                    zip(counts, streams),
-                )
-            )
-    p_hat = hits / trials
+    fading = rng.exponential(1.0, (trials, rates.size))
+    signal = fading[:, 0] / rates[0]
+    powers = fading[:, 1:] / rates[1:]
+    if alpha < 1.0:
+        powers = powers * (rng.random((trials, rates.size - 1)) < alpha)
+    hits = np.count_nonzero(signal < scenario.channel.sir_threshold * powers.sum(axis=1))
+    p_hat = int(hits) / trials
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
@@ -318,119 +160,26 @@ def system_outage(per_antenna) -> float:
     return product
 
 
-def conditional_system_outage(
-    scenario: CellScenario,
-    users: UserVector,
-    trials: int | None = None,
-    rng: np.random.Generator | None = None,
-    force_merge: bool = False,
-) -> float:
-    """System outage for a fixed user vector.
-
-    Uses the closed form when alpha = 1; otherwise needs (trials, rng) for
-    per-antenna Monte Carlo. The per-antenna estimates are independent, so
-    their product is an unbiased system estimate. force_merge is forwarded
-    to the closed form (see antenna_outage_closed_form).
-    """
-    m = scenario.antennas.count
-    if scenario.channel.on_probability == 1.0:
-        return system_outage(
-            antenna_outage_closed_form(scenario, users, idx, force_merge)
-            for idx in range(m)
-        )
-    if trials is None or rng is None:
-        raise ClosedFormUnavailable(
-            "alpha < 1 needs Monte Carlo: pass trials and rng"
-        )
+def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:
+    """System outage for a fixed user vector: the product over antennas."""
     return system_outage(
-        antenna_outage_mc(scenario, users, idx, trials, rng)[0] for idx in range(m)
+        antenna_outage_closed_form(scenario, users, idx)
+        for idx in range(scenario.antennas.count)
     )
 
 
-# --- vectorized closed-form engine over user batches ----------------------
-
-
-def _batch_antenna_outage(
-    a0: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form outage for (samples,) signal rates and (samples, n) poles.
-
-    Same partial-fraction algebra as outage_expansion restricted to simple
-    poles: outage = sum_i w_i * a0/(a0 + q_i) with
-    w_i = prod_{j != i} q_j/(q_j - q_i). Returns (outage, suspect) where
-    suspect marks samples whose pole spacing is under CONDITION_TOL.
-    """
-    n = q.shape[1]
-    if n == 1:
-        return a0 / (a0 + q[:, 0]), np.zeros(a0.shape, dtype=bool)
-    diff = q[:, None, :] - q[:, :, None]  # [s, i, j] = q_j - q_i
-    eye = np.eye(n, dtype=bool)
-    gaps = np.abs(diff) / np.maximum(q[:, None, :], q[:, :, None])
-    suspect = (gaps + np.where(eye, 1.0, 0.0)).min(axis=(1, 2)) < CONDITION_TOL
-    ratio = np.where(eye, 1.0, q[:, None, :] / np.where(eye, 1.0, diff))
-    w = ratio.prod(axis=2)
-    outage = (w * (a0[:, None] / (a0[:, None] + q))).sum(axis=1)
-    return outage, suspect
-
-
-def _batch_rates(
-    scenario: CellScenario, ux: np.ndarray, uy: np.ndarray, antenna: int
-) -> np.ndarray:
-    apos = scenario.antennas.positions()[antenna]
-    h = scenario.antennas.height
-    d2 = (ux - apos[0]) ** 2 + (uy - apos[1]) ** 2 + h * h
-    return d2 ** (scenario.channel.path_loss_exponent / 2.0)
-
-
 def _system_outage_batch(
-    scenario: CellScenario,
-    ux: np.ndarray,
-    uy: np.ndarray,
-    rng: np.random.Generator,
-    mc_trials: int,
+    scenario: CellScenario, ux: np.ndarray, uy: np.ndarray
 ) -> np.ndarray:
-    """Per-sample system outage for a batch of user vectors, alpha = 1 path."""
-    samples = ux.shape[0]
-    k = scenario.channel.sir_threshold
-    product = np.ones(samples)
-    if scenario.layout.size == 1:
-        return np.zeros(samples)
-    bad = np.zeros(samples, dtype=bool)
+    """Per-sample system outage for (samples, cells) user coordinates."""
+    channel = scenario.channel
+    product = np.ones(ux.shape[0])
     for antenna in range(scenario.antennas.count):
-        rates = _batch_rates(scenario, ux, uy, antenna)
-        out, suspect = _batch_antenna_outage(rates[:, 0], rates[:, 1:] / k)
-        bad |= suspect
-        product *= out
-    if np.any(bad):
-        warnings.warn(
-            f"{int(bad.sum())} user draw(s) produced nearly coincident poles; "
-            "re-evaluating those via merged expansion / Monte Carlo",
-            stacklevel=2,
+        rates = _link_rates(scenario, ux, uy, antenna)
+        product *= product_form_outage(
+            rates[:, 0], rates[:, 1:] / channel.sir_threshold, channel.on_probability
         )
-        fallback = rng.spawn(1)[0]
-        for s in np.flatnonzero(bad):
-            users = _users_from_batch(scenario.layout, ux, uy, int(s))
-            value = 1.0
-            for idx in range(scenario.antennas.count):
-                try:
-                    value *= antenna_outage_closed_form(scenario, users, idx)
-                except IllConditionedPoles:
-                    value *= antenna_outage_mc(
-                        scenario, users, idx, mc_trials, fallback
-                    )[0]
-            product[s] = value
     return product
-
-
-def _users_from_batch(
-    layout: ClusterLayout, ux: np.ndarray, uy: np.ndarray, row: int
-) -> UserVector:
-    centers = layout.center_array()
-    dx = ux[row] - centers[:, 0]
-    dy = uy[row] - centers[:, 1]
-    radii = np.sqrt(dx * dx + dy * dy)
-    angles = np.arctan2(dy, dx) % (2.0 * math.pi)
-    return UserVector(tuple(map(float, np.minimum(radii, 1.0))), tuple(map(float, angles)))
 
 
 def expected_outage(
@@ -438,48 +187,30 @@ def expected_outage(
     samples: int,
     rng: np.random.Generator,
     antennas: AntennaVector | None = None,
-    mc_trials: int = 2000,
     workers: int = 1,
 ) -> OutageEstimate:
     """System outage marginalized over user placement.
 
     Draws `samples` independent user vectors, evaluates the conditional
-    system outage for each (closed form when alpha = 1, per-antenna Monte
-    Carlo with mc_trials otherwise), and averages. The user stream depends
-    only on rng, never on the antenna layout, so calls sharing a seed share
-    their user draws (common random numbers across layouts).
+    system outage for each, and averages. The user stream depends only on
+    rng, never on the antenna layout, so calls sharing a seed share their
+    user draws (common random numbers across layouts). workers > 1 splits
+    the batch across threads; the values do not depend on the split.
     """
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
     if antennas is not None:
         scenario = scenario.with_antennas(antennas)
     ux, uy = sample_user_batch(scenario.layout, samples, rng)
-    if scenario.channel.on_probability == 1.0:
-        if workers <= 1 or samples < 2 * workers:
-            values = _system_outage_batch(scenario, ux, uy, rng, mc_trials)
-        else:
-            bounds = np.linspace(0, samples, workers + 1, dtype=int)
-            streams = rng.spawn(workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        lambda i: _system_outage_batch(
-                            scenario,
-                            ux[bounds[i] : bounds[i + 1]],
-                            uy[bounds[i] : bounds[i + 1]],
-                            streams[i],
-                            mc_trials,
-                        ),
-                        range(workers),
-                    )
-                )
-            values = np.concatenate(parts)
+    if workers <= 1 or samples < 2 * workers:
+        values = _system_outage_batch(scenario, ux, uy)
     else:
-        values = np.empty(samples)
-        streams = rng.spawn(samples)
-        for s in range(samples):
-            users = _users_from_batch(scenario.layout, ux, uy, s)
-            values[s] = conditional_system_outage(scenario, users, mc_trials, streams[s])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(
+                lambda xy: _system_outage_batch(scenario, *xy),
+                zip(np.array_split(ux, workers), np.array_split(uy, workers)),
+            )
+            values = np.concatenate(list(parts))
     return OutageEstimate(
         float(values.mean()),
         float(values.std(ddof=1) / math.sqrt(samples)),

@@ -34,8 +34,7 @@ class RMConfig:
     with half-width fd_step. The loop stops at max_iter or once the Polyak
     average moved less than tolerance over convergence_window iterations.
     Radii are clamped to radius_bounds after each step. eval_samples sets
-    the per-row expected-outage budget in the trace; gradient_mc_trials
-    enables Monte-Carlo gradients when interferers are intermittent.
+    the per-row expected-outage budget in the trace.
     """
 
     mode: str = "radius_only"
@@ -47,7 +46,6 @@ class RMConfig:
     tolerance: float = 1e-4
     radius_bounds: tuple[float, float] = (0.0, 1.0)
     eval_samples: int = 10_000
-    gradient_mc_trials: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("radius_only", "full_polar"):
@@ -113,40 +111,12 @@ def _antennas_from_params(
     return AntennaVector(radii, angles, init.height)
 
 
-def _conditional_outage(
-    scenario: CellScenario,
-    params: np.ndarray,
-    init: AntennaVector,
-    mode: str,
-    users,
-    mc_trials: int | None,
-    mc_seed,
-) -> float:
-    probe = scenario.with_antennas(_antennas_from_params(params, init, mode))
-    if probe.channel.on_probability == 1.0:
-        # force_merge: a probe geometry can put two interferers at nearly
-        # equal distance; merging their poles biases the objective by < 1e-6
-        # while a refusal or Monte-Carlo fallback would wreck the quotient
-        return conditional_system_outage(probe, users, force_merge=True)
-    if mc_trials is None:
-        raise ConfigError(
-            "intermittent interferers need gradient_mc_trials for the "
-            "finite-difference probes"
-        )
-    # same seed for every probe of one iteration: common random numbers
-    # keep the difference quotient meaningful
-    return conditional_system_outage(
-        probe, users, mc_trials, np.random.default_rng(mc_seed)
-    )
-
-
 def _fd_gradient(
     scenario: CellScenario,
     params: np.ndarray,
     init: AntennaVector,
     cfg: RMConfig,
     users,
-    mc_seed,
 ) -> np.ndarray:
     """Finite-difference gradient of the conditional outage.
 
@@ -163,9 +133,8 @@ def _fd_gradient(
     grad = np.empty(params.size)
 
     def f(x: np.ndarray) -> float:
-        return _conditional_outage(
-            scenario, x, init, cfg.mode, users, cfg.gradient_mc_trials, mc_seed
-        )
+        probe = scenario.with_antennas(_antennas_from_params(x, init, cfg.mode))
+        return conditional_system_outage(probe, users)
 
     for i in range(params.size):
         bounded = i < n_radii
@@ -231,8 +200,7 @@ def rm_optimize(
                 break
 
         users = sample_user_vector(scenario.layout, rng)
-        mc_seed = int(rng.integers(2**63)) if cfg.gradient_mc_trials else None
-        grad = _fd_gradient(scenario, params, init, cfg, users, mc_seed)
+        grad = _fd_gradient(scenario, params, init, cfg, users)
 
         proposal = params - step_sequence(n, cfg.step_scale, cfg.step_exponent) * grad
         new = proposal.copy()

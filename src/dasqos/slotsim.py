@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import array
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,7 @@ def simulate(cfg: SimConfig) -> SimStats:
     queues = [_eligible_slots(f, horizon, rng) for f in cfg.flows]
     heads = [0] * n_flows
     sizes = [len(q) for q in queues]
-    arrived = [sum(1 for e in q if e >= warmup) for q in queues]
+    arrived = [len(q) - bisect_left(q, warmup) for q in queues]  # q is sorted
     fail_bytes = (rng.random(horizon) < cfg.attempt_failure_prob).tobytes()
 
     retry_limit = []

@@ -141,10 +141,11 @@ def service_moments(model: ServiceModel) -> tuple[float, float]:
         case DeterministicUnit():
             return 1.0, 0.0
         case TruncatedGeometric(failure_prob=p, max_attempts=L):
-            mean = (1.0 - p**L) / (1.0 - p)
-            var = (p - (2 * L - 1) * p**L + (2 * L - 1) * p ** (L + 1) - p ** (2 * L)) / (
-                (1.0 - p) ** 2
-            )
+            # sums of nonnegative terms over the mass (1-p)p^(k-1), k < L, and
+            # p^(L-1) at k = L: the closed forms cancel catastrophically as p -> 1
+            probs = [(1.0 - p) * p ** (k - 1) for k in range(1, L)] + [p ** (L - 1)]
+            mean = math.fsum(k * w for k, w in enumerate(probs, start=1))
+            var = math.fsum(w * (k - mean) ** 2 for k, w in enumerate(probs, start=1))
             return mean, var
     raise TypeError(f"unknown service model {model!r}")
 

@@ -9,6 +9,7 @@ from dasqos.cli import main
 from dasqos.config import format_float, parse_scenario
 from dasqos.delay import PrioritySystem, delay_violation_probability
 from dasqos.geometry import symmetric_circle
+from dasqos.outage import CellScenario, antenna_outage_closed_form
 from dasqos.traffic import DeterministicUnit, Poisson, TrafficFlow, TruncatedGeometric
 
 F2_TEXT = """\
@@ -113,19 +114,23 @@ class TestOutage:
         assert out.splitlines()[1] == "0.3,0,0,123,0,2,2"
 
     def test_intermittent_interferer_scales_outage(self, run):
-        # alpha=0.5 halves the always-on outage; the MC estimate at a
-        # pinned seed sits well inside 4 s.e. of 0.5/17
+        # alpha=0.5 halves the always-on outage 1/17 exactly; the CSV keeps
+        # nine digits, so the 1e-12 check runs on the in-process value
         config = F2_TEXT.replace(
             "  spectral_efficiency: 1.0\n",
             "  spectral_efficiency: 1.0\n  on_probability: 0.5\n",
         )
-        config += "run: {seed: 1, samples: 4000}\n"
+        cfg = parse_scenario(config)
+        scenario = CellScenario(*cfg.require_cell())
+        value = antenna_outage_closed_form(scenario, cfg.users, 0)
+        assert abs(value - 0.5 / 17) <= 1e-12
         code, out, _ = run(["outage"], config=config)
         assert code == 0
-        lines = out.splitlines()
-        value = float(lines[1].split(",")[1])
-        assert abs(value - 0.5 / 17) <= 0.011
-        assert lines[2] == f"system,{format_float(value)}"
+        assert out == (
+            "antenna,outage\n"
+            f"0,{format_float(0.5 / 17)}\n"
+            f"system,{format_float(0.5 / 17)}\n"
+        )
 
 
 class TestSweep:

@@ -72,7 +72,6 @@ rm:
   convergence_window: 8
   tolerance: 0.01
   eval_samples: 400
-  gradient_mc_trials: 200
 """
 
 
@@ -122,7 +121,6 @@ class TestFullScenario:
             convergence_window=8,
             tolerance=0.01,
             eval_samples=400,
-            gradient_mc_trials=200,
         )
 
     def test_sections_optional(self):
@@ -224,6 +222,18 @@ class TestFieldErrors:
         expect(
             "rm:\n  radius_bounds: [0.0, 1.0]\n",
             "<config>:2:18: unknown key 'radius_bounds' in rm",
+        )
+
+    def test_retired_keys_rejected(self):
+        # power_scale cancelled out of the SIR; the product-form outage is
+        # exact at every on-probability, so gradients need no Monte Carlo
+        expect(
+            "channel:\n  path_loss_exponent: 2.0\n  power_scale: 2.0\n",
+            "<config>:3:16: unknown key 'power_scale' in channel",
+        )
+        expect(
+            "rm:\n  gradient_mc_trials: 200\n",
+            "<config>:2:23: unknown key 'gradient_mc_trials' in rm",
         )
 
     def test_missing_arrival_rate(self):

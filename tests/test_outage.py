@@ -1,18 +1,19 @@
-"""Closed-form outage against independent oracles.
+"""Product-form outage against independent oracles.
 
-The two-interferer closed form has a hand-derivable answer, general
-geometries get a fading Monte-Carlo oracle, and repeated poles get an
-Erlang-transform oracle; the partial-fraction machinery must agree with
-all three.
+The two-interferer case has a hand-derivable answer, general geometries
+get a fading Monte-Carlo oracle at every on-probability, repeated poles get
+an Erlang-transform oracle, separated poles get the paper's partial-fraction
+expansion (kept under tests/), and tiny outages get an exact rational
+product.
 """
 import math
-import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from dasqos.errors import ClosedFormUnavailable, ConfigError, IllConditionedPoles
+from dasqos.errors import ConfigError
 from dasqos.geometry import (
     AntennaVector,
     UserVector,
@@ -28,10 +29,11 @@ from dasqos.outage import (
     antenna_outage_mc,
     conditional_system_outage,
     expected_outage,
-    instantaneous_sinr_sample,
-    outage_expansion,
+    product_form_outage,
     system_outage,
 )
+from dasqos.outage import _user_rates
+from partial_fraction_oracle import outage_expansion
 
 
 def two_cell_scenario(exponent=4.0, efficiency=1.0, alpha=1.0, spacing=2.0):
@@ -83,31 +85,32 @@ def test_f2_against_quadrature():
 
 
 def test_f2_random_tuples():
+    # one interferer on with probability alpha: alpha * K a0 / (K a0 + a1)
     rng = np.random.default_rng(2)
     for _ in range(100):
         rho0 = float(rng.uniform(0.05, 1.5))
         rho1 = float(rng.uniform(0.05, 3.0))
         exponent = float(rng.uniform(1.5, 5.0))
         efficiency = float(rng.uniform(0.25, 3.0))
+        alpha = float(rng.uniform(0.0, 1.0))
         k = 2.0**efficiency - 1.0
-        expansion = outage_expansion(rho0**exponent, [rho1**exponent], k)
-        got = expansion.positive_tail_mass()
+        a0, a1 = rho0**exponent, rho1**exponent
         want = f2_reference(rho0, rho1, exponent, efficiency)
-        assert got == pytest.approx(want, abs=1e-12)
+        assert product_form_outage(a0, [a1 / k], 1.0) == pytest.approx(want, abs=1e-12)
+        got = product_form_outage(a0, [a1 / k], alpha)
+        assert got == pytest.approx(alpha * want, abs=1e-12)
 
 
 def test_f2_equidistant_symmetry():
-    k1 = outage_expansion(1.7, [1.7], 1.0).positive_tail_mass()
-    assert k1 == pytest.approx(0.5, abs=1e-14)
+    # equal signal and interferer rates at K = 1: a fair coin
+    assert product_form_outage(1.7, [1.7], 1.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_expansion_structure_and_reconstruction():
     rng = np.random.default_rng(3)
     scenario = seven_cell_scenario()
     users = sample_user_vector(scenario.layout, rng)
-    from dasqos.outage import _link_rates
-
-    rates = _link_rates(scenario, users)[0]
+    rates = _user_rates(scenario, users, 0)
     expansion = outage_expansion(rates[0], rates[1:], scenario.channel.sir_threshold)
     # multiplicities cover every cell, exactly one negative (signal) pole
     assert sum(k for _, k in expansion.poles) == 7
@@ -128,52 +131,86 @@ def test_repeated_pole_against_erlang_oracle():
     # two interferers at exactly the same distance: K*Y is Erlang(2, a/K),
     # so P(X < K Y) = 1 - (q / (q + a0))^2 with q = a/K
     a0, a, k = 1.3, 2.1, 1.6
-    expansion = outage_expansion(a0, [a, a], k)
-    assert max(mult for _, mult in expansion.poles) == 2
     q = a / k
     want = 1.0 - (q / (q + a0)) ** 2
-    assert expansion.positive_tail_mass() == pytest.approx(want, rel=1e-12)
+    assert product_form_outage(a0, [q, q], 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_triple_pole_against_erlang_oracle():
     a0, a, k = 0.9, 1.4, 3.0
-    expansion = outage_expansion(a0, [a, a, a], k)
-    assert max(mult for _, mult in expansion.poles) == 3
     # Y ~ Erlang(3, a/K) after folding the threshold into the rate
     rate = a / k
     want = 1.0 - (rate / (rate + a0)) ** 3
-    assert expansion.positive_tail_mass() == pytest.approx(want, rel=1e-12)
+    assert product_form_outage(a0, [rate] * 3, 1.0) == pytest.approx(want, rel=1e-12)
 
 
-def test_near_coincident_poles_raise_between_tolerances():
-    with pytest.raises(IllConditionedPoles):
-        outage_expansion(1.0, [2.0, 2.0 * (1.0 + 3e-7)], 1.0)
-    # below the merge tolerance the pair collapses to one double pole
-    merged = outage_expansion(1.0, [2.0, 2.0 * (1.0 + 1e-10)], 1.0)
-    assert max(mult for _, mult in merged.poles) == 2
+def test_kernel_matches_partial_fractions_on_separated_poles():
+    rng = np.random.default_rng(5)
+    checked, worst = 0, 0.0
+    while checked < 1000:
+        if rng.random() < 0.5:
+            layout = hex_cluster(7, 2.0)
+        else:
+            layout = cluster_from_centers([(0.0, 0.0)] + [
+                (float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
+                for _ in range(int(rng.integers(1, 6)))
+            ])
+        antennas = AntennaVector(
+            (float(rng.uniform(0.0, 0.9)),), (float(rng.uniform(0, 2 * math.pi)),), 0.05
+        )
+        channel = ChannelParams(float(rng.uniform(1.5, 5.0)), float(rng.uniform(0.25, 3.0)))
+        scenario = CellScenario(layout, antennas, channel)
+        rates = _user_rates(scenario, sample_user_vector(layout, rng), 0)
+        q = np.sort(rates[1:])
+        if q.size > 1 and np.min(np.diff(q) / q[1:]) < 1e-3:
+            continue  # the expansion's residues cancel badly here
+        k = channel.sir_threshold
+        want = outage_expansion(rates[0], rates[1:], k).positive_tail_mass()
+        got = float(product_form_outage(rates[0], rates[1:] / k, 1.0))
+        worst = max(worst, abs(got - want))
+        checked += 1
+    assert worst <= 1e-8
 
 
-def test_force_merge_matches_separated_limit():
-    # 1e-7 apart: refused normally, merged under force_merge; the merged
-    # value must sit within O(gap) of the well-separated evaluation
-    scenario = two_cell_scenario()
-    layout = cluster_from_centers([(0.0, 0.0), (2.0, 0.0), (-2.0, 0.0)])
-    channel = ChannelParams(4.0, 1.0)
-    antennas = AntennaVector((0.0,), (0.0,), 0.05)
-    scenario = CellScenario(layout, antennas, channel)
+def test_tiny_outage_matches_exact_fraction_product():
+    # the target sits under its antenna, so the outage is ~2e-9 and
+    # 1 - prod(...) in plain floating point would keep only ~7 digits
+    layout = hex_cluster(7, 2.0)
+    antennas = AntennaVector((0.42, 0.42), (0.0, math.pi), 0.01)
+    scenario = CellScenario(layout, antennas, ChannelParams(4.0, 1.0, 0.75))
+    users = UserVector((0.42, 0.3, 0.5, 0.7, 0.2, 0.9, 0.6), (0.0, 1, 2, 3, 4, 5, 6))
+    rates = _user_rates(scenario, users, 0)
+    k = scenario.channel.sir_threshold
+    a0, alpha = Fraction(float(rates[0])), Fraction(0.75)
+    clear = Fraction(1)
+    for q in rates[1:] / k:
+        clear *= 1 - alpha * a0 / (Fraction(float(q)) + a0)
+    exact = float(1 - clear)
+    assert exact < 1e-8
+    got = antenna_outage_closed_form(scenario, users, 0)
+    assert got == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
+def test_near_coincident_poles_match_mc(alpha):
     # interferers on the x-axis facing the origin: distances 1.5 and
-    # 1.5 - 5e-8, a relative rate gap ~1.3e-7 inside the refusal band
+    # 1.5 - 5e-8, a relative rate gap ~1.3e-7 that wrecks partial fractions
+    layout = cluster_from_centers([(0.0, 0.0), (2.0, 0.0), (-2.0, 0.0)])
+    antennas = AntennaVector((0.0,), (0.0,), 0.05)
+    scenario = CellScenario(layout, antennas, ChannelParams(4.0, 1.0, alpha))
     eps = 1e-7
     users_tight = UserVector((0.3, 0.5, 0.5 * (1 + eps)), (0.1, math.pi, 0.0))
+    users_equal = UserVector((0.3, 0.5, 0.5), (0.1, math.pi, 0.0))
     users_apart = UserVector((0.3, 0.5, 0.505), (0.1, math.pi, 0.0))
-    with pytest.raises(IllConditionedPoles):
-        antenna_outage_closed_form(scenario, users_tight, 0)
-    merged = antenna_outage_closed_form(scenario, users_tight, 0, force_merge=True)
+    tight = antenna_outage_closed_form(scenario, users_tight, 0)
+    # continuous through the coincidence: O(gap) from the exact double pole
+    equal = antenna_outage_closed_form(scenario, users_equal, 0)
+    assert tight == pytest.approx(equal, rel=1e-6)
     apart = antenna_outage_closed_form(scenario, users_apart, 0)
-    assert merged == pytest.approx(apart, rel=0.05)
+    assert tight == pytest.approx(apart, rel=0.05)
     mc, se = antenna_outage_mc(scenario, users_tight, 0, 200_000,
                                np.random.default_rng(4))
-    assert abs(merged - mc) <= 3 * se
+    assert abs(tight - mc) <= 3 * se
 
 
 def test_closed_form_matches_mc_random_geometries():
@@ -198,6 +235,18 @@ def test_closed_form_matches_mc_random_geometries():
         assert abs(closed - mc) <= 3 * max(se, 1e-5), (cells, exponent)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.75])
+def test_closed_form_matches_mc_intermittent(alpha):
+    rng = np.random.default_rng(19)
+    for exponent in (2.0, 4.0):
+        scenario = seven_cell_scenario(exponent, alpha=alpha, radius=float(rng.uniform(0.1, 0.9)))
+        users = sample_user_vector(scenario.layout, rng)
+        for m in range(scenario.antennas.count):
+            closed = antenna_outage_closed_form(scenario, users, m)
+            mc, se = antenna_outage_mc(scenario, users, m, 200_000, rng)
+            assert abs(closed - mc) <= 3 * max(se, 1e-5), (exponent, m)
+
+
 def test_single_cell_never_fails():
     layout = hex_cluster(1)
     scenario = CellScenario(layout, symmetric_circle(2, 0.4), ChannelParams(2.0, 1.0))
@@ -207,18 +256,7 @@ def test_single_cell_never_fails():
         0.0,
         0.0,
     )
-    assert instantaneous_sinr_sample(
-        scenario, users, 0, np.random.default_rng(0)
-    ) == math.inf
-
-
-def test_closed_form_needs_alpha_one():
-    scenario = seven_cell_scenario(alpha=0.5)
-    users = sample_user_vector(scenario.layout, np.random.default_rng(1))
-    with pytest.raises(ClosedFormUnavailable):
-        antenna_outage_closed_form(scenario, users, 0)
-    with pytest.raises(ClosedFormUnavailable):
-        conditional_system_outage(scenario, users)
+    assert product_form_outage(1.0, np.empty(0), 1.0) == 0.0
 
 
 def test_outage_monotone_in_spectral_efficiency():
@@ -267,17 +305,16 @@ def test_moving_antenna_toward_user_helps():
 def test_sinr_sampling_replay_and_alpha_zero():
     scenario = seven_cell_scenario(alpha=0.0)
     users = sample_user_vector(scenario.layout, np.random.default_rng(2))
-    assert instantaneous_sinr_sample(
-        scenario, users, 0, np.random.default_rng(5)
-    ) == math.inf
+    assert antenna_outage_closed_form(scenario, users, 0) == 0.0
     assert antenna_outage_mc(scenario, users, 0, 5000, np.random.default_rng(5)) == (
         0.0,
         0.0,
     )
-    live = seven_cell_scenario(alpha=0.7)
-    a = instantaneous_sinr_sample(live, users, 2, np.random.default_rng(5))
-    b = instantaneous_sinr_sample(live, users, 2, np.random.default_rng(5))
-    assert a == b
+    for alpha in (0.7, 1.0):
+        live = seven_cell_scenario(alpha=alpha)
+        a = antenna_outage_mc(live, users, 2, 10_000, np.random.default_rng(5))
+        b = antenna_outage_mc(live, users, 2, 10_000, np.random.default_rng(5))
+        assert a == b
 
 
 def test_alpha_decomposition_two_cells():
@@ -285,16 +322,10 @@ def test_alpha_decomposition_two_cells():
     scenario = two_cell_scenario(alpha=0.5)
     users = UserVector((0.6, 0.2), (0.3, 1.0))
     full = antenna_outage_closed_form(two_cell_scenario(alpha=1.0), users, 0)
+    half = antenna_outage_closed_form(scenario, users, 0)
+    assert half == pytest.approx(0.5 * full, rel=1e-12)
     mc, se = antenna_outage_mc(scenario, users, 0, 400_000, np.random.default_rng(6))
     assert abs(mc - 0.5 * full) <= 3 * se
-
-
-def test_mc_worker_determinism():
-    scenario = seven_cell_scenario()
-    users = sample_user_vector(scenario.layout, np.random.default_rng(9))
-    a = antenna_outage_mc(scenario, users, 0, 10_000, np.random.default_rng(1), workers=3)
-    b = antenna_outage_mc(scenario, users, 0, 10_000, np.random.default_rng(1), workers=3)
-    assert a == b
 
 
 def test_system_outage_product():
@@ -319,27 +350,28 @@ def test_conditional_system_outage_closed_path():
 
 def test_expected_outage_matches_scalar_loop():
     # the vectorized batch engine must agree with the one-user closed form
-    scenario = seven_cell_scenario(exponent=4.0, radius=0.58)
-    seed = 123
-    est = expected_outage(scenario, 200, np.random.default_rng(seed))
     from dasqos.geometry import sample_user_batch
 
-    ux, uy = sample_user_batch(scenario.layout, 200, np.random.default_rng(seed))
-    centers = scenario.layout.center_array()
-    values = []
-    for row in range(200):
-        dx = ux[row] - centers[:, 0]
-        dy = uy[row] - centers[:, 1]
-        users = UserVector(
-            tuple(float(min(r, 1.0)) for r in np.hypot(dx, dy)),
-            tuple(float(a % (2 * math.pi)) for a in np.arctan2(dy, dx)),
+    seed = 123
+    for alpha in (1.0, 0.5):
+        scenario = seven_cell_scenario(exponent=4.0, alpha=alpha, radius=0.58)
+        est = expected_outage(scenario, 200, np.random.default_rng(seed))
+        ux, uy = sample_user_batch(scenario.layout, 200, np.random.default_rng(seed))
+        centers = scenario.layout.center_array()
+        values = []
+        for row in range(200):
+            dx = ux[row] - centers[:, 0]
+            dy = uy[row] - centers[:, 1]
+            users = UserVector(
+                tuple(float(min(r, 1.0)) for r in np.hypot(dx, dy)),
+                tuple(float(a % (2 * math.pi)) for a in np.arctan2(dy, dx)),
+            )
+            values.append(conditional_system_outage(scenario, users))
+        assert est.value == pytest.approx(float(np.mean(values)), rel=1e-12)
+        assert est.std_err == pytest.approx(
+            float(np.std(values, ddof=1) / math.sqrt(200)), rel=1e-9
         )
-        values.append(conditional_system_outage(scenario, users))
-    assert est.value == pytest.approx(float(np.mean(values)), rel=1e-12)
-    assert est.std_err == pytest.approx(
-        float(np.std(values, ddof=1) / math.sqrt(200)), rel=1e-9
-    )
-    assert est.samples == 200
+        assert est.samples == 200
 
 
 def test_expected_outage_deterministic_and_worker_invariant():
@@ -362,12 +394,14 @@ def test_expected_outage_common_random_numbers():
     assert near.value != far.value  # different layouts actually evaluated
 
 
-def test_expected_outage_alpha_below_one_runs_mc():
-    scenario = seven_cell_scenario(alpha=0.5)
-    est = expected_outage(scenario, 3, np.random.default_rng(11), mc_trials=2000)
-    assert 0.0 <= est.value <= 1.0
-    rep = expected_outage(scenario, 3, np.random.default_rng(11), mc_trials=2000)
-    assert est == rep
+def test_expected_outage_scales_with_alpha():
+    # fewer active interferers never hurt, and alpha = 0 means no outage
+    values = [
+        expected_outage(seven_cell_scenario(alpha=a), 500, np.random.default_rng(11)).value
+        for a in (0.0, 0.3, 0.75, 1.0)
+    ]
+    assert values[0] == 0.0
+    assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_expected_outage_validation():

@@ -5,6 +5,7 @@ geometric) and numerical integration of the mixture pdf (hyperexponential),
 so a transcription slip in either closed form cannot hide.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ def test_service_moments_frozen_values():
 
 def test_service_moments_p_zero():
     assert service_moments(TruncatedGeometric(0.0, 7)) == (1.0, 0.0)
+
+
+def test_service_moments_exact_near_certain_failure():
+    # exact rational enumeration over the binary value of p; the variance
+    # is a difference of nearly equal terms as p -> 1 and must stay accurate
+    for p in (0.0, 0.1, 0.5, 0.9, 0.99, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9):
+        for L in (1, 2, 3, 10, 40):
+            pf = Fraction(p)
+            probs = [(1 - pf) * pf ** (k - 1) for k in range(1, L)] + [pf ** (L - 1)]
+            mean = sum(k * w for k, w in enumerate(probs, start=1))
+            var = sum(w * (k - mean) ** 2 for k, w in enumerate(probs, start=1))
+            got_mean, got_var = service_moments(TruncatedGeometric(p, L))
+            assert got_var >= 0.0, (p, L)
+            assert abs(Fraction(got_mean) - mean) <= Fraction(1e-10) * mean, (p, L)
+            assert abs(Fraction(got_var) - var) <= Fraction(1e-10) * var, (p, L)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5])
