@@ -317,6 +317,17 @@ def test_sinr_sampling_replay_and_alpha_zero():
         assert a == b
 
 
+def test_mc_worker_determinism():
+    # one RNG stream, no thread split: a seed replays the estimate exactly
+    scenario = seven_cell_scenario()
+    users = sample_user_vector(scenario.layout, np.random.default_rng(9))
+    a = antenna_outage_mc(scenario, users, 0, 10_000, np.random.default_rng(1))
+    b = antenna_outage_mc(scenario, users, 0, 10_000, np.random.default_rng(1))
+    assert a == b
+    exact = antenna_outage_closed_form(scenario, users, 0)
+    assert abs(a[0] - exact) <= 3 * a[1]
+
+
 def test_alpha_decomposition_two_cells():
     # single interferer: outage(alpha) = alpha * outage(1)
     scenario = two_cell_scenario(alpha=0.5)
