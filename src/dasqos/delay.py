@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy import EnergyFunction, arrival_energy, eval_energy
+from .energy import EnergyFunction, arrival_energy, eval_energy, expm1
 from .errors import ConfigError, NoRootError, StabilityError
 from .traffic import (
     Poisson,
@@ -113,7 +113,7 @@ def priority_service_energy(system: PrioritySystem, index: int, phi: float) -> f
                     "exact_poisson mode needs Poisson arrivals and "
                     "single-attempt service on every higher-priority flow"
                 )
-            total += arrival_rate(other.arrival) * (math.exp(hat) - 1.0)
+            total += arrival_rate(other.arrival) * expm1(hat)
         else:
             # slot usage per unit time: mean mu_s/mu_x, variance by renewal CLT
             mean = mu_s / mu_x
@@ -170,7 +170,7 @@ def solve_phi_star(system: PrioritySystem, priority: int) -> float:
             hi = (lo + hi) / 2.0
     for _ in range(MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
-        if hi - lo <= ROOT_TOL * max(1.0, hi):
+        if hi - lo <= ROOT_TOL * hi:
             break
         if f(mid) < 0.0:
             lo = mid

@@ -55,11 +55,11 @@ class AsymptoticRenewal:
 EnergyFunction = Union[ExactPoisson, ExactBinomial, AsymptoticRenewal]
 
 
-def _exp(x: float) -> float:
-    # exp overflow shows up as a legitimate +inf bracket endpoint during
-    # root expansion, not as an exception.
+def expm1(x: float) -> float:
+    # e^x - 1 without cancellation near 0; overflow shows up as a legitimate
+    # +inf bracket endpoint during root expansion, not as an exception.
     try:
-        return math.exp(x)
+        return math.expm1(x)
     except OverflowError:
         return math.inf
 
@@ -68,9 +68,9 @@ def eval_energy(f: EnergyFunction, phi: float) -> float:
     """Evaluate the energy function at phi (any real phi)."""
     match f:
         case ExactPoisson(rate=lam):
-            return lam * (_exp(phi) - 1.0)
+            return lam * expm1(phi)
         case ExactBinomial(q=q):
-            return math.log(q + (1.0 - q) * _exp(phi))
+            return math.log1p((1.0 - q) * expm1(phi))
         case AsymptoticRenewal(mean=m, variance=v):
             return phi / m + phi * phi * v / (2.0 * m**3)
     raise TypeError(f"unknown energy function {f!r}")

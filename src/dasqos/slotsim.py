@@ -10,15 +10,17 @@ free to cut in between attempts.
 
 Failure coins are pre-drawn indexed by slot, so an attempt's outcome
 depends only on when it happens, not on queue history; together with a
-fixed seed this makes runs bit-reproducible. The per-attempt probability
-may be a plain number or the expected-outage output of the antenna engine;
-the simulator does not care where it came from.
+fixed seed this makes runs bit-reproducible. It also fixes the slots a
+level uses whatever the levels below do, so level n is simulated on its
+own, as one FIFO queue on the slots that levels < n left free: a Lindley
+recursion for unit service, one pass per packet over the coins for
+retries. The per-attempt probability may be a plain number or the
+expected-outage output of the antenna engine; the simulator does not care
+where it came from.
 """
 from __future__ import annotations
 
-import array
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,11 +167,11 @@ class SimStats:
 
 
 def _eligible_slots(flow: TrafficFlow, horizon: int, rng: np.random.Generator):
-    """All arrival eligibility slots below horizon, as a list of ints.
+    """All arrival eligibility slots below horizon, sorted, as an ndarray.
 
     A packet landing inside slot s waits for boundary s+1; one landing
     exactly on a boundary (probability zero for the continuous models)
-    waits out that slot too.
+    waits out that slot too. Slots are int32 whenever the horizon fits.
     """
     rate = arrival_rate(flow.arrival)
     times: list[np.ndarray] = []
@@ -177,17 +179,104 @@ def _eligible_slots(flow: TrafficFlow, horizon: int, rng: np.random.Generator):
     remaining = float(horizon)
     while remaining > 0.0:
         n = max(64, int(remaining * rate * 1.1) + 16)
-        chunk = np.cumsum(sample_interarrival(flow.arrival, rng, n)) + total
+        chunk = sample_interarrival(flow.arrival, rng, n)
+        np.cumsum(chunk, out=chunk)
+        chunk += total
         times.append(chunk)
         total = float(chunk[-1])
         remaining = horizon - total
-    all_times = np.concatenate(times)
-    eligible = np.floor(all_times).astype(np.int64) + 1
-    eligible = eligible[eligible < horizon]
-    # array.array keeps 10^7-slot runs at 8 bytes per packet and indexes fast
-    out = array.array("q")
-    out.frombytes(eligible.tobytes())
-    return out
+    all_times = times[0] if len(times) == 1 else np.concatenate(times)
+    # floor(t) + 1 < horizon exactly when t < horizon - 1; the times are
+    # sorted and >= 0, so those are a prefix and truncation is the floor
+    kept = all_times[: np.searchsorted(all_times, horizon - 1)]
+    return kept.astype(np.int32 if horizon < 2**31 else np.int64) + 1
+
+
+def _retry_limit(flow: TrafficFlow) -> int:
+    if isinstance(flow.service, (TruncatedGeometric, DeterministicUnit)):
+        return getattr(flow.service, "max_attempts", 1)
+    raise ConfigError(
+        f"flow {flow.priority}: only unit and retrying service can be "
+        "simulated at slot level"
+    )
+
+
+def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: int):
+    """First and last attempt of each packet that starts before the horizon.
+
+    Positions count the level's free slots, whose failure coins fail_bytes
+    holds. A packet starts at max(idx_k, end_{k-1} + 1) and stops at its
+    first success or limit-th failure; one still in service at the horizon
+    gets end = nfree.
+    """
+    start, end = np.empty_like(idx), np.empty_like(idx)
+    starts, ends, find = memoryview(start), memoryview(end), fail_bytes.find
+    last, k = -1, 0
+    for i in memoryview(idx):
+        s = i if i > last else last + 1
+        if s >= nfree:
+            break
+        j = find(b"\0", s, s + limit)
+        last = j if j >= 0 else min(s + limit - 1, nfree)
+        starts[k], ends[k] = s, last
+        k += 1
+    return start[:k], end[:k]
+
+
+def _check_schedule(idx: np.ndarray, start: np.ndarray, end: np.ndarray, nfree: int) -> None:
+    """Raise unless a level's schedule keeps strict priority and FIFO order.
+
+    Priority: each of the nfree free slots is used at most once. FIFO and
+    work conservation: start_k = max(idx_k, end_{k-1} + 1).
+    """
+    if len(start) and (
+        start[0] < 0 or start[-1] >= nfree or np.any(end < start) or np.any(start[1:] <= end[:-1])
+    ):
+        raise AssertionError("priority violated: a slot was used twice or was not free")
+    ready = np.empty_like(end)
+    ready[:1] = 0
+    np.add(end[:-1], 1, out=ready[1:])
+    if not np.array_equal(start, np.maximum(ready, idx[: len(start)], out=ready)):
+        raise AssertionError("FIFO order or work conservation violated")
+
+
+def _serve_level(flow, limit, e, free, fail, cfg: SimConfig, last: bool):
+    """Serve one level as a FIFO queue on the slots the levels above left
+    free (None: all). idx, start and end are positions among them. Returns
+    the level's FlowStats and the slots it leaves below (None if last)."""
+    horizon, warmup = cfg.horizon, cfg.warmup
+    nfree = horizon if free is None else len(free)
+    idx = e if free is None else np.searchsorted(free, e).astype(e.dtype)
+    if limit == 1:  # Lindley recursion as a running maximum
+        k = np.arange(len(idx), dtype=idx.dtype)
+        start = np.maximum.accumulate(idx - k)
+        start += k
+        start = end = start[: np.searchsorted(start, nfree)]
+    else:
+        level_fail = fail if free is None else fail[free]
+        start, end = _serve_with_retries(idx, level_fail.tobytes(), limit, nfree)
+    _check_schedule(idx, start, end, nfree)
+    below = None
+    if not last:  # drop each packet's run of slots
+        run = np.zeros(nfree + 1, dtype=np.int8)
+        run[start] = 1
+        run[np.minimum(end, nfree - 1) + 1] -= 1
+        keep = np.cumsum(run[:nfree], dtype=np.int8) == 0
+        below = np.flatnonzero(keep).astype(e.dtype) if free is None else free[keep]
+
+    done = len(end) - int(len(end) > 0 and end[-1] >= nfree)  # in service at the horizon
+    depart = end[:done] if free is None else free[end[:done]]
+    first = int(np.searchsorted(e, warmup))  # first post-warmup arrival
+    lost = int(np.count_nonzero(fail[depart[first:]]))
+    # slots present: arrival (or warmup) through departure or the horizon
+    area = int(np.clip(depart[:first] - warmup + 1, 0, None).sum(dtype=np.int64))
+    area += (len(e) - done) * horizon - int(np.maximum(e[done:], warmup).sum(dtype=np.int64))
+    # in place: depart (a view of end on the top level) is not read again
+    wait = np.subtract(depart[first:], e[first:done], out=depart[first:])
+    area += int(wait.sum(dtype=np.int64)) + len(wait)
+    wait += 1 if cfg.delay_convention == "sojourn" else 0
+    tallies = (len(e) - first, len(wait) - lost, lost, tuple(np.bincount(wait).tolist()))
+    return FlowStats(flow.priority, *tallies, area, horizon - warmup), below
 
 
 def simulate(cfg: SimConfig) -> SimStats:
@@ -198,107 +287,17 @@ def simulate(cfg: SimConfig) -> SimStats:
     inclusive, waiting drops the final (service) slot.
     """
     rng = np.random.default_rng(cfg.seed)
-    horizon, warmup = cfg.horizon, cfg.warmup
-    window = horizon - warmup
-    n_flows = len(cfg.flows)
-    queues = [_eligible_slots(f, horizon, rng) for f in cfg.flows]
-    heads = [0] * n_flows
-    sizes = [len(q) for q in queues]
-    arrived = [len(q) - bisect_left(q, warmup) for q in queues]  # q is sorted
-    fail_bytes = (rng.random(horizon) < cfg.attempt_failure_prob).tobytes()
-
-    retry_limit = []
-    for f in cfg.flows:
-        if isinstance(f.service, TruncatedGeometric):
-            retry_limit.append(f.service.max_attempts)
-        elif isinstance(f.service, DeterministicUnit):
-            retry_limit.append(1)
-        else:
-            raise ConfigError(
-                f"flow {f.priority}: only unit and retrying service can be "
-                "simulated at slot level"
-            )
-
-    base = 1 if cfg.delay_convention == "sojourn" else 0
-    delay_counts: list[dict[int, int]] = [{} for _ in range(n_flows)]
-    served = [0] * n_flows
-    lost = [0] * n_flows
-    area = [0] * n_flows
-    attempts = [0] * n_flows
-
-    def close_out(flow_idx: int, eligible: int, depart: int, was_lost: bool) -> None:
-        lo = max(eligible, warmup)
-        hi = min(depart, horizon - 1)
-        if hi >= lo:
-            area[flow_idx] += hi - lo + 1
-        if eligible >= warmup:
-            if was_lost:
-                lost[flow_idx] += 1
-            else:
-                served[flow_idx] += 1
-            d = depart - eligible + base
-            counts = delay_counts[flow_idx]
-            counts[d] = counts.get(d, 0) + 1
-
-    slot = 0
-    while slot < horizon:
-        pick = -1
-        for i in range(n_flows):
-            h = heads[i]
-            if h < sizes[i] and queues[i][h] <= slot:
-                pick = i
-                break
-        if pick < 0:
-            # work conservation: nothing is eligible, jump to the next event
-            assert all(
-                heads[j] >= sizes[j] or queues[j][heads[j]] > slot
-                for j in range(n_flows)
-            ), "server idled with work available"
-            nxt = horizon
-            for i in range(n_flows):
-                h = heads[i]
-                if h < sizes[i] and queues[i][h] < nxt:
-                    nxt = queues[i][h]
-            slot = nxt
-            continue
-        # strict priority: everything above the pick must be empty or future
-        assert all(
-            heads[j] >= sizes[j] or queues[j][heads[j]] > slot for j in range(pick)
-        ), "priority violated"
-        if fail_bytes[slot]:
-            attempts[pick] += 1
-            if attempts[pick] >= retry_limit[pick]:
-                close_out(pick, queues[pick][heads[pick]], slot, True)
-                heads[pick] += 1
-                attempts[pick] = 0
-        else:
-            close_out(pick, queues[pick][heads[pick]], slot, False)
-            heads[pick] += 1
-            attempts[pick] = 0
-        slot += 1
-
-    # whatever is still queued at the horizon occupies the tail of the window
-    for i in range(n_flows):
-        for e in queues[i][heads[i] :]:
-            lo = max(e, warmup)
-            if lo <= horizon - 1:
-                area[i] += horizon - lo
-
-    flow_stats = []
-    for i, f in enumerate(cfg.flows):
-        counts = delay_counts[i]
-        top = max(counts) if counts else -1
-        table = tuple(counts.get(d, 0) for d in range(top + 1))
-        flow_stats.append(
-            FlowStats(f.priority, arrived[i], served[i], lost[i], table, area[i], window)
-        )
-    return SimStats(
-        tuple(flow_stats),
-        horizon,
-        warmup,
-        cfg.delay_convention,
-        cfg.effective_load() < 1.0,
-    )
+    limits = [_retry_limit(f) for f in cfg.flows]
+    eligible = [_eligible_slots(f, cfg.horizon, rng) for f in cfg.flows]
+    fail = rng.random(cfg.horizon) < cfg.attempt_failure_prob
+    free, flow_stats = None, []
+    for level, (f, limit) in enumerate(zip(cfg.flows, limits)):
+        # popped, so a level's eligibility slots go once it is served
+        last = level + 1 == len(cfg.flows)
+        stats, free = _serve_level(f, limit, eligible.pop(0), free, fail, cfg, last)
+        flow_stats.append(stats)
+    stable = cfg.effective_load() < 1.0
+    return SimStats(tuple(flow_stats), cfg.horizon, cfg.warmup, cfg.delay_convention, stable)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ constants so a regression in either the energies or the solver shows up as
 a numeric drift, not just a changed shape.
 """
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -144,6 +145,23 @@ def test_phi_star_shrinks_toward_stability_boundary():
     roots = [solve_phi_star(single_poisson(lam), 1) for lam in (0.5, 0.8, 0.95, 0.99)]
     assert all(a > b for a, b in zip(roots, roots[1:]))
     assert roots[-1] < 0.025
+
+
+@pytest.mark.parametrize("gap, rel", [(1e-3, 1e-9), (1e-6, 1e-9), (2e-9, 1e-6)])
+def test_phi_star_relative_accuracy_near_unit_load(gap, rel):
+    # lam (e^phi - 1) = phi is sum_{k>=1} phi^k / (k+1)! = (1 - lam) / lam,
+    # a series without cancellation; bisect it in exact rationals. The
+    # series' tail past k = 12 is below 1e-30 of its value for phi < 0.01.
+    lam = 1.0 - gap
+    target = (1 - Fraction(lam)) / Fraction(lam)
+    terms = [math.factorial(k + 1) for k in range(1, 13)]
+    lo, hi = Fraction(0), Fraction(1, 100)
+    for _ in range(90):
+        mid = (lo + hi) / 2
+        series = sum(mid**k / f for k, f in enumerate(terms, start=1))
+        lo, hi = (mid, hi) if series < target else (lo, mid)
+    want = float(lo)
+    assert solve_phi_star(single_poisson(lam), 1) == pytest.approx(want, rel=rel)
 
 
 def test_unstable_system_raises():

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+import slot_loop_oracle
+from dasqos import slotsim
 from dasqos.delay import PrioritySystem, delay_violation_probability
 from dasqos.errors import ConfigError
 from dasqos.slotsim import (
@@ -252,3 +255,98 @@ class TestTrendUnderLoad:
         high = curves[0.4].flow(2)
         for d in range(1, 7):
             assert high.ccdf(d) > low.ccdf(d)
+
+
+def _unit(priority: int, rate: float) -> TrafficFlow:
+    return TrafficFlow(priority, Poisson(rate), DeterministicUnit())
+
+
+def _retry(priority: int, rate: float, p: float, attempts: int) -> TrafficFlow:
+    return TrafficFlow(priority, Poisson(rate), TruncatedGeometric(p, attempts))
+
+
+# scenario kind -> flows at failure probability p; rates scale with 1 - p so
+# that retrying levels stay near their intended load
+ORACLE_SCENARIOS = {
+    "unit": lambda p: (_unit(1, 0.5),),
+    "unit_over_retry": lambda p: (_unit(1, 0.2), _retry(2, 0.6 * (1 - p), p, 4)),
+    "retry_over_unit": lambda p: (_retry(1, 0.3 * (1 - p), p, 3), _unit(2, 0.4)),
+    "three_levels": lambda p: (
+        _unit(1, 0.1), _retry(2, 0.3 * (1 - p), p, 2), _unit(3, 0.3)
+    ),
+    "retry_one_attempt": lambda p: (_retry(1, 0.4, p, 1), _unit(2, 0.3)),
+    "empty_flow": lambda p: (_unit(1, 1e-9), _retry(2, 0.5 * (1 - p), p, 5)),
+    "overload": lambda p: (_unit(1, 0.6), _retry(2, 0.7, p, 4), _unit(3, 0.5)),
+}
+ORACLE_GRID = [
+    ("unit", 0.0), ("unit", 0.6),
+    ("unit_over_retry", 0.1), ("unit_over_retry", 0.9),
+    ("retry_over_unit", 0.15), ("retry_over_unit", 0.6),
+    ("three_levels", 0.1), ("three_levels", 0.9),
+    ("retry_one_attempt", 0.15),
+    ("empty_flow", 0.1),
+    ("overload", 0.0), ("overload", 0.1),
+]
+
+
+@pytest.mark.parametrize("kind, p", ORACLE_GRID)
+def test_simulate_matches_slot_loop(kind, p):
+    # the per-level simulator against the per-slot loop it replaced: same
+    # draws, so every field of every FlowStats must agree exactly
+    horizon = 10_000
+    flows = ORACLE_SCENARIOS[kind](p)
+    for seed in (1, 2, 3, 4):
+        for convention in ("sojourn", "waiting"):
+            for warmup in (0, horizon // 2, horizon - 1):
+                cfg = SimConfig(flows, p, horizon, warmup, seed, convention)
+                got, want = simulate(cfg), slot_loop_oracle.simulate(cfg)
+                assert got == want
+                assert repr(got) == repr(want)  # plain ints, not numpy scalars
+
+
+class TestScheduleInvariants:
+    # positions in a level's free slots: arrivals eligible at 0, 0 and 5
+    idx = np.array([0, 0, 5], dtype=np.int32)
+
+    def schedule(self):
+        return np.array([0, 1, 5], dtype=np.int32), np.array([0, 3, 5], dtype=np.int32)
+
+    def test_valid_schedule_passes(self):
+        start, end = self.schedule()
+        slotsim._check_schedule(self.idx, start, end, nfree=6)
+
+    def test_idle_server_with_work_raises(self):
+        start, end = self.schedule()
+        start[1] = 2  # slot 1 left idle while packet 1 waited
+        with pytest.raises(AssertionError, match="work conservation"):
+            slotsim._check_schedule(self.idx, start, end, nfree=6)
+
+    def test_service_before_eligibility_raises(self):
+        start, end = self.schedule()
+        start[2] = end[2] = 4  # a free slot, but packet 2 is not there until 5
+        with pytest.raises(AssertionError, match="FIFO"):
+            slotsim._check_schedule(self.idx, start, end, nfree=6)
+
+    def test_slot_used_twice_raises(self):
+        start, end = self.schedule()
+        end[1] = 5  # packet 1 still holds slot 5 when packet 2 takes it
+        with pytest.raises(AssertionError, match="priority"):
+            slotsim._check_schedule(self.idx, start, end, nfree=6)
+
+    def test_slot_that_was_not_free_raises(self):
+        start, end = self.schedule()
+        with pytest.raises(AssertionError, match="priority"):
+            slotsim._check_schedule(self.idx, start, end, nfree=5)
+
+    def test_simulate_runs_the_checks(self, monkeypatch):
+        serve = slotsim._serve_with_retries
+
+        def overlapping(*args):
+            start, end = serve(*args)
+            end = end.copy()
+            end[10] = start[11]
+            return start, end
+
+        monkeypatch.setattr(slotsim, "_serve_with_retries", overlapping)
+        with pytest.raises(AssertionError, match="priority"):
+            simulate(fig5_config(5_000, seed=1))
