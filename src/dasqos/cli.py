@@ -129,6 +129,10 @@ def _samples(args, cfg: ScenarioConfig) -> int:
     return args.samples if args.samples is not None else cfg.run.samples
 
 
+def _out(args, cfg: ScenarioConfig) -> str | None:
+    return args.out if args.out is not None else cfg.run.output
+
+
 def _failure_prob(args, cfg: ScenarioConfig) -> float:
     p = cfg.run.attempt_failure_prob
     if p is None:
@@ -178,7 +182,7 @@ def cmd_delay(args) -> None:
         rows = [
             (pr, d, analytic[pr][d]) for pr in priorities for d in thresholds
         ]
-        _emit(["flow", "d_th", "prob_analytic"], rows, args.out)
+        _emit(["flow", "d_th", "prob_analytic"], rows, _out(args, cfg))
         return
 
     int_thresholds = [int(d) for d in thresholds]
@@ -203,7 +207,7 @@ def cmd_delay(args) -> None:
     _emit(
         ["flow", "d_th", "prob_sim", "ci_low", "ci_high", "prob_analytic"],
         rows,
-        args.out,
+        _out(args, cfg),
     )
 
 
@@ -229,7 +233,7 @@ def cmd_outage(args) -> None:
             per_antenna.append(value)
             rows.append((str(m), value))
         rows.append(("system", system_outage(per_antenna)))
-        _emit(["antenna", "outage"], rows, args.out)
+        _emit(["antenna", "outage"], rows, _out(args, cfg))
         return
     samples = _samples(args, cfg)
     est = expected_outage(
@@ -247,7 +251,7 @@ def cmd_outage(args) -> None:
     _emit(
         ["radius", "e_outage", "std_err", "samples", "alpha", "path_loss_exp", "spacing_d"],
         [row],
-        args.out,
+        _out(args, cfg),
     )
 
 
@@ -267,7 +271,7 @@ def cmd_optimize(args) -> None:
         else:
             radius, angle = avg[0], avg[m]
         rows.append((i + 1, radius, angle, trace.outage[i]))
-    _emit(["n", "L1_bar", "theta1_bar", "e_outage_estimate"], rows, args.out)
+    _emit(["n", "L1_bar", "theta1_bar", "e_outage_estimate"], rows, _out(args, cfg))
 
     if trace.diverged:
         print(
@@ -320,7 +324,7 @@ def cmd_sweep(args) -> None:
             "argmin",
         ],
         rows,
-        args.out,
+        _out(args, cfg),
     )
 
 

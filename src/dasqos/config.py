@@ -5,21 +5,29 @@ geometry, run, rm. Commands check for the sections they need; everything
 present is validated here, and unknown keys anywhere are an error. Parsing
 goes through yaml.compose rather than safe_load so every complaint can
 point at the offending line.
+
+A section's keys are the parameters of the constructor it calls: those
+without a default are required, and the parameter's annotation says how
+each value is read. Only geometry and the flows list itself are parsed
+by hand.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import io
 import math
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Literal, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .errors import ConfigError
 from .geometry import (
+    DEFAULT_SPACING,
     AntennaVector,
     ClusterLayout,
-    DEFAULT_HEIGHT,
     UserVector,
     cluster_from_centers,
     hex_cluster,
@@ -28,15 +36,20 @@ from .geometry import (
 from .outage import ChannelParams
 from .placement import RMConfig
 from .traffic import (
+    ArrivalModel,
     DeterministicUnit,
     GenericRenewal,
     MarkovFluidRenewal,
     Poisson,
+    ServiceModel,
     TrafficFlow,
     TruncatedGeometric,
 )
 
 LINKED = "linked"  # sentinel: derive the per-attempt failure prob from E(outage)
+
+ARRIVALS = {"poisson": Poisson, "markov_fluid": MarkovFluidRenewal, "renewal": GenericRenewal}
+SERVICES = {"unit": DeterministicUnit, "truncated_geometric": TruncatedGeometric}
 
 
 @dataclass(frozen=True)
@@ -45,10 +58,10 @@ class RunParams:
     samples: int = 10_000
     horizon: int = 1_000_000
     warmup: int = 0
-    output: str | None = None
-    attempt_failure_prob: float | str | None = None
-    delay_convention: str = "sojourn"
-    higher_priority_mode: str = "gaussian"
+    output: str | None = None  # CSV path; --out overrides it, stdout when neither is set
+    attempt_failure_prob: float | Literal["linked"] | None = None
+    delay_convention: Literal["sojourn", "waiting"] = "sojourn"
+    higher_priority_mode: Literal["gaussian", "exact_poisson"] = "gaussian"
 
 
 @dataclass(frozen=True)
@@ -83,13 +96,9 @@ class ScenarioConfig:
         return self.layout, self.antennas, self.channel
 
 
-def _mark(node: yaml.Node) -> str:
-    m = node.start_mark
-    return f"{m.name}:{m.line + 1}:{m.column + 1}"
-
-
 def _fail(node: yaml.Node, message: str) -> ConfigError:
-    return ConfigError(f"{_mark(node)}: {message}")
+    m = node.start_mark
+    return ConfigError(f"{m.name}:{m.line + 1}:{m.column + 1}: {message}")
 
 
 def _mapping(node: yaml.Node, what: str) -> dict[str, yaml.Node]:
@@ -144,7 +153,7 @@ def _str_choice(node: yaml.Node, what: str, choices: tuple[str, ...]) -> str:
     return text
 
 
-def _reject_unknown(fields: dict[str, yaml.Node], allowed: set[str], what: str) -> None:
+def _reject_unknown(fields: dict[str, yaml.Node], allowed: Container[str], what: str) -> None:
     for key, node in fields.items():
         if key not in allowed:
             raise _fail(node, f"unknown key {key!r} in {what}")
@@ -156,111 +165,72 @@ def _require(fields: dict[str, yaml.Node], key: str, parent: yaml.Node, what: st
     return fields[key]
 
 
-def _parse_arrival(node: yaml.Node):
-    fields = _mapping(node, "arrival")
-    kind = _str_choice(
-        _require(fields, "kind", node, "arrival"),
-        "arrival.kind",
-        ("poisson", "markov_fluid", "renewal"),
-    )
-    if kind == "poisson":
-        _reject_unknown(fields, {"kind", "rate"}, "arrival")
-        return Poisson(_float(_require(fields, "rate", node, "arrival"), "rate"))
-    if kind == "markov_fluid":
-        allowed = {"kind", "rate_a", "rate_b", "weight_a", "weight_b"}
-        _reject_unknown(fields, allowed, "arrival")
-        return MarkovFluidRenewal(
-            _float(_require(fields, "rate_a", node, "arrival"), "rate_a"),
-            _float(_require(fields, "rate_b", node, "arrival"), "rate_b"),
-            _float(_require(fields, "weight_a", node, "arrival"), "weight_a"),
-            _float(_require(fields, "weight_b", node, "arrival"), "weight_b"),
-        )
-    _reject_unknown(fields, {"kind", "mean", "variance"}, "arrival")
-    return GenericRenewal(
-        _float(_require(fields, "mean", node, "arrival"), "mean"),
-        _float(_require(fields, "variance", node, "arrival"), "variance"),
-    )
+def _coercer(hint: Any) -> Callable[[yaml.Node, str], Any]:
+    """The node-to-value function for one constructor annotation."""
+    scalars = {int: _int, float: _float, str: _scalar}
+    kinds = {ArrivalModel: ARRIVALS, ServiceModel: SERVICES}
+    if hint in scalars:
+        return scalars[hint]
+    if hint in kinds:
+        return functools.partial(_build_kind, kinds[hint])
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return lambda node, what: _str_choice(node, what, args)
+    if origin is tuple:  # tuple[float, ...]
+        item = _coercer(args[0])
+        return lambda node, what: tuple(item(n, what) for n in _sequence(node, what))
+    # X | None reads an X; X | Literal[words] | None reads one of the words, or else an X
+    words = [w for a in args if get_origin(a) is Literal for w in get_args(a)]
+    (other,) = [a for a in args if a is not type(None) and get_origin(a) is not Literal]
+    coerce = _coercer(other)
+
+    def word_or_value(node: yaml.Node, what: str) -> Any:
+        text = _scalar(node, what)
+        return text if text in words else coerce(node, what)
+
+    return word_or_value
 
 
-def _parse_service(node: yaml.Node):
-    fields = _mapping(node, "service")
-    kind = _str_choice(
-        _require(fields, "kind", node, "service"),
-        "service.kind",
-        ("unit", "truncated_geometric"),
-    )
-    if kind == "unit":
-        _reject_unknown(fields, {"kind"}, "service")
-        return DeterministicUnit()
-    _reject_unknown(fields, {"kind", "failure_prob", "max_attempts"}, "service")
-    return TruncatedGeometric(
-        _float(_require(fields, "failure_prob", node, "service"), "failure_prob"),
-        _int(_require(fields, "max_attempts", node, "service"), "max_attempts"),
-    )
+@functools.cache
+def _parameters(fn: Callable, skip: tuple[str, ...]) -> dict[str, tuple[bool, Callable]]:
+    """Key -> (required, coercer) for each parameter of fn not in skip."""
+    hints = get_type_hints(fn)
+    return {
+        name: (p.default is p.empty, _coercer(hints[name]))
+        for name, p in inspect.signature(fn).parameters.items()
+        if name not in skip
+    }
+
+
+def _build(fn: Callable, node: yaml.Node, what: str,
+           fields: dict[str, yaml.Node] | None = None, skip: tuple[str, ...] = ()):
+    """fn called with the mapping at node, one key per parameter not in skip.
+
+    fields is that mapping when the caller has already read it.
+    """
+    if fields is None:
+        fields = _mapping(node, what)
+    params = _parameters(fn, skip)
+    _reject_unknown(fields, params, what)
+    kwargs = {}
+    for name, (required, coerce) in params.items():
+        if required or name in fields:
+            kwargs[name] = coerce(_require(fields, name, node, what), name)
+    return fn(**kwargs)
+
+
+def _build_kind(table: dict[str, Callable], node: yaml.Node, what: str):
+    """Build the model that the mapping's kind names in table."""
+    fields = _mapping(node, what)
+    kind = _str_choice(_require(fields, "kind", node, what), f"{what}.kind", tuple(table))
+    return _build(table[kind], node, what, {k: v for k, v in fields.items() if k != "kind"})
 
 
 def _parse_flows(node: yaml.Node) -> tuple[TrafficFlow, ...]:
-    flows = []
-    for item in _sequence(node, "flows"):
-        fields = _mapping(item, "flow")
-        _reject_unknown(fields, {"priority", "name", "arrival", "service"}, "flow")
-        flows.append(
-            TrafficFlow(
-                priority=_int(_require(fields, "priority", item, "flow"), "priority"),
-                arrival=_parse_arrival(_require(fields, "arrival", item, "flow")),
-                service=_parse_service(_require(fields, "service", item, "flow")),
-                name=_scalar(fields["name"], "name") if "name" in fields else "",
-            )
-        )
+    flows = tuple(_build(TrafficFlow, item, "flow") for item in _sequence(node, "flows"))
     if not flows:
         raise _fail(node, "flows must not be empty")
-    return tuple(flows)
-
-
-def _parse_channel(node: yaml.Node) -> ChannelParams:
-    fields = _mapping(node, "channel")
-    allowed = {"path_loss_exponent", "spectral_efficiency", "on_probability"}
-    _reject_unknown(fields, allowed, "channel")
-    kwargs: dict[str, float] = {}
-    for key in allowed:
-        if key in fields:
-            kwargs[key] = _float(fields[key], key)
-    if "path_loss_exponent" not in kwargs:
-        raise _fail(node, "channel is missing required key 'path_loss_exponent'")
-    return ChannelParams(**kwargs)
-
-
-def _parse_antennas(node: yaml.Node) -> AntennaVector:
-    fields = _mapping(node, "antennas")
-    if "count" in fields:
-        _reject_unknown(fields, {"count", "radius", "rotation", "height"}, "antennas")
-        return symmetric_circle(
-            _int(fields["count"], "count"),
-            _float(_require(fields, "radius", node, "antennas"), "radius"),
-            _float(fields["rotation"], "rotation") if "rotation" in fields else 0.0,
-            _float(fields["height"], "height") if "height" in fields else DEFAULT_HEIGHT,
-        )
-    _reject_unknown(fields, {"radii", "angles", "height"}, "antennas")
-    radii = tuple(
-        _float(n, "radius") for n in _sequence(_require(fields, "radii", node, "antennas"), "radii")
-    )
-    angles = tuple(
-        _float(n, "angle") for n in _sequence(_require(fields, "angles", node, "antennas"), "angles")
-    )
-    height = _float(fields["height"], "height") if "height" in fields else DEFAULT_HEIGHT
-    return AntennaVector(radii, angles, height)
-
-
-def _parse_users(node: yaml.Node) -> UserVector:
-    fields = _mapping(node, "users")
-    _reject_unknown(fields, {"radii", "angles"}, "users")
-    radii = tuple(
-        _float(n, "radius") for n in _sequence(_require(fields, "radii", node, "users"), "radii")
-    )
-    angles = tuple(
-        _float(n, "angle") for n in _sequence(_require(fields, "angles", node, "users"), "angles")
-    )
-    return UserVector(radii, angles)
+    return flows
 
 
 def _parse_geometry(
@@ -283,80 +253,15 @@ def _parse_geometry(
         layout = cluster_from_centers(centers, spacing)
     else:
         size = _int(fields["cluster_size"], "cluster_size") if "cluster_size" in fields else 7
-        layout = hex_cluster(size, spacing if spacing is not None else 2.0)
-    antennas = _parse_antennas(fields["antennas"]) if "antennas" in fields else None
-    users = _parse_users(fields["users"]) if "users" in fields else None
+        layout = hex_cluster(size, DEFAULT_SPACING if spacing is None else spacing)
+    antennas = users = None
+    if "antennas" in fields:
+        ring = _mapping(fields["antennas"], "antennas")
+        make = symmetric_circle if "count" in ring else AntennaVector
+        antennas = _build(make, fields["antennas"], "antennas", ring)
+    if "users" in fields:
+        users = _build(UserVector, fields["users"], "users")
     return layout, antennas, users
-
-
-def _parse_run(node: yaml.Node) -> RunParams:
-    fields = _mapping(node, "run")
-    allowed = {
-        "seed",
-        "samples",
-        "horizon",
-        "warmup",
-        "output",
-        "attempt_failure_prob",
-        "delay_convention",
-        "higher_priority_mode",
-    }
-    _reject_unknown(fields, allowed, "run")
-    kwargs: dict[str, Any] = {}
-    if "seed" in fields:
-        kwargs["seed"] = _int(fields["seed"], "seed")
-    if "samples" in fields:
-        kwargs["samples"] = _int(fields["samples"], "samples")
-    if "horizon" in fields:
-        kwargs["horizon"] = _int(fields["horizon"], "horizon")
-    if "warmup" in fields:
-        kwargs["warmup"] = _int(fields["warmup"], "warmup")
-    if "output" in fields:
-        kwargs["output"] = _scalar(fields["output"], "output")
-    if "attempt_failure_prob" in fields:
-        raw = _scalar(fields["attempt_failure_prob"], "attempt_failure_prob")
-        if raw == LINKED:
-            kwargs["attempt_failure_prob"] = LINKED
-        else:
-            kwargs["attempt_failure_prob"] = _float(
-                fields["attempt_failure_prob"], "attempt_failure_prob"
-            )
-    if "delay_convention" in fields:
-        kwargs["delay_convention"] = _str_choice(
-            fields["delay_convention"], "delay_convention", ("sojourn", "waiting")
-        )
-    if "higher_priority_mode" in fields:
-        kwargs["higher_priority_mode"] = _str_choice(
-            fields["higher_priority_mode"],
-            "higher_priority_mode",
-            ("gaussian", "exact_poisson"),
-        )
-    return RunParams(**kwargs)
-
-
-def _parse_rm(node: yaml.Node) -> RMConfig:
-    fields = _mapping(node, "rm")
-    allowed = {
-        "mode",
-        "step_scale",
-        "step_exponent",
-        "fd_step",
-        "max_iter",
-        "convergence_window",
-        "tolerance",
-        "eval_samples",
-    }
-    _reject_unknown(fields, allowed, "rm")
-    kwargs: dict[str, Any] = {}
-    if "mode" in fields:
-        kwargs["mode"] = _str_choice(fields["mode"], "mode", ("radius_only", "full_polar"))
-    for key in ("step_scale", "step_exponent", "fd_step", "tolerance"):
-        if key in fields:
-            kwargs[key] = _float(fields[key], key)
-    for key in ("max_iter", "convergence_window", "eval_samples"):
-        if key in fields:
-            kwargs[key] = _int(fields[key], key)
-    return RMConfig(**kwargs)
 
 
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -385,13 +290,15 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             if key == "flows":
                 flows = _parse_flows(node)
             elif key == "channel":
-                channel = _parse_channel(node)
+                channel = _build(ChannelParams, node, "channel")
             elif key == "geometry":
                 layout, antennas, users = _parse_geometry(node)
             elif key == "run":
-                run = _parse_run(node)
+                run = _build(RunParams, node, "run")
             elif key == "rm":
-                rm = _parse_rm(node)
+                # the search's radius bounds are set in code only; a scenario
+                # always searches the whole unit cell
+                rm = _build(RMConfig, node, "rm", skip=("radius_bounds",))
         except ConfigError as exc:
             if str(exc).startswith(source):
                 raise

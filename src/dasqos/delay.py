@@ -127,23 +127,6 @@ def flow_arrival_energy(system: PrioritySystem, index: int) -> EnergyFunction:
     return arrival_energy(system.flows[index].arrival)
 
 
-def _root_function(system: PrioritySystem, index: int) -> "_Raw":
-    energy = flow_arrival_energy(system, index)
-    return _Raw(system, index, energy)
-
-
-@dataclass(frozen=True)
-class _Raw:
-    system: PrioritySystem
-    index: int
-    energy: EnergyFunction
-
-    def __call__(self, phi: float) -> float:
-        return eval_energy(self.energy, phi) + priority_service_energy(
-            self.system, self.index, phi
-        )
-
-
 def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     """Unique positive root of arrival energy + service energy for one flow.
 
@@ -154,7 +137,11 @@ def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     """
     index = system.flow_index(priority)
     system.check_stability(index)
-    f = _root_function(system, index)
+    energy = flow_arrival_energy(system, index)
+
+    def f(phi: float) -> float:
+        return eval_energy(energy, phi) + priority_service_energy(system, index, phi)
+
     lo, hi = 0.0, 1.0
     while f(hi) < 0.0:
         lo = hi
@@ -192,11 +179,7 @@ def delay_violation_probability(
     """P(queueing delay of the tagged flow exceeds delay_bound slots)."""
     if delay_bound < 0.0:
         raise ConfigError(f"delay bound must be >= 0, got {delay_bound}")
-    index = system.flow_index(priority)
-    phi_star = solve_phi_star(system, priority)
-    energy = flow_arrival_energy(system, index)
-    exponent = eval_energy(energy, phi_star)
-    return math.exp(-exponent * delay_bound)
+    return math.exp(-delay_decay_rate(system, priority) * delay_bound)
 
 
 def delay_decay_rate(system: PrioritySystem, priority: int) -> float:

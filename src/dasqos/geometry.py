@@ -18,7 +18,6 @@ from .errors import ConfigError
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_SPACING = 2.0  # tangent unit disks
-ALT_SPACING = math.sqrt(3.0)  # overlapping-hexagon reading
 DEFAULT_HEIGHT = 0.05
 
 

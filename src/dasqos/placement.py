@@ -14,6 +14,7 @@ draws so the argmin is not an artifact of sampling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class RMConfig:
     the per-row expected-outage budget in the trace.
     """
 
-    mode: str = "radius_only"
+    mode: Literal["radius_only", "full_polar"] = "radius_only"
     step_scale: float = 15.0
     step_exponent: float = 0.75
     fd_step: float = 1e-4

@@ -271,6 +271,32 @@ class TestOptimize:
         assert out.startswith("geometry:\n")
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["delay", "--dth", "0:3:1"], FLOWS_TEXT),
+        (["outage"], ALPHA0_TEXT),
+        (["optimize"], OPT_TEXT),
+        (["sweep", "--radii", "0.2,0.4"], SWEEP_TEXT),
+    ],
+    ids=["delay", "outage", "optimize", "sweep"],
+)
+def test_run_output_names_the_csv_and_out_flag_wins(run, tmp_path, argv, config):
+    code, plain, _ = run(argv, config=config)
+    assert code == 0
+    from_run, from_flag = tmp_path / "from_run.csv", tmp_path / "from_flag.csv"
+    config = config.replace("run: {", f"run: {{output: '{from_run}', ")
+    # the CSV leaves stdout for run.output; only optimize's layout echo stays
+    code, out, _ = run(argv, config=config)
+    assert code == 0
+    assert from_run.read_text(encoding="utf-8") + out == plain
+    from_run.unlink()
+    code, out, _ = run(argv + ["--out", str(from_flag)], config=config)
+    assert code == 0
+    assert from_flag.read_text(encoding="utf-8") + out == plain
+    assert not from_run.exists()
+
+
 class TestExitCodes:
     def test_unstable_system_is_a_numerical_failure(self, run):
         config = (

@@ -249,6 +249,12 @@ class TestFieldErrors:
             "<config>:2:3: channel is missing required key 'path_loss_exponent'",
         )
 
+    def test_antenna_vector_needs_angles(self):
+        expect(
+            "geometry:\n  antennas: {radii: [0.1]}\n",
+            "<config>:2:13: antennas is missing required key 'angles'",
+        )
+
     def test_count_needs_radius(self):
         expect(
             "geometry:\n  antennas:\n    count: 4\n",
@@ -285,6 +291,18 @@ class TestFieldErrors:
             "('sojourn', 'waiting'), got 'holding'",
         )
 
+    def test_bad_rm_mode(self):
+        expect(
+            "rm:\n  mode: spiral\n",
+            "<config>:2:9: mode must be one of ('radius_only', 'full_polar'), got 'spiral'",
+        )
+
+    def test_attempt_failure_prob_is_linked_or_a_number(self):
+        expect(
+            "run:\n  attempt_failure_prob: linkd\n",
+            "<config>:2:25: attempt_failure_prob must be a number, got 'linkd'",
+        )
+
     def test_bad_priority_mode(self):
         expect(
             "run:\n  higher_priority_mode: fluid\n",
@@ -300,6 +318,13 @@ class TestFieldErrors:
         expect(base.format("fast"), "<config>:3:34: rate must be a number, got 'fast'")
         expect(base.format("[1]"), "<config>:3:34: rate must be a scalar")
         expect(base.format("nan"), "<config>:3:34: rate must not be NaN")
+
+    def test_list_element_coercion_message(self):
+        # a bad element is named by its list, at the element's position
+        expect(
+            "geometry:\n  users: {radii: [x], angles: [0]}\n",
+            "<config>:2:19: radii must be a number, got 'x'",
+        )
 
     def test_int_coercion_message(self):
         expect(
