@@ -33,7 +33,6 @@ from .geometry import (
     AntennaVector,
     ClusterLayout,
     UserVector,
-    antenna_user_distance,
     cluster_from_centers,
     hex_cluster,
     sample_user_batch,
@@ -49,6 +48,7 @@ from .outage import (
     antenna_outage_mc,
     conditional_system_outage,
     expected_outage,
+    layout_outage,
     product_form_outage,
     system_outage,
 )

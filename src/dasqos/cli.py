@@ -298,7 +298,6 @@ def cmd_sweep(args) -> None:
         grid,
         samples,
         np.random.default_rng(_seed(args, cfg)),
-        workers=args.threads,
     )
     best = result.argmin_radius
     rows = []

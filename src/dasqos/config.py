@@ -23,6 +23,7 @@ from typing import Any, Literal, get_args, get_origin, get_type_hints
 
 import yaml
 
+from .delay import HigherPriorityMode
 from .errors import ConfigError
 from .geometry import (
     DEFAULT_SPACING,
@@ -35,6 +36,7 @@ from .geometry import (
 )
 from .outage import ChannelParams
 from .placement import RMConfig
+from .slotsim import DelayConvention
 from .traffic import (
     ArrivalModel,
     DeterministicUnit,
@@ -60,8 +62,8 @@ class RunParams:
     warmup: int = 0
     output: str | None = None  # CSV path; --out overrides it, stdout when neither is set
     attempt_failure_prob: float | Literal["linked"] | None = None
-    delay_convention: Literal["sojourn", "waiting"] = "sojourn"
-    higher_priority_mode: Literal["gaussian", "exact_poisson"] = "gaussian"
+    delay_convention: DelayConvention = "sojourn"
+    higher_priority_mode: HigherPriorityMode = "gaussian"
 
 
 @dataclass(frozen=True)

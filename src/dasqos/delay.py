@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 from .energy import EnergyFunction, arrival_energy, eval_energy, expm1
 from .errors import ConfigError, NoRootError, StabilityError
@@ -30,6 +31,8 @@ BRACKET_CAP = 64.0
 ROOT_TOL = 1e-12
 MAX_BISECTIONS = 200
 
+HigherPriorityMode = Literal["gaussian", "exact_poisson"]
+
 
 @dataclass(frozen=True)
 class PrioritySystem:
@@ -43,7 +46,7 @@ class PrioritySystem:
     """
 
     flows: tuple[TrafficFlow, ...]
-    higher_priority_mode: str = "gaussian"
+    higher_priority_mode: HigherPriorityMode = "gaussian"
 
     def __post_init__(self) -> None:
         if not self.flows:
@@ -51,7 +54,7 @@ class PrioritySystem:
         priorities = [f.priority for f in self.flows]
         if len(set(priorities)) != len(priorities):
             raise ConfigError(f"duplicate priorities: {sorted(priorities)}")
-        if self.higher_priority_mode not in ("gaussian", "exact_poisson"):
+        if self.higher_priority_mode not in get_args(HigherPriorityMode):
             raise ConfigError(
                 f"unknown higher_priority_mode {self.higher_priority_mode!r}"
             )

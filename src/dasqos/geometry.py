@@ -184,24 +184,3 @@ def user_positions(layout: ClusterLayout, users: UserVector) -> np.ndarray:
     a = np.asarray(users.angles)
     return centers + np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
 
-
-def antenna_user_distance(
-    layout: ClusterLayout,
-    antennas: AntennaVector,
-    users: UserVector,
-    antenna: int,
-    cell: int,
-) -> float:
-    """3-D distance between antenna `antenna` and the user of cell `cell`.
-
-    Indices are 0-based: antenna in [0, count), cell in [0, layout.size).
-    """
-    if not 0 <= antenna < antennas.count:
-        raise ConfigError(f"antenna index {antenna} out of range")
-    if not 0 <= cell < layout.size:
-        raise ConfigError(f"cell index {cell} out of range")
-    apos = antennas.positions()[antenna]
-    upos = user_positions(layout, users)[cell]
-    dx = upos[0] - apos[0]
-    dy = upos[1] - apos[1]
-    return math.sqrt(dx * dx + dy * dy + antennas.height**2)

@@ -17,8 +17,11 @@ product_form_outage evaluates it in log space. It is exact for every alpha
 in [0, 1], including coincident interferer distances, and keeps small
 outages accurate to their last digits. The system is in outage only when
 every antenna fails; antenna outages are treated as independent, so the
-system outage is the per-antenna product. antenna_outage_mc is the
-independent fading Monte Carlo that checks the formula.
+system outage is the per-antenna product. layout_outage scores antenna
+layouts on users that are already drawn; expected_outage, the radius sweep,
+the search's trace rows and its gradient probes all go through it.
+antenna_outage_mc is the independent fading Monte Carlo that checks the
+formula.
 """
 from __future__ import annotations
 
@@ -78,6 +81,15 @@ class OutageEstimate:
     std_err: float
     samples: int
 
+    @classmethod
+    def of(cls, values: np.ndarray) -> "OutageEstimate":
+        """Sample mean and its standard error over per-user-vector outages."""
+        return cls(
+            float(values.mean()),
+            float(values.std(ddof=1) / math.sqrt(values.size)),
+            values.size,
+        )
+
 
 def product_form_outage(a0, q, alpha: float) -> np.ndarray:
     """P(SIR < K) for signal rates a0, shape (...), and interferer poles
@@ -92,32 +104,34 @@ def product_form_outage(a0, q, alpha: float) -> np.ndarray:
 
 
 def _link_rates(
-    scenario: CellScenario, ux: np.ndarray, uy: np.ndarray, antenna: int
+    channel: ChannelParams, ax, ay, h2, ux: np.ndarray, uy: np.ndarray
 ) -> np.ndarray:
-    """Exponential rates d^exponent from users at (ux, uy) to one antenna."""
-    apos = scenario.antennas.positions()[antenna]
-    h = scenario.antennas.height
-    d2 = (ux - apos[0]) ** 2 + (uy - apos[1]) ** 2 + h * h
-    return d2 ** (scenario.channel.path_loss_exponent / 2.0)
+    """Exponential rates d^exponent from users at (ux, uy) to an antenna at
+    (ax, ay) whose squared mast height is h2; every argument broadcasts."""
+    d2 = (ux - ax) ** 2 + (uy - ay) ** 2 + h2
+    return d2 ** (channel.path_loss_exponent / 2.0)
+
+
+def _rates_outage(channel: ChannelParams, rates: np.ndarray) -> np.ndarray:
+    """P(SIR < K) from link rates with the cell on the last axis, target first."""
+    return product_form_outage(
+        rates[..., 0], rates[..., 1:] / channel.sir_threshold, channel.on_probability
+    )
 
 
 def _user_rates(scenario: CellScenario, users: UserVector, antenna: int) -> np.ndarray:
     """Rates of every cell's user to one antenna; the target cell comes first."""
     upos = user_positions(scenario.layout, users)
-    return _link_rates(scenario, upos[:, 0], upos[:, 1], antenna)
+    ax, ay = scenario.antennas.positions()[antenna]
+    h = scenario.antennas.height
+    return _link_rates(scenario.channel, ax, ay, h * h, upos[:, 0], upos[:, 1])
 
 
 def antenna_outage_closed_form(
     scenario: CellScenario, users: UserVector, antenna: int
 ) -> float:
     """Exact P(SIR < K) at one antenna for fixed users (product form)."""
-    rates = _user_rates(scenario, users, antenna)
-    channel = scenario.channel
-    return float(
-        product_form_outage(
-            rates[0], rates[1:] / channel.sir_threshold, channel.on_probability
-        )
-    )
+    return float(_rates_outage(scenario.channel, _user_rates(scenario, users, antenna)))
 
 
 def antenna_outage_mc(
@@ -160,26 +174,35 @@ def system_outage(per_antenna) -> float:
     return product
 
 
+def layout_outage(
+    channel: ChannelParams, layouts, ux: np.ndarray, uy: np.ndarray
+) -> np.ndarray:
+    """System outage of each antenna layout for users that are already drawn.
+
+    ux, uy hold user coordinates with the cell on the last axis, target
+    cell first: shape (cells,) for one user vector, (samples, cells) for a
+    batch. Every layout is scored on the same users; the result has shape
+    (len(layouts), *ux.shape[:-1]). Layouts must have equal antenna counts;
+    each multiplies its antenna outages in its own (angle-sorted) order.
+    """
+    positions = np.stack([antennas.positions() for antennas in layouts])
+    heights = np.array([antennas.height for antennas in layouts])
+    # per-layout values broadcast over the users and their cells
+    lead = (len(layouts),) + (1,) * ux.ndim
+    h2 = (heights * heights).reshape(lead)
+    product = np.ones(lead[:1] + ux.shape[:-1])
+    for m in range(positions.shape[1]):
+        ax = positions[:, m, 0].reshape(lead)
+        ay = positions[:, m, 1].reshape(lead)
+        product *= _rates_outage(channel, _link_rates(channel, ax, ay, h2, ux, uy))
+    return product
+
+
 def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:
     """System outage for a fixed user vector: the product over antennas."""
-    return system_outage(
-        antenna_outage_closed_form(scenario, users, idx)
-        for idx in range(scenario.antennas.count)
-    )
-
-
-def _system_outage_batch(
-    scenario: CellScenario, ux: np.ndarray, uy: np.ndarray
-) -> np.ndarray:
-    """Per-sample system outage for (samples, cells) user coordinates."""
-    channel = scenario.channel
-    product = np.ones(ux.shape[0])
-    for antenna in range(scenario.antennas.count):
-        rates = _link_rates(scenario, ux, uy, antenna)
-        product *= product_form_outage(
-            rates[:, 0], rates[:, 1:] / channel.sir_threshold, channel.on_probability
-        )
-    return product
+    upos = user_positions(scenario.layout, users)
+    values = layout_outage(scenario.channel, [scenario.antennas], upos[:, 0], upos[:, 1])
+    return float(values[0])
 
 
 def expected_outage(
@@ -202,17 +225,14 @@ def expected_outage(
     if antennas is not None:
         scenario = scenario.with_antennas(antennas)
     ux, uy = sample_user_batch(scenario.layout, samples, rng)
+    layouts = [scenario.antennas]
     if workers <= 1 or samples < 2 * workers:
-        values = _system_outage_batch(scenario, ux, uy)
+        values = layout_outage(scenario.channel, layouts, ux, uy)[0]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                lambda xy: _system_outage_batch(scenario, *xy),
+                lambda xy: layout_outage(scenario.channel, layouts, *xy)[0],
                 zip(np.array_split(ux, workers), np.array_split(uy, workers)),
             )
             values = np.concatenate(list(parts))
-    return OutageEstimate(
-        float(values.mean()),
-        float(values.std(ddof=1) / math.sqrt(samples)),
-        samples,
-    )
+    return OutageEstimate.of(values)

@@ -8,21 +8,23 @@ step size step_scale * n^(-step_exponent). The returned location is the
 Polyak average of the iterates, which smooths the noisy path.
 
 radius_sweep is the deterministic cross-check: expected outage on a radius
-grid for a symmetric antenna circle, every radius scored on the same user
-draws so the argmin is not an artifact of sampling noise.
+grid for a symmetric antenna circle, every radius scored on one batch of
+users drawn once, so the argmin is not an artifact of sampling noise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import AntennaVector, sample_user_vector
-from .outage import CellScenario, conditional_system_outage, expected_outage
+from .geometry import AntennaVector, sample_user_batch, sample_user_vector, user_positions
+from .outage import CellScenario, OutageEstimate, layout_outage
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
+
+RMMode = Literal["radius_only", "full_polar"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class RMConfig:
     the per-row expected-outage budget in the trace.
     """
 
-    mode: Literal["radius_only", "full_polar"] = "radius_only"
+    mode: RMMode = "radius_only"
     step_scale: float = 15.0
     step_exponent: float = 0.75
     fd_step: float = 1e-4
@@ -49,7 +51,7 @@ class RMConfig:
     eval_samples: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.mode not in ("radius_only", "full_polar"):
+        if self.mode not in get_args(RMMode):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.step_scale <= 0.0 or not 0.5 < self.step_exponent <= 1.0:
             raise ConfigError(
@@ -126,31 +128,35 @@ def _fd_gradient(
     important, breaks the mirror symmetry at radius 0: for an even
     symmetric circle, -delta and +delta describe the same antenna set, so a
     central difference there is identically zero and the loop would never
-    leave the center.
+    leave the center. All probes are scored on the user vector in one call.
     """
     n_radii = params.size if cfg.mode == "radius_only" else init.count
     lo, hi = cfg.radius_bounds
     delta = cfg.fd_step
-    grad = np.empty(params.size)
-
-    def f(x: np.ndarray) -> float:
-        probe = scenario.with_antennas(_antennas_from_params(x, init, cfg.mode))
-        return conditional_system_outage(probe, users)
-
+    probes: list[np.ndarray] = []  # (upper, lower) point per parameter
+    widths = np.empty(params.size)
     for i in range(params.size):
         bounded = i < n_radii
         up, down = params.copy(), params.copy()
         if bounded and params[i] + delta > hi:
             down[i] -= delta
-            grad[i] = (f(params) - f(down)) / delta
+            up, widths[i] = params, delta
         elif bounded and params[i] - delta < lo:
             up[i] += delta
-            grad[i] = (f(up) - f(params)) / delta
+            down, widths[i] = params, delta
         else:
             up[i] += delta
             down[i] -= delta
-            grad[i] = (f(up) - f(down)) / (2.0 * delta)
-    return grad
+            widths[i] = 2.0 * delta
+        probes += [up, down]
+    upos = user_positions(scenario.layout, users)
+    values = layout_outage(
+        scenario.channel,
+        [_antennas_from_params(x, init, cfg.mode) for x in probes],
+        upos[:, 0],
+        upos[:, 1],
+    )
+    return (values[0::2] - values[1::2]) / widths
 
 
 def rm_optimize(
@@ -162,15 +168,19 @@ def rm_optimize(
     """Minimize expected outage from init; returns (Polyak average, trace).
 
     Each iteration draws a fresh user vector from rng and descends the
-    conditional outage. The trace's outage column reuses one evaluation
-    seed for every row, so successive rows differ only through the antenna
-    locations, not through which users were sampled.
+    conditional outage. The trace's outage column scores every row on one
+    evaluation batch, drawn once from its own seed, so successive rows
+    differ only through the antenna locations, not through which users
+    were sampled.
     """
     params = _params_from_init(init, cfg.mode)
     lo, hi = cfg.radius_bounds
     n_radii = params.size if cfg.mode == "radius_only" else init.count
-    # a plain integer seed can be replayed row after row, unlike a generator
+    # drawn from a seed of its own, the evaluation batch leaves rng's stream alone
     eval_seed = int(rng.integers(2**63))
+    ux, uy = sample_user_batch(
+        scenario.layout, cfg.eval_samples, np.random.default_rng(eval_seed)
+    )
 
     average = params.copy()
     history: list[np.ndarray] = []
@@ -184,12 +194,8 @@ def rm_optimize(
     for n in range(1, cfg.max_iter + 1):
         iterates.append(tuple(map(float, params)))
         averages.append(tuple(map(float, average)))
-        est = expected_outage(
-            scenario,
-            cfg.eval_samples,
-            np.random.default_rng(eval_seed),
-            antennas=_antennas_from_params(average, init, cfg.mode),
-        )
+        layout = _antennas_from_params(average, init, cfg.mode)
+        est = OutageEstimate.of(layout_outage(scenario.channel, [layout], ux, uy)[0])
         outage_vals.append(est.value)
         outage_ses.append(est.std_err)
 
@@ -246,31 +252,29 @@ def radius_sweep(
     radii,
     samples: int,
     rng: np.random.Generator,
-    workers: int = 1,
 ) -> SweepResult:
     """Expected outage along a shared-radius grid for the antenna circle.
 
     Keeps the scenario's antenna angles and height, replaces every radius
-    with the grid value. All radii reuse one spawned evaluation seed, so
-    the curve is a common-random-number comparison and its argmin is
-    stable down to far below one standard error.
+    with the grid value. Every radius is scored on one batch of users,
+    drawn once from a spawned evaluation seed, so the curve is a
+    common-random-number comparison and its argmin is stable down to far
+    below one standard error.
     """
     grid = [float(r) for r in radii]
     if not grid:
         raise ConfigError("radius grid is empty")
     base = scenario.antennas
+    layouts = [AntennaVector((r,) * base.count, base.angles, base.height) for r in grid]
+    if samples < 2:
+        raise ConfigError(f"need at least 2 samples, got {samples}")
     seed = int(rng.integers(2**63))
+    ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
     values: list[float] = []
     errors: list[float] = []
-    for r in grid:
-        antennas = AntennaVector((r,) * base.count, base.angles, base.height)
-        est = expected_outage(
-            scenario,
-            samples,
-            np.random.default_rng(seed),
-            antennas=antennas,
-            workers=workers,
-        )
+    for antennas in layouts:
+        # one layout at a time: stacking the grid would multiply peak memory
+        est = OutageEstimate.of(layout_outage(scenario.channel, [antennas], ux, uy)[0])
         values.append(est.value)
         errors.append(est.std_err)
     return SweepResult(tuple(grid), tuple(values), tuple(errors))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .traffic import (
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile for the CCDF bands
 
+DelayConvention = Literal["sojourn", "waiting"]
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -45,7 +48,7 @@ class SimConfig:
     horizon: int
     warmup: int = 0
     seed: int = 0
-    delay_convention: str = "sojourn"
+    delay_convention: DelayConvention = "sojourn"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.attempt_failure_prob <= 1.0:
@@ -57,9 +60,9 @@ class SimConfig:
             raise ConfigError(
                 f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}"
             )
-        if self.delay_convention not in ("sojourn", "waiting"):
+        if self.delay_convention not in get_args(DelayConvention):
             raise ConfigError(
-                f"delay convention must be sojourn or waiting, "
+                f"delay convention must be {' or '.join(get_args(DelayConvention))}, "
                 f"got {self.delay_convention!r}"
             )
         priorities = [f.priority for f in self.flows]
@@ -156,7 +159,7 @@ class SimStats:
     flows: tuple[FlowStats, ...]
     horizon: int
     warmup: int
-    delay_convention: str
+    delay_convention: DelayConvention
     stable: bool
 
     def flow(self, priority: int) -> FlowStats:

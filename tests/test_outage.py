@@ -19,8 +19,10 @@ from dasqos.geometry import (
     UserVector,
     cluster_from_centers,
     hex_cluster,
+    sample_user_batch,
     sample_user_vector,
     symmetric_circle,
+    user_positions,
 )
 from dasqos.outage import (
     CellScenario,
@@ -29,11 +31,13 @@ from dasqos.outage import (
     antenna_outage_mc,
     conditional_system_outage,
     expected_outage,
+    layout_outage,
     product_form_outage,
     system_outage,
 )
 from dasqos.outage import _user_rates
 from partial_fraction_oracle import outage_expansion
+import probe_loop_oracle
 
 
 def two_cell_scenario(exponent=4.0, efficiency=1.0, alpha=1.0, spacing=2.0):
@@ -359,10 +363,68 @@ def test_conditional_system_outage_closed_path():
     )
 
 
+KERNEL_LAYOUTS = (
+    symmetric_circle(4, 0.58),
+    symmetric_circle(3, 0.0, 0.4, 0.2),
+    AntennaVector((1.0, 0.25, 0.7, 0.0), (0.1, 2.0, 6.2, 4.0), 0.05),
+    AntennaVector((0.9, 0.9, 0.3, 0.5), (0.0, 1e-4, 3.0, 2 * math.pi - 1e-4), 0.3),
+)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.7, 4.0])
+def test_link_rates_match_distance_oracle(exponent):
+    # rate = d^exponent, d the plain 3-D antenna-user distance
+    layout = hex_cluster(7, 2.0)
+    channel = ChannelParams(exponent, 1.0, 0.6)
+    rng = np.random.default_rng(31)
+    for antennas in KERNEL_LAYOUTS:
+        scenario = CellScenario(layout, antennas, channel)
+        for _ in range(5):
+            users = sample_user_vector(layout, rng)
+            expected = 1.0
+            for m in range(antennas.count):
+                dist = [
+                    probe_loop_oracle.antenna_user_distance(layout, antennas, users, m, i)
+                    for i in range(layout.size)
+                ]
+                rates = np.array(dist) ** exponent
+                assert _user_rates(scenario, users, m) == pytest.approx(rates, rel=1e-12)
+                expected *= float(
+                    product_form_outage(rates[0], rates[1:] / channel.sir_threshold, 0.6)
+                )
+            upos = user_positions(layout, users)
+            value = layout_outage(channel, [antennas], upos[:, 0], upos[:, 1])
+            assert value.shape == (1,)
+            assert value[0] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.45])
+def test_kernel_matches_scalar_loop_bitwise(alpha):
+    # conditional_system_outage, the batch over users and the batch over
+    # layouts all equal the per-antenna Python product of the replaced path
+    layout = hex_cluster(7, 2.0)
+    channel = ChannelParams(3.3, 1.0, alpha)
+    rng = np.random.default_rng(8)
+    ux, uy = sample_user_batch(layout, 40, np.random.default_rng(9))
+    four = [a for a in KERNEL_LAYOUTS if a.count == 4]  # stacked layouts share a count
+    stacked = layout_outage(channel, four, ux, uy)
+    assert stacked.shape == (3, 40)
+    for k, antennas in enumerate(four):
+        alone = layout_outage(channel, [antennas], ux, uy)[0]
+        assert alone.tobytes() == stacked[k].tobytes()
+    for antennas in KERNEL_LAYOUTS:
+        scenario = CellScenario(layout, antennas, channel)
+        for _ in range(30):
+            users = sample_user_vector(layout, rng)
+            reference = probe_loop_oracle.conditional_system_outage(scenario, users)
+            assert conditional_system_outage(scenario, users) == reference
+            upos = user_positions(layout, users)
+            value = layout_outage(channel, [antennas, antennas], upos[:, 0], upos[:, 1])
+            assert value.tolist() == [reference, reference]
+
+
 def test_expected_outage_matches_scalar_loop():
     # the vectorized batch engine must agree with the one-user closed form
-    from dasqos.geometry import sample_user_batch
-
     seed = 123
     for alpha in (1.0, 0.5):
         scenario = seven_cell_scenario(exponent=4.0, alpha=alpha, radius=0.58)

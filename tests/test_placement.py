@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 from dasqos.errors import ConfigError
-from dasqos.geometry import hex_cluster, symmetric_circle
+from dasqos.geometry import AntennaVector, hex_cluster, sample_user_vector, symmetric_circle
 from dasqos.outage import CellScenario, ChannelParams, expected_outage
 from dasqos.placement import (
     RMConfig,
     RMTrace,
+    _antennas_from_params,
+    _fd_gradient,
     radius_sweep,
     rm_optimize,
     step_sequence,
 )
+import probe_loop_oracle
 
 GRID = tuple(i * 0.05 for i in range(19))  # 0.0 .. 0.90
 
@@ -255,6 +258,12 @@ class TestRadiusSweep:
                 cluster_scenario(2.0), (), 100, np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_too_few_samples_rejected(self, samples):
+        # checked before the one user draw, which would fail on a negative size
+        with pytest.raises(ConfigError, match="need at least 2 samples"):
+            radius_sweep(cluster_scenario(2.0), GRID, samples, np.random.default_rng(0))
+
 
 class TestFullPolar:
     def test_smoke_run_moves_all_coordinates(self):
@@ -286,3 +295,100 @@ class TestFullPolar:
         ]
         assert len(runs[0]) == 3
         assert runs[0] == runs[1]
+
+
+class TestBatchedScoring:
+    """Bit identity of the hoisted user draws and the one-call probe batch.
+
+    The sweep and the trace score every layout on one batch of users, and
+    the gradient scores all its probes in one kernel call; each must equal
+    the per-layout expected_outage or the per-probe scalar loop exactly.
+    """
+
+    @pytest.mark.parametrize("exponent,alpha", [(2.0, 1.0), (3.5, 0.6)])
+    def test_sweep_rows_equal_expected_outage(self, exponent, alpha):
+        scenario = cluster_scenario(exponent, alpha)
+        grid = (0.0, 0.15, 0.5, 0.9, 1.0)
+        sweep = radius_sweep(scenario, grid, 700, np.random.default_rng(13))
+        spawned = int(np.random.default_rng(13).integers(2**63))
+        base = scenario.antennas
+        for r, value, se in zip(grid, sweep.outage, sweep.std_err):
+            est = expected_outage(
+                scenario,
+                700,
+                np.random.default_rng(spawned),
+                antennas=AntennaVector((r,) * base.count, base.angles, base.height),
+            )
+            assert (value, se) == (est.value, est.std_err)
+
+    @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
+    def test_trace_rows_equal_expected_outage(self, mode):
+        scenario = cluster_scenario(4.0, 0.8)
+        init = symmetric_circle(4, 0.2)
+        cfg = RMConfig(mode=mode, max_iter=12, eval_samples=300, tolerance=1e-12)
+        _, trace = rm_optimize(scenario, init, cfg, np.random.default_rng(3))
+        eval_seed = int(np.random.default_rng(3).integers(2**63))
+        for average, value, se in zip(trace.averages, trace.outage, trace.outage_se):
+            est = expected_outage(
+                scenario,
+                cfg.eval_samples,
+                np.random.default_rng(eval_seed),
+                antennas=_antennas_from_params(np.array(average), init, mode),
+            )
+            assert (value, se) == (est.value, est.std_err)
+
+    @staticmethod
+    def _check_gradient(scenario, params, init, cfg, users):
+        grad = _fd_gradient(scenario, params, init, cfg, users)
+        reference = probe_loop_oracle.fd_gradient(scenario, params, init, cfg, users)
+        assert grad.tobytes() == reference.tobytes()
+        return grad
+
+    @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.2, 0.7)])
+    def test_gradient_probes_at_radius_bounds(self, mode, bounds):
+        # radii on, just inside and between the bounds take one-sided and
+        # central probes; each must equal the per-probe scalar loop
+        cfg = RMConfig(mode=mode, fd_step=1e-3, radius_bounds=bounds)
+        lo, hi = bounds
+        scenario = cluster_scenario(3.0)
+        users = sample_user_vector(scenario.layout, np.random.default_rng(17))
+        init = AntennaVector((0.3,) * 4, (0.3, 1.9, 3.5, 5.0))
+        for radii in ([lo, hi, lo + 4e-4, hi - 4e-4], [hi, lo, 0.5 * (lo + hi), hi]):
+            params = np.array(radii[:1] if mode == "radius_only" else radii + list(init.angles))
+            grad = self._check_gradient(scenario, params, init, cfg, users)
+            assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+    def test_gradient_angle_probe_wraps_and_reorders(self):
+        # the first antenna sits 0.5 fd_step above angle 0: its lower probe
+        # wraps past 2*pi and sorts last, changing the order of the product
+        cfg = RMConfig(mode="full_polar", fd_step=1e-4)
+        init = AntennaVector((0.4, 0.6, 0.5, 0.7), (5e-5, 1.2, 2.9, 4.4))
+        params = np.array(list(init.radii) + list(init.angles))
+        down = params.copy()
+        down[4] -= cfg.fd_step
+        wrapped = _antennas_from_params(down, init, cfg.mode)
+        assert wrapped.angles[-1] > 2 * math.pi - cfg.fd_step
+        assert wrapped.radii == (0.6, 0.5, 0.7, 0.4)
+        for exponent, alpha in [(2.0, 1.0), (4.0, 0.5)]:
+            scenario = cluster_scenario(exponent, alpha)
+            rng = np.random.default_rng(int(exponent))
+            for _ in range(5):
+                users = sample_user_vector(scenario.layout, rng)
+                self._check_gradient(scenario, params, init, cfg, users)
+
+    @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
+    def test_gradient_random_points_match_scalar_loop(self, mode):
+        rng = np.random.default_rng(2026)
+        cfg = RMConfig(mode=mode, fd_step=1e-4)
+        for exponent, alpha in [(2.0, 1.0), (3.7, 0.35), (4.0, 1.0)]:
+            scenario = cluster_scenario(exponent, alpha)
+            for _ in range(15):
+                init = AntennaVector(
+                    tuple(rng.uniform(0.0, 1.0, 4)), tuple(rng.uniform(0.0, 2 * math.pi, 4))
+                )
+                # on, just inside and away from the radius bounds
+                radii = list(rng.choice([0.0, 1.0, 5e-5, 1.0 - 5e-5, 0.4], 4))
+                params = np.array(radii[:1] if mode == "radius_only" else radii + list(init.angles))
+                users = sample_user_vector(scenario.layout, rng)
+                self._check_gradient(scenario, params, init, cfg, users)
