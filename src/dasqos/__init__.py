@@ -11,7 +11,6 @@ from .delay import (
     PrioritySystem,
     delay_decay_rate,
     delay_violation_probability,
-    four_flow_delay,
     solve_phi_star,
 )
 from .energy import (
@@ -50,7 +49,6 @@ from .outage import (
     expected_outage,
     layout_outage,
     product_form_outage,
-    system_outage,
 )
 from .placement import (
     RMConfig,
@@ -80,7 +78,6 @@ from .traffic import (
     packet_loss_probability,
     sample_interarrival,
     service_moments,
-    service_pgf,
 )
 
 __version__ = "0.1.0"

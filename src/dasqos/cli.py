@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,9 +29,10 @@ from .delay import PrioritySystem, delay_decay_rate
 from .errors import ConfigError, DasqosError, NoRootError, StabilityError
 from .outage import (
     CellScenario,
+    OutageEstimate,
     antenna_outage_closed_form,
+    conditional_system_outage,
     expected_outage,
-    system_outage,
 )
 from .placement import RMConfig, radius_sweep, rm_optimize
 from .slotsim import SimConfig, simulate
@@ -49,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--samples", type=int, default=None, help="override run.samples"
         )
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
         p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     p_delay = sub.add_parser("delay", help="delay-bound violation curves")
@@ -121,19 +122,16 @@ def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
             fh.write(text)
 
 
-def _seed(args, cfg: ScenarioConfig) -> int:
-    return args.seed if args.seed is not None else cfg.run.seed
+def _expected_outage(cfg: ScenarioConfig) -> OutageEstimate:
+    """E(outage) of the configured cell at run.samples users drawn from run.seed."""
+    return expected_outage(
+        CellScenario(*cfg.require_cell()),
+        cfg.run.samples,
+        np.random.default_rng(cfg.run.seed),
+    )
 
 
-def _samples(args, cfg: ScenarioConfig) -> int:
-    return args.samples if args.samples is not None else cfg.run.samples
-
-
-def _out(args, cfg: ScenarioConfig) -> str | None:
-    return args.out if args.out is not None else cfg.run.output
-
-
-def _failure_prob(args, cfg: ScenarioConfig) -> float:
+def _failure_prob(cfg: ScenarioConfig) -> float:
     p = cfg.run.attempt_failure_prob
     if p is None:
         raise ConfigError(
@@ -141,14 +139,7 @@ def _failure_prob(args, cfg: ScenarioConfig) -> float:
             "(a number, or 'linked' to take it from expected outage)"
         )
     if p == LINKED:
-        layout, antennas, channel = cfg.require_cell()
-        scenario = CellScenario(layout, antennas, channel)
-        est = expected_outage(
-            scenario,
-            _samples(args, cfg),
-            np.random.default_rng(_seed(args, cfg)),
-            workers=args.threads,
-        )
+        est = _expected_outage(cfg)
         print(
             f"linked attempt failure probability = {format_float(est.value)} "
             f"(se {format_float(est.std_err)})",
@@ -158,10 +149,8 @@ def _failure_prob(args, cfg: ScenarioConfig) -> float:
     return float(p)
 
 
-def cmd_delay(args) -> None:
-    cfg = load_scenario(args.config)
-    flows = cfg.require_flows()
-    system = PrioritySystem(flows, cfg.run.higher_priority_mode)
+def cmd_delay(args, cfg: ScenarioConfig) -> None:
+    system = PrioritySystem(cfg.require_flows(), cfg.run.higher_priority_mode)
     thresholds = _parse_grid(args.dth)
     if args.flow is not None:
         priorities = [args.flow]
@@ -182,18 +171,18 @@ def cmd_delay(args) -> None:
         rows = [
             (pr, d, analytic[pr][d]) for pr in priorities for d in thresholds
         ]
-        _emit(["flow", "d_th", "prob_analytic"], rows, _out(args, cfg))
+        _emit(["flow", "d_th", "prob_analytic"], rows, cfg.run.output)
         return
 
     int_thresholds = [int(d) for d in thresholds]
     if any(i != d for i, d in zip(int_thresholds, thresholds)):
         raise ConfigError("--simulate needs integer d_th values")
     sim_cfg = SimConfig(
-        flows,
-        _failure_prob(args, cfg),
+        system,
+        _failure_prob(cfg),
         cfg.run.horizon,
         cfg.run.warmup,
-        _seed(args, cfg),
+        cfg.run.seed,
         cfg.run.delay_convention,
     )
     stats = simulate(sim_cfg)
@@ -207,7 +196,7 @@ def cmd_delay(args) -> None:
     _emit(
         ["flow", "d_th", "prob_sim", "ci_low", "ci_high", "prob_analytic"],
         rows,
-        _out(args, cfg),
+        cfg.run.output,
     )
 
 
@@ -221,46 +210,35 @@ def _outage_row_tail(scenario: CellScenario, samples: int):
     )
 
 
-def cmd_outage(args) -> None:
-    cfg = load_scenario(args.config)
-    layout, antennas, channel = cfg.require_cell()
-    scenario = CellScenario(layout, antennas, channel)
+def cmd_outage(args, cfg: ScenarioConfig) -> None:
+    scenario = CellScenario(*cfg.require_cell())
     if cfg.users is not None:
-        rows: list[tuple] = []
-        per_antenna: list[float] = []
-        for m in range(antennas.count):
-            value = antenna_outage_closed_form(scenario, cfg.users, m)
-            per_antenna.append(value)
-            rows.append((str(m), value))
-        rows.append(("system", system_outage(per_antenna)))
-        _emit(["antenna", "outage"], rows, _out(args, cfg))
+        rows: list[tuple] = [
+            (str(m), antenna_outage_closed_form(scenario, cfg.users, m))
+            for m in range(scenario.antennas.count)
+        ]
+        rows.append(("system", conditional_system_outage(scenario, cfg.users)))
+        _emit(["antenna", "outage"], rows, cfg.run.output)
         return
-    samples = _samples(args, cfg)
-    est = expected_outage(
-        scenario,
-        samples,
-        np.random.default_rng(_seed(args, cfg)),
-        workers=args.threads,
-    )
+    est = _expected_outage(cfg)
     row = (
-        antennas.radii[0],
+        scenario.antennas.radii[0],
         est.value,
         est.std_err,
-        *_outage_row_tail(scenario, samples),
+        *_outage_row_tail(scenario, cfg.run.samples),
     )
     _emit(
         ["radius", "e_outage", "std_err", "samples", "alpha", "path_loss_exp", "spacing_d"],
         [row],
-        _out(args, cfg),
+        cfg.run.output,
     )
 
 
-def cmd_optimize(args) -> None:
-    cfg = load_scenario(args.config)
-    layout, antennas, channel = cfg.require_cell()
-    scenario = CellScenario(layout, antennas, channel)
+def cmd_optimize(args, cfg: ScenarioConfig) -> None:
+    scenario = CellScenario(*cfg.require_cell())
+    antennas = scenario.antennas
     rm_cfg = cfg.rm if cfg.rm is not None else RMConfig()
-    rng = np.random.default_rng(_seed(args, cfg))
+    rng = np.random.default_rng(cfg.run.seed)
     final, trace = rm_optimize(scenario, antennas, rm_cfg, rng)
 
     m = antennas.count
@@ -271,7 +249,7 @@ def cmd_optimize(args) -> None:
         else:
             radius, angle = avg[0], avg[m]
         rows.append((i + 1, radius, angle, trace.outage[i]))
-    _emit(["n", "L1_bar", "theta1_bar", "e_outage_estimate"], rows, _out(args, cfg))
+    _emit(["n", "L1_bar", "theta1_bar", "e_outage_estimate"], rows, cfg.run.output)
 
     if trace.diverged:
         print(
@@ -287,17 +265,15 @@ def cmd_optimize(args) -> None:
     sys.stdout.write(format_antenna_block(final))
 
 
-def cmd_sweep(args) -> None:
-    cfg = load_scenario(args.config)
-    layout, antennas, channel = cfg.require_cell()
-    scenario = CellScenario(layout, antennas, channel)
+def cmd_sweep(args, cfg: ScenarioConfig) -> None:
+    scenario = CellScenario(*cfg.require_cell())
     grid = _parse_grid(args.radii)
-    samples = _samples(args, cfg)
+    samples = cfg.run.samples
     result = radius_sweep(
         scenario,
         grid,
         samples,
-        np.random.default_rng(_seed(args, cfg)),
+        np.random.default_rng(cfg.run.seed),
     )
     best = result.argmin_radius
     rows = []
@@ -323,15 +299,18 @@ def cmd_sweep(args) -> None:
             "argmin",
         ],
         rows,
-        _out(args, cfg),
+        cfg.run.output,
     )
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the flags override their run keys; every command reads only cfg.run
+    flags = {"seed": args.seed, "samples": args.samples, "output": args.out}
     try:
-        args.func(args)
+        cfg = load_scenario(args.config)
+        run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
+        args.func(args, replace(cfg, run=run))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -190,13 +190,3 @@ def delay_decay_rate(system: PrioritySystem, priority: int) -> float:
     index = system.flow_index(priority)
     phi_star = solve_phi_star(system, priority)
     return eval_energy(flow_arrival_energy(system, index), phi_star)
-
-
-def four_flow_delay(
-    system: PrioritySystem, delay_bound: float
-) -> dict[int, float]:
-    """Violation probability per priority for every flow in the system."""
-    return {
-        f.priority: delay_violation_probability(system, f.priority, delay_bound)
-        for f in system.flows
-    }

@@ -161,19 +161,6 @@ def antenna_outage_mc(
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def system_outage(per_antenna) -> float:
-    """All antennas fail together: the product of per-antenna outages.
-
-    Fading is independent across antennas, so joint failure factorizes.
-    """
-    product = 1.0
-    for p in per_antenna:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"outage probability {p!r} outside [0, 1]")
-        product *= p
-    return product
-
-
 def layout_outage(
     channel: ChannelParams, layouts, ux: np.ndarray, uy: np.ndarray
 ) -> np.ndarray:

@@ -26,6 +26,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from .delay import PrioritySystem
 from .errors import ConfigError
 from .traffic import (
     DeterministicUnit,
@@ -33,7 +34,6 @@ from .traffic import (
     TruncatedGeometric,
     arrival_rate,
     sample_interarrival,
-    service_moments,
 )
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile for the CCDF bands
@@ -43,7 +43,9 @@ DelayConvention = Literal["sojourn", "waiting"]
 
 @dataclass(frozen=True)
 class SimConfig:
-    flows: tuple[TrafficFlow, ...]
+    """One replication of the system's flows (distinct priorities, sorted)."""
+
+    system: PrioritySystem
     attempt_failure_prob: float
     horizon: int
     warmup: int = 0
@@ -65,10 +67,7 @@ class SimConfig:
                 f"delay convention must be {' or '.join(get_args(DelayConvention))}, "
                 f"got {self.delay_convention!r}"
             )
-        priorities = [f.priority for f in self.flows]
-        if len(set(priorities)) != len(priorities):
-            raise ConfigError(f"duplicate priorities: {sorted(priorities)}")
-        for f in self.flows:
+        for f in self.system.flows:
             if (
                 isinstance(f.service, TruncatedGeometric)
                 and f.service.failure_prob != self.attempt_failure_prob
@@ -78,15 +77,6 @@ class SimConfig:
                     f"model of flow {f.priority} "
                     f"({f.service.failure_prob} != {self.attempt_failure_prob})"
                 )
-        object.__setattr__(
-            self, "flows", tuple(sorted(self.flows, key=lambda f: f.priority))
-        )
-
-    def effective_load(self) -> float:
-        return sum(
-            arrival_rate(f.arrival) * service_moments(f.service)[0]
-            for f in self.flows
-        )
 
 
 @dataclass(frozen=True)
@@ -290,16 +280,17 @@ def simulate(cfg: SimConfig) -> SimStats:
     inclusive, waiting drops the final (service) slot.
     """
     rng = np.random.default_rng(cfg.seed)
-    limits = [_retry_limit(f) for f in cfg.flows]
-    eligible = [_eligible_slots(f, cfg.horizon, rng) for f in cfg.flows]
+    flows = cfg.system.flows
+    limits = [_retry_limit(f) for f in flows]
+    eligible = [_eligible_slots(f, cfg.horizon, rng) for f in flows]
     fail = rng.random(cfg.horizon) < cfg.attempt_failure_prob
     free, flow_stats = None, []
-    for level, (f, limit) in enumerate(zip(cfg.flows, limits)):
+    for level, (f, limit) in enumerate(zip(flows, limits)):
         # popped, so a level's eligibility slots go once it is served
-        last = level + 1 == len(cfg.flows)
+        last = level + 1 == len(flows)
         stats, free = _serve_level(f, limit, eligible.pop(0), free, fail, cfg, last)
         flow_stats.append(stats)
-    stable = cfg.effective_load() < 1.0
+    stable = cfg.system.effective_load() < 1.0
     return SimStats(tuple(flow_stats), cfg.horizon, cfg.warmup, cfg.delay_convention, stable)
 
 

@@ -3,8 +3,8 @@
 Arrivals are renewal processes described by their inter-arrival
 distribution; services are per-packet slot counts. Everything downstream
 (energy functions, delay bounds, the slot simulator) consumes only the
-interval moments, the service probability generating function, and raw
-samples, so each model implements exactly those.
+interval and slot-count moments and raw samples, so each model implements
+exactly those.
 """
 from __future__ import annotations
 
@@ -147,25 +147,6 @@ def service_moments(model: ServiceModel) -> tuple[float, float]:
             mean = math.fsum(k * w for k, w in enumerate(probs, start=1))
             var = math.fsum(w * (k - mean) ** 2 for k, w in enumerate(probs, start=1))
             return mean, var
-    raise TypeError(f"unknown service model {model!r}")
-
-
-def service_pgf(model: ServiceModel, z: float) -> float:
-    """E[z^y] for the slot count y.
-
-    For the truncated geometric the mass is (1-p)p^(i-1) on i < L and
-    p^(L-1) on i = L; the geometric partial sum needs a separate branch at
-    z*p == 1 where the ratio form degenerates.
-    """
-    match model:
-        case DeterministicUnit():
-            return z
-        case TruncatedGeometric(failure_prob=p, max_attempts=L):
-            zp = z * p
-            tail = z**L * p ** (L - 1)
-            if abs(1.0 - zp) < 1e-14:
-                return (1.0 - p) * z * (L - 1) + tail
-            return (1.0 - p) * z * (1.0 - zp ** (L - 1)) / (1.0 - zp) + tail
     raise TypeError(f"unknown service model {model!r}")
 
 

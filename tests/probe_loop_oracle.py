@@ -6,8 +6,8 @@ an independent oracle for the kernel's link rates d^exponent.
 conditional_system_outage and fd_gradient are the scalar paths as they
 stood before every gradient probe was scored in one batch: each probe
 builds its scenario, each antenna its link rates, and the system outage is
-the Python product of the per-antenna closed forms. The batch path must
-reproduce them bit for bit.
+the Python product of the per-antenna closed forms (system_outage). The
+batch path must reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from dasqos.errors import ConfigError
 from dasqos.geometry import AntennaVector, ClusterLayout, UserVector, user_positions
-from dasqos.outage import CellScenario, product_form_outage, system_outage
+from dasqos.outage import CellScenario, product_form_outage
 from dasqos.placement import RMConfig, _antennas_from_params
 
 
@@ -63,6 +63,19 @@ def antenna_outage_closed_form(
             rates[0], rates[1:] / channel.sir_threshold, channel.on_probability
         )
     )
+
+
+def system_outage(per_antenna) -> float:
+    """All antennas fail together: the product of per-antenna outages.
+
+    Fading is independent across antennas, so joint failure factorizes.
+    """
+    product = 1.0
+    for p in per_antenna:
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"outage probability {p!r} outside [0, 1]")
+        product *= p
+    return product
 
 
 def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:

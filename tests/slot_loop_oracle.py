@@ -62,15 +62,15 @@ def simulate(cfg: SimConfig) -> SimStats:
     rng = np.random.default_rng(cfg.seed)
     horizon, warmup = cfg.horizon, cfg.warmup
     window = horizon - warmup
-    n_flows = len(cfg.flows)
-    queues = [_eligible_slots(f, horizon, rng) for f in cfg.flows]
+    n_flows = len(cfg.system.flows)
+    queues = [_eligible_slots(f, horizon, rng) for f in cfg.system.flows]
     heads = [0] * n_flows
     sizes = [len(q) for q in queues]
     arrived = [len(q) - bisect_left(q, warmup) for q in queues]  # q is sorted
     fail_bytes = (rng.random(horizon) < cfg.attempt_failure_prob).tobytes()
 
     retry_limit = []
-    for f in cfg.flows:
+    for f in cfg.system.flows:
         if isinstance(f.service, TruncatedGeometric):
             retry_limit.append(f.service.max_attempts)
         elif isinstance(f.service, DeterministicUnit):
@@ -147,7 +147,7 @@ def simulate(cfg: SimConfig) -> SimStats:
                 area[i] += horizon - lo
 
     flow_stats = []
-    for i, f in enumerate(cfg.flows):
+    for i, f in enumerate(cfg.system.flows):
         counts = delay_counts[i]
         top = max(counts) if counts else -1
         table = tuple(counts.get(d, 0) for d in range(top + 1))
@@ -159,5 +159,5 @@ def simulate(cfg: SimConfig) -> SimStats:
         horizon,
         warmup,
         cfg.delay_convention,
-        cfg.effective_load() < 1.0,
+        cfg.system.effective_load() < 1.0,
     )

@@ -135,7 +135,7 @@ def test_criterion_3_tail_slope_at_ten_million_slots():
     decay = delay_decay_rate(system, 2)
     assert decay == pytest.approx(0.177031, abs=5e-6)
 
-    cfg = SimConfig(flows, 0.1, 10_000_000, 10_000, seed=11)
+    cfg = SimConfig(system, 0.1, 10_000_000, 10_000, seed=11)
     stats = simulate(cfg)
     thresholds = list(range(2, 41, 2))
     analytic = {
@@ -400,7 +400,7 @@ def test_criterion_8_simulated_loss_law():
         (0.2, 4, 24),
     ):
         flows = (TrafficFlow(1, Poisson(0.6), TruncatedGeometric(p, attempts)),)
-        cfg = SimConfig(flows, p, 10_000_000, 10_000, seed=seed)
+        cfg = SimConfig(PrioritySystem(flows), p, 10_000_000, 10_000, seed=seed)
         stats = simulate(cfg)
         flow = stats.flow(1)
         target = p**attempts

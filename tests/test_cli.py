@@ -3,6 +3,8 @@
 Everything runs in-process through main() so coverage and debuggers see
 the command paths; stdout/stderr are captured with capsys.
 """
+import math
+
 import pytest
 
 from dasqos.cli import main
@@ -53,6 +55,36 @@ flows:
     arrival: {kind: poisson, rate: 0.6}
     service: {kind: truncated_geometric, failure_prob: 0.1, max_attempts: 4}
 run: {attempt_failure_prob: 0.1, horizon: 30000, warmup: 2000, seed: 5}
+"""
+
+THREE_ANTENNA_TEXT = """\
+channel:
+  path_loss_exponent: 3.5
+  on_probability: 0.7
+geometry:
+  centers: [[0.0, 0.0], [2.0, 0.0], [1.0, 1.7]]
+  antennas:
+    radii: [0.6, 0.2, 0.45]
+    angles: [0.3, 2.5, 4.4]
+    height: 0.1
+  users:
+    radii: [0.8, 0.5, 0.3]
+    angles: [1.0, 3.0, 5.5]
+"""
+
+LINKED_UNIT_TEXT = """\
+flows:
+  - priority: 1
+    arrival: {kind: poisson, rate: 0.2}
+    service: {kind: unit}
+  - priority: 2
+    arrival: {kind: poisson, rate: 0.5}
+    service: {kind: unit}
+channel:
+  path_loss_exponent: 2.0
+geometry:
+  antennas: {count: 4, radius: 0.3}
+run: {attempt_failure_prob: linked, horizon: 20000, seed: 6, samples: 500}
 """
 
 OPT_TEXT = """\
@@ -130,6 +162,19 @@ class TestOutage:
             "antenna,outage\n"
             f"0,{format_float(0.5 / 17)}\n"
             f"system,{format_float(0.5 / 17)}\n"
+        )
+
+
+    def test_pinned_system_row_is_the_antenna_product(self, run):
+        cfg = parse_scenario(THREE_ANTENNA_TEXT)
+        scenario = CellScenario(*cfg.require_cell())
+        values = [antenna_outage_closed_form(scenario, cfg.users, m) for m in range(3)]
+        code, out, _ = run(["outage"], config=THREE_ANTENNA_TEXT)
+        assert code == 0
+        assert out == (
+            "antenna,outage\n"
+            + "".join(f"{m},{format_float(v)}\n" for m, v in enumerate(values))
+            + f"system,{format_float(math.prod(values))}\n"
         )
 
 
@@ -243,6 +288,21 @@ class TestDelay:
         assert "integer d_th" in err
 
 
+    def test_linked_probability_with_unit_flows(self, run):
+        # p is the sampled E(outage) at the same seed and samples; unit
+        # packets depart on every coin, so p changes no byte of the CSV
+        args = ["delay", "--dth", "1:4:1", "--simulate"]
+        code, linked, err = run(args, config=LINKED_UNIT_TEXT)
+        assert code == 0
+        _, outage, _ = run(["outage"], config=LINKED_UNIT_TEXT)
+        e_outage = outage.splitlines()[1].split(",")[1]
+        assert err.startswith(f"linked attempt failure probability = {e_outage} (se ")
+        fixed = LINKED_UNIT_TEXT.replace("attempt_failure_prob: linked", "attempt_failure_prob: 0.1")
+        code, plain, _ = run(args, config=fixed)
+        assert code == 0
+        assert linked == plain
+
+
 class TestOptimize:
     def test_single_iteration_echoes_initial_layout(self, run):
         code, out, err = run(["optimize"], config=OPT_TEXT)
@@ -350,6 +410,12 @@ class TestExitCodes:
         )
         assert code == 2
         assert "invalid YAML" in err
+
+    def test_threads_flag_is_gone(self, run, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["outage", "--threads", "2"], config=ALPHA0_TEXT)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,6 @@ from dasqos.delay import (
     PrioritySystem,
     delay_decay_rate,
     delay_violation_probability,
-    four_flow_delay,
     priority_service_energy,
     solve_phi_star,
 )
@@ -28,6 +27,7 @@ from dasqos.traffic import (
     TrafficFlow,
     TruncatedGeometric,
 )
+from analysis_helpers import four_flow_delay
 
 
 def single_poisson(rate: float) -> PrioritySystem:

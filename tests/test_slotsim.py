@@ -42,7 +42,7 @@ def data_flow(rate: float = 0.6, p: float = 0.1, attempts: int = 4) -> TrafficFl
 
 def fig5_config(horizon: int, seed: int, voice_rate: float = 0.2) -> SimConfig:
     return SimConfig(
-        (voice_flow(voice_rate), data_flow()),
+        PrioritySystem((voice_flow(voice_rate), data_flow())),
         0.1,
         horizon,
         warmup=min(10_000, horizon // 10),
@@ -58,37 +58,37 @@ def fig5_stats() -> SimStats:
 class TestConfigValidation:
     def test_failure_prob_range(self):
         with pytest.raises(ConfigError):
-            SimConfig((voice_flow(),), 1.5, 1000)
+            SimConfig(PrioritySystem((voice_flow(),)), 1.5, 1000)
         with pytest.raises(ConfigError):
-            SimConfig((voice_flow(),), -0.1, 1000)
+            SimConfig(PrioritySystem((voice_flow(),)), -0.1, 1000)
 
     def test_horizon_must_exceed_warmup(self):
         with pytest.raises(ConfigError):
-            SimConfig((voice_flow(),), 0.0, 1000, warmup=1000)
+            SimConfig(PrioritySystem((voice_flow(),)), 0.0, 1000, warmup=1000)
         with pytest.raises(ConfigError):
-            SimConfig((voice_flow(),), 0.0, 1000, warmup=-1)
+            SimConfig(PrioritySystem((voice_flow(),)), 0.0, 1000, warmup=-1)
 
     def test_unknown_convention(self):
         with pytest.raises(ConfigError):
-            SimConfig((voice_flow(),), 0.0, 1000, delay_convention="response")
+            SimConfig(PrioritySystem((voice_flow(),)), 0.0, 1000, delay_convention="response")
 
     def test_duplicate_priorities(self):
         with pytest.raises(ConfigError):
-            SimConfig((voice_flow(), voice_flow(0.3)), 0.0, 1000)
+            SimConfig(PrioritySystem((voice_flow(), voice_flow(0.3))), 0.0, 1000)
 
     def test_retry_model_must_match_channel(self):
         # the retry chain and the failure coins describe the same channel
         with pytest.raises(ConfigError):
-            SimConfig((data_flow(p=0.1),), 0.2, 1000)
+            SimConfig(PrioritySystem((data_flow(p=0.1),)), 0.2, 1000)
 
     def test_effective_load(self):
         cfg = fig5_config(1000, seed=0)
         # 0.2 * 1 + 0.6 * (1 - 0.1^4) / 0.9
-        assert cfg.effective_load() == pytest.approx(0.86660, abs=1e-5)
+        assert cfg.system.effective_load() == pytest.approx(0.86660, abs=1e-5)
 
     def test_unsimulatable_service_rejected(self):
         flow = TrafficFlow(1, Poisson(0.5), GenericRenewal(2.0, 1.0))
-        cfg = SimConfig((flow,), 0.0, 1000)
+        cfg = SimConfig(PrioritySystem((flow,)), 0.0, 1000)
         with pytest.raises(ConfigError):
             simulate(cfg)
 
@@ -146,7 +146,7 @@ class TestQuietAndBoundary:
     def test_no_arrivals_in_horizon(self):
         # rate 1e-9 puts the first arrival around slot 1e9
         flow = TrafficFlow(1, Poisson(1e-9), DeterministicUnit())
-        stats = simulate(SimConfig((flow,), 0.0, 10_000, seed=1))
+        stats = simulate(SimConfig(PrioritySystem((flow,)), 0.0, 10_000, seed=1))
         fs = stats.flow(1)
         assert fs.arrived == 0
         assert fs.served == 0
@@ -159,7 +159,9 @@ class TestQuietAndBoundary:
     def test_waiting_convention_shifts_by_one_slot(self):
         # identical seed, identical event sequence; only the recorded
         # delay changes, by exactly the service slot
-        base = dict(flows=(data_flow(),), attempt_failure_prob=0.1, horizon=20_000)
+        base = dict(
+            system=PrioritySystem((data_flow(),)), attempt_failure_prob=0.1, horizon=20_000
+        )
         soj = simulate(SimConfig(**base, seed=13, delay_convention="sojourn")).flow(2)
         wait = simulate(SimConfig(**base, seed=13, delay_convention="waiting")).flow(2)
         assert soj.delay_counts[0] == 0
@@ -177,7 +179,7 @@ class TestLossLaw:
 
     def test_perfect_channel_loses_nothing(self):
         flow = TrafficFlow(1, Poisson(0.5), DeterministicUnit())
-        stats = simulate(SimConfig((flow,), 0.0, 50_000, seed=2))
+        stats = simulate(SimConfig(PrioritySystem((flow,)), 0.0, 50_000, seed=2))
         assert stats.flow(1).lost == 0
 
 
@@ -193,7 +195,7 @@ class TestAnalysisFit:
             d: delay_violation_probability(system, 1, float(d)) for d in range(2, 13)
         }
         cfg = SimConfig(
-            (TrafficFlow(1, Poisson(0.5), DeterministicUnit()),),
+            system,
             0.0,
             1_000_000,
             warmup=10_000,
@@ -217,7 +219,7 @@ class TestAnalysisFit:
 
     def test_insufficient_tail_raises(self):
         flow = TrafficFlow(1, Poisson(0.5), DeterministicUnit())
-        cfg = SimConfig((flow,), 0.0, 100_000, warmup=1_000, seed=9)
+        cfg = SimConfig(PrioritySystem((flow,)), 0.0, 100_000, warmup=1_000, seed=9)
         stats = simulate(cfg)
         theta = 1.2564312086261697
         # far-tail thresholds only: nothing left to fit
@@ -227,7 +229,7 @@ class TestAnalysisFit:
 
     def test_exclusion_is_reported(self):
         flow = TrafficFlow(1, Poisson(0.5), DeterministicUnit())
-        cfg = SimConfig((flow,), 0.0, 100_000, warmup=1_000, seed=9)
+        cfg = SimConfig(PrioritySystem((flow,)), 0.0, 100_000, warmup=1_000, seed=9)
         theta = 1.2564312086261697
         analytic = {d: math.exp(-theta * d) for d in range(1, 9)}
         report = compare_with_analysis(cfg, 1, analytic)
@@ -241,7 +243,7 @@ class TestTrendUnderLoad:
         for rate, seed in ((0.2, 3), (0.4, 4)):
             stats = simulate(
                 SimConfig(
-                    (voice_flow(rate), data_flow()),
+                    PrioritySystem((voice_flow(rate), data_flow())),
                     0.1,
                     200_000,
                     warmup=5_000,
@@ -294,11 +296,11 @@ def test_simulate_matches_slot_loop(kind, p):
     # the per-level simulator against the per-slot loop it replaced: same
     # draws, so every field of every FlowStats must agree exactly
     horizon = 10_000
-    flows = ORACLE_SCENARIOS[kind](p)
+    system = PrioritySystem(ORACLE_SCENARIOS[kind](p))
     for seed in (1, 2, 3, 4):
         for convention in ("sojourn", "waiting"):
             for warmup in (0, horizon // 2, horizon - 1):
-                cfg = SimConfig(flows, p, horizon, warmup, seed, convention)
+                cfg = SimConfig(system, p, horizon, warmup, seed, convention)
                 got, want = simulate(cfg), slot_loop_oracle.simulate(cfg)
                 assert got == want
                 assert repr(got) == repr(want)  # plain ints, not numpy scalars

@@ -26,8 +26,8 @@ from dasqos.traffic import (
     packet_loss_probability,
     sample_interarrival,
     service_moments,
-    service_pgf,
 )
+from analysis_helpers import service_pgf
 
 
 def enumerate_service(p: float, L: int) -> tuple[float, float]:
