@@ -13,10 +13,11 @@ depends only on when it happens, not on queue history; together with a
 fixed seed this makes runs bit-reproducible. It also fixes the slots a
 level uses whatever the levels below do, so level n is simulated on its
 own, as one FIFO queue on the slots that levels < n left free: a Lindley
-recursion for unit service, one pass per packet over the coins for
-retries. The per-attempt probability may be a plain number or the
-expected-outage output of the antenna engine; the simulator does not care
-where it came from.
+recursion for unit service, and for retries the same recursion over a
+lattice of the slots where a packet can end, with the per-packet rule run
+only where a busy period starts off that lattice. The per-attempt
+probability may be a plain number or the expected-outage output of the
+antenna engine; the simulator does not care where it came from.
 """
 from __future__ import annotations
 
@@ -194,6 +195,67 @@ def _retry_limit(flow: TrafficFlow) -> int:
     )
 
 
+_BLOCK = 1 << 14  # slots or packets per vector step; bounds the temporaries
+
+
+def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np.ndarray):
+    """The lattice starts in order, then the end of the last cell plus one.
+
+    A segment of free slots starts at 0 and after each success; its
+    lattice starts are its first slot and every limit-th slot after it.
+    The cell from one start to the next holds at most one success, at its
+    end, so the packet started on a lattice start ends at the next start
+    minus one. Writes into rank the index of the last start at or before
+    each idx; returns the buffer and the number of starts in it.
+    """
+    dtype = idx.dtype
+    cells, count, seg = np.empty(nfree + 1, dtype=dtype), 0, 0
+    edges = np.arange(0, nfree + _BLOCK, _BLOCK, dtype=dtype)
+    edges[-1] = nfree
+    bounds = np.searchsorted(idx, edges)  # packets eligible in each block
+    for b, lo, hi in zip(range(0, nfree, _BLOCK), bounds.tolist(), bounds[1:].tolist()):
+        pos = np.arange(b, min(b + _BLOCK, nfree), dtype=dtype)
+        opened = np.where(fail[b : b + _BLOCK], 0, pos + 1)  # a success opens pos + 1
+        first = np.empty_like(pos)  # first slot of the segment holding pos
+        first[0], first[1:] = seg, opened[:-1]
+        np.maximum.accumulate(first, out=first)
+        seg = max(int(first[-1]), int(opened[-1]))
+        np.subtract(pos, first, out=first)
+        on = np.remainder(first, limit, out=first) == 0
+        if hi > lo:
+            seen = np.cumsum(on, dtype=dtype)
+            np.add(seen[idx[lo:hi] - b], count - 1, out=rank[lo:hi])
+        starts = pos[on]
+        cells[count : count + len(starts)] = starts
+        count += len(starts)
+    rank[bounds[-1] :] = count - 1  # eligible at nfree
+    # the last cell ends at nfree - 1, or at the horizon if it holds no
+    # success and is cut short
+    s = int(cells[count - 1])
+    cells[count] = nfree + (s + limit > nfree and bool(fail[s:].all()))
+    return cells, count
+
+
+def _fifo_breaks(idx: np.ndarray, start: np.ndarray, end: np.ndarray, last: int = -1) -> np.ndarray:
+    """Mask of the packets whose start is not max(idx_k, end_{k-1} + 1);
+    last is the end of the packet before the first."""
+    ready = np.empty_like(end)
+    ready[:1] = last + 1
+    np.add(end[:-1], 1, out=ready[1:])
+    return np.maximum(ready, idx[: len(start)], out=ready) != start
+
+
+def _rule_breaks(fail: np.ndarray, start: np.ndarray, end: np.ndarray, limit: int, nfree: int) -> np.ndarray:
+    """Mask of the packets that do not stop at their first success or
+    limit-th failure (or at nfree, still in service at the horizon)."""
+    span = end - start
+    bad = span >= limit
+    for t in range(limit - 1):  # a success before the end
+        bad |= (span > t) & ~fail[np.minimum(start + t, nfree - 1)]
+    bad |= fail[np.minimum(end, nfree - 1)] & (span != limit - 1) & (end != nfree)
+    return bad
+
+
 def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: int):
     """First and last attempt of each packet that starts before the horizon.
 
@@ -201,19 +263,62 @@ def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: i
     holds. A packet starts at max(idx_k, end_{k-1} + 1) and stops at its
     first success or limit-th failure; one still in service at the horizon
     gets end = nfree.
+
+    Every success inside a busy stretch ends a packet, so a busy period
+    that starts on the lattice stays on it: packet k takes cell
+    r_k = max(R_k, r_{k-1} + 1), with R_k the last cell starting at or
+    before idx_k, the unit Lindley recursion in lattice ranks. A busy
+    period that starts off the lattice, inside a failure run longer than
+    what is left of its cell, breaks the per-packet rule; from each such
+    packet the rule is run one packet at a time until the schedule meets
+    the lattice again.
     """
     start, end = np.empty_like(idx), np.empty_like(idx)
-    starts, ends, find = memoryview(start), memoryview(end), fail_bytes.find
-    last, k = -1, 0
-    for i in memoryview(idx):
-        s = i if i > last else last + 1
-        if s >= nfree:
+    if nfree == 0:
+        return start[:0], end[:0]
+    fail = np.frombuffer(fail_bytes, dtype=bool)
+    cells, count = _lattice(fail, idx, limit, nfree, start)
+    n, broken, top, last = len(idx), [], 0, -1  # top = r_{k-1} - (k-1)
+    for c in range(0, len(idx), _BLOCK):
+        i = idx[c : c + _BLOCK]
+        m, k = len(i), np.arange(c, c + len(i))
+        r = start[c : c + m] - k
+        np.maximum.accumulate(r, out=r)
+        np.maximum(r, top, out=r)
+        r += k
+        # cut where idx reaches nfree or the last cell is taken: that cell
+        # ends at nfree - 1 or later, so the packet after it starts at or
+        # past nfree once it follows the rule
+        stop = min(int(np.searchsorted(r, count)), int(np.searchsorted(i, i.dtype.type(nfree))))
+        r, i = r[:stop], i[:stop]
+        s = start[c : c + stop]
+        np.maximum(cells[r], i, out=s)
+        e = np.subtract(cells[r + 1], 1, out=end[c : c + stop])
+        bad = _fifo_breaks(i, s, e, last) | _rule_breaks(fail, s, e, limit, nfree)
+        broken.extend((np.flatnonzero(bad) + c).tolist())
+        if stop < m:
+            n = c + stop
             break
-        j = find(b"\0", s, s + limit)
-        last = j if j >= 0 else min(s + limit - 1, nfree)
-        starts[k], ends[k] = s, last
-        k += 1
-    return start[:k], end[:k]
+        top, last = int(r[-1] - k[-1]), int(e[-1])
+
+    find, ids, starts, ends = fail_bytes.find, memoryview(idx), memoryview(start), memoryview(end)
+    done = 0  # packets before done follow the rule
+    for k in broken:
+        if k < done:
+            continue
+        last = ends[k - 1] if k else -1
+        while k < len(idx):
+            s = max(ids[k], last + 1)
+            if s >= nfree:
+                return start[:k], end[:k]
+            j = find(b"\0", s, s + limit)
+            last = j if j >= 0 else min(s + limit - 1, nfree)
+            if k < n and starts[k] == s and ends[k] == last:
+                break
+            starts[k], ends[k] = s, last
+            k += 1
+        n, done = max(n, k), k + 1
+    return start[:n], end[:n]
 
 
 def _check_schedule(idx: np.ndarray, start: np.ndarray, end: np.ndarray, nfree: int) -> None:
@@ -226,10 +331,7 @@ def _check_schedule(idx: np.ndarray, start: np.ndarray, end: np.ndarray, nfree: 
         start[0] < 0 or start[-1] >= nfree or np.any(end < start) or np.any(start[1:] <= end[:-1])
     ):
         raise AssertionError("priority violated: a slot was used twice or was not free")
-    ready = np.empty_like(end)
-    ready[:1] = 0
-    np.add(end[:-1], 1, out=ready[1:])
-    if not np.array_equal(start, np.maximum(ready, idx[: len(start)], out=ready)):
+    if np.any(_fifo_breaks(idx, start, end)):
         raise AssertionError("FIFO order or work conservation violated")
 
 
@@ -246,8 +348,8 @@ def _serve_level(flow, limit, e, free, fail, cfg: SimConfig, last: bool):
         start += k
         start = end = start[: np.searchsorted(start, nfree)]
     else:
-        level_fail = fail if free is None else fail[free]
-        start, end = _serve_with_retries(idx, level_fail.tobytes(), limit, nfree)
+        coins = (fail if free is None else fail[free]).tobytes()
+        start, end = _serve_with_retries(idx, coins, limit, nfree)
     _check_schedule(idx, start, end, nfree)
     below = None
     if not last:  # drop each packet's run of slots
@@ -259,7 +361,7 @@ def _serve_level(flow, limit, e, free, fail, cfg: SimConfig, last: bool):
 
     done = len(end) - int(len(end) > 0 and end[-1] >= nfree)  # in service at the horizon
     depart = end[:done] if free is None else free[end[:done]]
-    first = int(np.searchsorted(e, warmup))  # first post-warmup arrival
+    first = int(np.searchsorted(e, e.dtype.type(warmup)))  # first post-warmup arrival
     lost = int(np.count_nonzero(fail[depart[first:]]))
     # slots present: arrival (or warmup) through departure or the horizon
     area = int(np.clip(depart[:first] - warmup + 1, 0, None).sum(dtype=np.int64))
@@ -268,7 +370,10 @@ def _serve_level(flow, limit, e, free, fail, cfg: SimConfig, last: bool):
     wait = np.subtract(depart[first:], e[first:done], out=depart[first:])
     area += int(wait.sum(dtype=np.int64)) + len(wait)
     wait += 1 if cfg.delay_convention == "sojourn" else 0
-    tallies = (len(e) - first, len(wait) - lost, lost, tuple(np.bincount(wait).tolist()))
+    counts = np.zeros(int(wait.max(initial=-1)) + 1, dtype=np.int64)
+    for c in range(0, len(wait), _BLOCK):  # bincount copies its input to int64
+        counts += np.bincount(wait[c : c + _BLOCK], minlength=len(counts))
+    tallies = (len(e) - first, len(wait) - lost, lost, tuple(counts.tolist()))
     return FlowStats(flow.priority, *tallies, area, horizon - warmup), below
 
 

@@ -1,9 +1,17 @@
-"""Shared test plumbing: the acceptance-criteria summary block.
+"""Shared test plumbing: the hypothesis profile and the acceptance-criteria
+summary block.
 
-Acceptance tests report one line per criterion through record_criterion;
-the lines are printed after the run so they are visible without -s.
+Property tests draw their examples from a fixed seed and keep no example
+database, so every run of the suite tries the same inputs. Acceptance
+tests report one line per criterion through record_criterion; the lines
+are printed after the run so they are visible without -s.
 """
 from __future__ import annotations
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 _ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 

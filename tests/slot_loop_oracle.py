@@ -7,6 +7,9 @@ asserts. It draws from the generator in the same order as the per-level
 simulator (every flow's arrivals in priority order, then one failure coin
 per slot), so the two must agree on every `FlowStats` field. Kept verbatim
 as the oracle for `tests/test_slotsim.py`; run it only at small horizons.
+
+`serve_with_retries` is the per-packet loop that served a retrying level
+before the lattice pass replaced it, kept verbatim as that pass's oracle.
 """
 from __future__ import annotations
 
@@ -161,3 +164,25 @@ def simulate(cfg: SimConfig) -> SimStats:
         cfg.delay_convention,
         cfg.system.effective_load() < 1.0,
     )
+
+
+def serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: int):
+    """First and last attempt of each packet that starts before the horizon.
+
+    Positions count the level's free slots, whose failure coins fail_bytes
+    holds. A packet starts at max(idx_k, end_{k-1} + 1) and stops at its
+    first success or limit-th failure; one still in service at the horizon
+    gets end = nfree.
+    """
+    start, end = np.empty_like(idx), np.empty_like(idx)
+    starts, ends, find = memoryview(start), memoryview(end), fail_bytes.find
+    last, k = -1, 0
+    for i in memoryview(idx):
+        s = i if i > last else last + 1
+        if s >= nfree:
+            break
+        j = find(b"\0", s, s + limit)
+        last = j if j >= 0 else min(s + limit - 1, nfree)
+        starts[k], ends[k] = s, last
+        k += 1
+    return start[:k], end[:k]

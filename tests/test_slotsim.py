@@ -7,9 +7,12 @@ meaningful as statistics.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slot_loop_oracle
 from dasqos import slotsim
@@ -279,6 +282,9 @@ ORACLE_SCENARIOS = {
     "retry_one_attempt": lambda p: (_retry(1, 0.4, p, 1), _unit(2, 0.3)),
     "empty_flow": lambda p: (_unit(1, 1e-9), _retry(2, 0.5 * (1 - p), p, 5)),
     "overload": lambda p: (_unit(1, 0.6), _retry(2, 0.7, p, 4), _unit(3, 0.5)),
+    # failure runs longer than a lattice cell: a busy period that starts
+    # mid-run is off the lattice (p = 1 itself is no retry model)
+    "long_runs": lambda p: (_unit(1, 0.1), _retry(2, 0.12, p, 6)),
 }
 ORACLE_GRID = [
     ("unit", 0.0), ("unit", 0.6),
@@ -288,6 +294,7 @@ ORACLE_GRID = [
     ("retry_one_attempt", 0.15),
     ("empty_flow", 0.1),
     ("overload", 0.0), ("overload", 0.1),
+    ("long_runs", 0.5), ("long_runs", 0.99),
 ]
 
 
@@ -304,6 +311,83 @@ def test_simulate_matches_slot_loop(kind, p):
                 got, want = simulate(cfg), slot_loop_oracle.simulate(cfg)
                 assert got == want
                 assert repr(got) == repr(want)  # plain ints, not numpy scalars
+
+
+# one retrying level: its free-slot coins come from seed at failure
+# probability p, and block sets the lattice pass's step so that its
+# carries are crossed
+LEVELS = dict(
+    limit=st.integers(1, 8),
+    p=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    nfree=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 2, 3, 7, slotsim._BLOCK]),
+)
+
+
+def _level(p, nfree, seed, arrivals):
+    fail = np.random.default_rng(seed).random(nfree) < p
+    idx = np.minimum(np.sort(np.asarray(arrivals, dtype=np.int32)), nfree)
+    return idx, fail.tobytes()
+
+
+# arrivals are clipped to nfree: eligible past the horizon
+@given(**LEVELS, arrivals=st.lists(st.integers(0, 80), max_size=40))
+@settings(max_examples=500)
+# the horizon cuts a packet in service, and drops one eligible at nfree
+@example(limit=4, p=1.0, nfree=6, seed=0, arrivals=[0, 0, 9], block=2)
+@example(limit=2, p=1.0, nfree=4, seed=0, arrivals=[0, 0, 0], block=1)
+@example(limit=3, p=0.0, nfree=1, seed=0, arrivals=[], block=1)
+@example(limit=2, p=0.5, nfree=0, seed=0, arrivals=[0, 0], block=1)
+@example(limit=3, p=0.5, nfree=1, seed=1, arrivals=[0, 1, 1], block=1)
+# a busy period that starts inside a failure run, at every phase of its cell
+@example(limit=4, p=1.0, nfree=20, seed=0, arrivals=[1, 1, 1, 14], block=3)
+@example(limit=4, p=1.0, nfree=20, seed=0, arrivals=[2, 2, 2, 14], block=3)
+@example(limit=4, p=1.0, nfree=20, seed=0, arrivals=[3, 3, 3, 14], block=3)
+@example(limit=4, p=1.0, nfree=20, seed=0, arrivals=[4, 4, 4, 14], block=3)
+def test_retry_schedule_matches_packet_loop(limit, p, nfree, seed, arrivals, block):
+    idx, fail_bytes = _level(p, nfree, seed, arrivals)
+    with mock.patch.object(slotsim, "_BLOCK", block):
+        got = slotsim._serve_with_retries(idx, fail_bytes, limit, nfree)
+    want = slot_loop_oracle.serve_with_retries(idx, fail_bytes, limit, nfree)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@given(**LEVELS, arrivals=st.lists(st.integers(0, 80), max_size=40), wrong=st.integers(1, 9))
+@settings(max_examples=500)
+def test_retry_schedule_repairs_a_wrong_lattice(limit, p, nfree, seed, arrivals, block, wrong):
+    # a lattice built for another attempt cap breaks the rule almost
+    # everywhere and cuts the level at the wrong packet; the exact check
+    # must find every break and the per-packet rule mend it
+    idx, fail_bytes = _level(p, nfree, seed, arrivals)
+    lattice = slotsim._lattice
+
+    def wrong_lattice(fail, idx, limit, nfree, rank):
+        return lattice(fail, idx, wrong, nfree, rank)
+
+    with mock.patch.object(slotsim, "_lattice", wrong_lattice), mock.patch.object(
+        slotsim, "_BLOCK", block
+    ):
+        got = slotsim._serve_with_retries(idx, fail_bytes, limit, nfree)
+    want = slot_loop_oracle.serve_with_retries(idx, fail_bytes, limit, nfree)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@given(**LEVELS)
+def test_lattice_is_the_schedule_of_a_queue_never_empty(limit, p, nfree, seed, block):
+    # every packet eligible at slot 0: one busy period from a lattice start
+    # to the horizon, so the lattice alone must be the schedule
+    idx, fail_bytes = _level(p, nfree, seed, [0] * (nfree + 1))
+    rank = np.empty_like(idx)
+    with mock.patch.object(slotsim, "_BLOCK", block):
+        cells, count = slotsim._lattice(np.frombuffer(fail_bytes, bool), idx, limit, nfree, rank)
+    start, end = slot_loop_oracle.serve_with_retries(idx, fail_bytes, limit, nfree)
+    np.testing.assert_array_equal(cells[:count], start)
+    np.testing.assert_array_equal(cells[1 : count + 1] - 1, end)
+    assert not rank.any()
 
 
 class TestScheduleInvariants:
