@@ -102,8 +102,6 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -186,7 +184,7 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
         cfg.run.delay_convention,
     )
     stats = simulate(sim_cfg)
-    if not stats.stable:
+    if system.effective_load() >= 1.0:
         print("warning: offered load >= 1, queues are unstable", file=sys.stderr)
     rows = []
     for pr in priorities:
@@ -311,9 +309,6 @@ def main(argv=None) -> int:
         cfg = load_scenario(args.config)
         run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
         args.func(args, replace(cfg, run=run))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (StabilityError, NoRootError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, get_args
 
-from .energy import EnergyFunction, arrival_energy, eval_energy, expm1
+from .energy import arrival_energy, eval_energy, expm1
 from .errors import ConfigError, NoRootError, StabilityError
 from .traffic import (
     Poisson,
@@ -125,11 +125,6 @@ def priority_service_energy(system: PrioritySystem, index: int, phi: float) -> f
     return total
 
 
-def flow_arrival_energy(system: PrioritySystem, index: int) -> EnergyFunction:
-    """Arrival energy of flows[index]: exact for Poisson, asymptotic otherwise."""
-    return arrival_energy(system.flows[index].arrival)
-
-
 def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     """Unique positive root of arrival energy + service energy for one flow.
 
@@ -140,7 +135,7 @@ def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     """
     index = system.flow_index(priority)
     system.check_stability(index)
-    energy = flow_arrival_energy(system, index)
+    energy = arrival_energy(system.flows[index].arrival)
 
     def f(phi: float) -> float:
         return eval_energy(energy, phi) + priority_service_energy(system, index, phi)
@@ -189,4 +184,4 @@ def delay_decay_rate(system: PrioritySystem, priority: int) -> float:
     """Arrival energy at phi*: the per-slot exponential decay of the delay tail."""
     index = system.flow_index(priority)
     phi_star = solve_phi_star(system, priority)
-    return eval_energy(flow_arrival_energy(system, index), phi_star)
+    return eval_energy(arrival_energy(system.flows[index].arrival), phi_star)

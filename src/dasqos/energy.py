@@ -16,6 +16,8 @@ from typing import Union
 from .errors import ConfigError
 from .traffic import ArrivalModel, Poisson, arrival_moments
 
+GAP_GRID = 1000  # points of (0, phi_max] at which binomial_energy_gap compares
+
 
 @dataclass(frozen=True)
 class ExactPoisson:
@@ -100,20 +102,20 @@ def binomial_asymptotic(q: float) -> AsymptoticRenewal:
     return AsymptoticRenewal(1.0 / (1.0 - q), q / (1.0 - q) ** 2)
 
 
-def binomial_energy_gap(q: float, phi_max: float, grid: int = 1000) -> float:
+def binomial_energy_gap(q: float, phi_max: float) -> float:
     """Max relative deviation |asymptotic - exact| / exact over (0, phi_max].
 
     Both energies vanish at phi = 0 with matching first and second
-    derivatives, so the ratio is well behaved near the origin; the grid
-    starts strictly above zero.
+    derivatives, so the ratio is well behaved near the origin; the
+    GAP_GRID-point grid starts strictly above zero.
     """
     if not phi_max > 0.0:
         raise ConfigError(f"phi_max must be > 0, got {phi_max}")
     exact = ExactBinomial(q)
     approx = binomial_asymptotic(q)
     worst = 0.0
-    for k in range(1, grid + 1):
-        phi = phi_max * k / grid
+    for k in range(1, GAP_GRID + 1):
+        phi = phi_max * k / GAP_GRID
         e = eval_energy(exact, phi)
         a = eval_energy(approx, phi)
         worst = max(worst, abs(a - e) / e)

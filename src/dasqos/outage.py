@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,24 +71,16 @@ class CellScenario:
     antennas: AntennaVector
     channel: ChannelParams
 
-    def with_antennas(self, antennas: AntennaVector) -> "CellScenario":
-        return replace(self, antennas=antennas)
-
 
 @dataclass(frozen=True)
 class OutageEstimate:
     value: float
     std_err: float
-    samples: int
 
     @classmethod
     def of(cls, values: np.ndarray) -> "OutageEstimate":
         """Sample mean and its standard error over per-user-vector outages."""
-        return cls(
-            float(values.mean()),
-            float(values.std(ddof=1) / math.sqrt(values.size)),
-            values.size,
-        )
+        return cls(float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
 
 
 def product_form_outage(a0, q, alpha: float) -> np.ndarray:
@@ -196,7 +188,6 @@ def expected_outage(
     scenario: CellScenario,
     samples: int,
     rng: np.random.Generator,
-    antennas: AntennaVector | None = None,
     workers: int = 1,
 ) -> OutageEstimate:
     """System outage marginalized over user placement.
@@ -209,8 +200,6 @@ def expected_outage(
     """
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
-    if antennas is not None:
-        scenario = scenario.with_antennas(antennas)
     ux, uy = sample_user_batch(scenario.layout, samples, rng)
     layouts = [scenario.antennas]
     if workers <= 1 or samples < 2 * workers:

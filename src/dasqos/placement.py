@@ -183,7 +183,6 @@ def rm_optimize(
     )
 
     average = params.copy()
-    history: list[np.ndarray] = []
     iterates: list[tuple[float, ...]] = []
     averages: list[tuple[float, ...]] = []
     outage_vals: list[float] = []
@@ -199,9 +198,8 @@ def rm_optimize(
         outage_vals.append(est.value)
         outage_ses.append(est.std_err)
 
-        history.append(average.copy())
         if n > cfg.convergence_window:
-            moved = np.max(np.abs(average - history[n - 1 - cfg.convergence_window]))
+            moved = np.max(np.abs(average - averages[n - 1 - cfg.convergence_window]))
             if moved < cfg.tolerance:
                 converged = True
                 break

@@ -38,6 +38,7 @@ from .traffic import (
 )
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile for the CCDF bands
+MIN_TAIL_EVENTS = 30  # fewest tail departures a fitted threshold may rest on
 
 DelayConvention = Literal["sojourn", "waiting"]
 
@@ -148,10 +149,6 @@ class FlowStats:
 @dataclass(frozen=True)
 class SimStats:
     flows: tuple[FlowStats, ...]
-    horizon: int
-    warmup: int
-    delay_convention: DelayConvention
-    stable: bool
 
     def flow(self, priority: int) -> FlowStats:
         for fs in self.flows:
@@ -335,13 +332,14 @@ def _check_schedule(idx: np.ndarray, start: np.ndarray, end: np.ndarray, nfree: 
         raise AssertionError("FIFO order or work conservation violated")
 
 
-def _serve_level(flow, limit, e, free, fail, cfg: SimConfig, last: bool):
+def _serve_level(flow, limit, e, idx, free, fail, cfg: SimConfig, last: bool):
     """Serve one level as a FIFO queue on the slots the levels above left
-    free (None: all). idx, start and end are positions among them. Returns
-    the level's FlowStats and the slots it leaves below (None if last)."""
+    free (None: all). idx, start and end are positions among them; idx_k
+    is that of the first free slot at or after e_k (nfree if none). Returns
+    the level's FlowStats and the mask of the free slots it leaves below
+    (None if last)."""
     horizon, warmup = cfg.horizon, cfg.warmup
     nfree = horizon if free is None else len(free)
-    idx = e if free is None else np.searchsorted(free, e).astype(e.dtype)
     if limit == 1:  # Lindley recursion as a running maximum
         k = np.arange(len(idx), dtype=idx.dtype)
         start = np.maximum.accumulate(idx - k)
@@ -351,13 +349,12 @@ def _serve_level(flow, limit, e, free, fail, cfg: SimConfig, last: bool):
         coins = (fail if free is None else fail[free]).tobytes()
         start, end = _serve_with_retries(idx, coins, limit, nfree)
     _check_schedule(idx, start, end, nfree)
-    below = None
+    keep = None
     if not last:  # drop each packet's run of slots
         run = np.zeros(nfree + 1, dtype=np.int8)
         run[start] = 1
         run[np.minimum(end, nfree - 1) + 1] -= 1
         keep = np.cumsum(run[:nfree], dtype=np.int8) == 0
-        below = np.flatnonzero(keep).astype(e.dtype) if free is None else free[keep]
 
     done = len(end) - int(len(end) > 0 and end[-1] >= nfree)  # in service at the horizon
     depart = end[:done] if free is None else free[end[:done]]
@@ -374,7 +371,7 @@ def _serve_level(flow, limit, e, free, fail, cfg: SimConfig, last: bool):
     for c in range(0, len(wait), _BLOCK):  # bincount copies its input to int64
         counts += np.bincount(wait[c : c + _BLOCK], minlength=len(counts))
     tallies = (len(e) - first, len(wait) - lost, lost, tuple(counts.tolist()))
-    return FlowStats(flow.priority, *tallies, area, horizon - warmup), below
+    return FlowStats(flow.priority, *tallies, area, horizon - warmup), keep
 
 
 def simulate(cfg: SimConfig) -> SimStats:
@@ -389,14 +386,22 @@ def simulate(cfg: SimConfig) -> SimStats:
     limits = [_retry_limit(f) for f in flows]
     eligible = [_eligible_slots(f, cfg.horizon, rng) for f in flows]
     fail = rng.random(cfg.horizon) < cfg.attempt_failure_prob
+    positions = list(eligible)  # among all slots, a level's positions are its slots
     free, flow_stats = None, []
-    for level, (f, limit) in enumerate(zip(flows, limits)):
+    for f, limit in zip(flows, limits):
         # popped, so a level's eligibility slots go once it is served
-        last = level + 1 == len(flows)
-        stats, free = _serve_level(f, limit, eligible.pop(0), free, fail, cfg, last)
+        e = eligible.pop(0)
+        stats, keep = _serve_level(f, limit, e, positions.pop(0), free, fail, cfg, not eligible)
         flow_stats.append(stats)
-    stable = cfg.system.effective_load() < 1.0
-    return SimStats(tuple(flow_stats), cfg.horizon, cfg.warmup, cfg.delay_convention, stable)
+        if keep is not None:
+            # the free slots kept before each position: its position below
+            rank = np.zeros(len(keep) + 1, dtype=e.dtype)
+            np.cumsum(keep, dtype=e.dtype, out=rank[1:])
+            positions = [rank[idx] for idx in positions]
+            del rank
+            free = np.flatnonzero(keep).astype(e.dtype) if free is None else free[keep]
+            del keep  # held through the next level, the mask would raise its peak
+    return SimStats(tuple(flow_stats))
 
 
 @dataclass(frozen=True)
@@ -404,8 +409,6 @@ class ComparisonReport:
     """Fit of the empirical delay tail against an analytic curve."""
 
     thresholds: tuple[int, ...]
-    empirical: tuple[float, ...]
-    analytic: tuple[float, ...]
     log10_gap: tuple[float, ...]
     excluded: tuple[int, ...]
     empirical_slope: float
@@ -421,11 +424,10 @@ def compare_with_analysis(
     priority: int,
     analytic: dict[int, float],
     stats: SimStats | None = None,
-    min_tail_events: int = 30,
 ) -> ComparisonReport:
     """Simulate (unless stats is given) and fit the flow's log tail.
 
-    Thresholds whose empirical tail holds fewer than min_tail_events
+    Thresholds whose empirical tail holds fewer than MIN_TAIL_EVENTS
     departures are dropped from the gap and slope fits and reported in
     excluded. Slopes are least-squares fits of log10 CCDF versus threshold,
     so the ratio is meaningful even when the analytic curve is not exactly
@@ -442,7 +444,7 @@ def compare_with_analysis(
     for d in sorted(analytic):
         p_hat = fs.ccdf(int(d))
         events = p_hat * fs.departures if fs.departures else 0.0
-        if events < min_tail_events or analytic[d] <= 0.0:
+        if events < MIN_TAIL_EVENTS or analytic[d] <= 0.0:
             dropped.append(int(d))
             continue
         kept.append(int(d))
@@ -451,18 +453,10 @@ def compare_with_analysis(
         gaps.append(math.log10(p_hat) - math.log10(analytic[d]))
     if len(kept) < 2:
         raise ConfigError(
-            f"only {len(kept)} thresholds have >= {min_tail_events} tail "
+            f"only {len(kept)} thresholds have >= {MIN_TAIL_EVENTS} tail "
             "events; cannot fit a slope"
         )
     x = np.asarray(kept, dtype=float)
     slope_emp = float(np.polyfit(x, np.log10(emp), 1)[0])
     slope_ana = float(np.polyfit(x, np.log10(ana), 1)[0])
-    return ComparisonReport(
-        tuple(kept),
-        tuple(emp),
-        tuple(ana),
-        tuple(gaps),
-        tuple(dropped),
-        slope_emp,
-        slope_ana,
-    )
+    return ComparisonReport(tuple(kept), tuple(gaps), tuple(dropped), slope_emp, slope_ana)

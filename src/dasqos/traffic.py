@@ -91,9 +91,9 @@ class TruncatedGeometric:
     max_attempts: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.failure_prob < 1.0:
+        if not 0.0 <= self.failure_prob <= 1.0:
             raise ConfigError(
-                f"attempt failure probability must be in [0, 1), got {self.failure_prob}"
+                f"attempt failure probability must be in [0, 1], got {self.failure_prob}"
             )
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
@@ -160,19 +160,14 @@ def packet_loss_probability(model: ServiceModel) -> float:
     raise TypeError(f"unknown service model {model!r}")
 
 
-def sample_interarrival(
-    model: ArrivalModel, rng: np.random.Generator, size: int | None = None
-) -> float | np.ndarray:
-    """Draw inter-arrival intervals; scalar when size is None."""
+def sample_interarrival(model: ArrivalModel, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size inter-arrival intervals."""
     match model:
         case Poisson(rate=lam):
             return rng.exponential(1.0 / lam, size)
         case MarkovFluidRenewal(rate_a=la, rate_b=lb, weight_a=wa):
-            n = 1 if size is None else size
-            pick_a = rng.random(n) < wa
-            scale = np.where(pick_a, 1.0 / la, 1.0 / lb)
-            draws = rng.exponential(scale)
-            return float(draws[0]) if size is None else draws
+            pick_a = rng.random(size) < wa
+            return rng.exponential(np.where(pick_a, 1.0 / la, 1.0 / lb))
         case GenericRenewal():
             raise ConfigError("generic renewal arrivals have no sampling distribution")
     raise TypeError(f"unknown arrival model {model!r}")

@@ -12,6 +12,7 @@ batch path must reproduce them bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -100,7 +101,7 @@ def fd_gradient(
     grad = np.empty(params.size)
 
     def f(x: np.ndarray) -> float:
-        probe = scenario.with_antennas(_antennas_from_params(x, init, cfg.mode))
+        probe = replace(scenario, antennas=_antennas_from_params(x, init, cfg.mode))
         return conditional_system_outage(probe, users)
 
     for i in range(params.size):

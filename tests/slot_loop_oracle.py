@@ -157,13 +157,7 @@ def simulate(cfg: SimConfig) -> SimStats:
         flow_stats.append(
             FlowStats(f.priority, arrived[i], served[i], lost[i], table, area[i], window)
         )
-    return SimStats(
-        tuple(flow_stats),
-        horizon,
-        warmup,
-        cfg.delay_convention,
-        cfg.system.effective_load() < 1.0,
-    )
+    return SimStats(tuple(flow_stats))
 
 
 def serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: int):

@@ -141,7 +141,7 @@ def test_criterion_3_tail_slope_at_ten_million_slots():
     analytic = {
         d: delay_violation_probability(system, 2, float(d)) for d in thresholds
     }
-    report = compare_with_analysis(cfg, 2, analytic, stats=stats, min_tail_events=30)
+    report = compare_with_analysis(cfg, 2, analytic, stats=stats)
     ratio = -report.empirical_slope * math.log(10.0) / decay
     gaps = [
         abs(g)

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from dasqos.outage import expected_outage
-from dasqos.slotsim import SimConfig
+from dasqos.placement import RMTrace
+from dasqos.slotsim import FlowStats, SimConfig, SimStats
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -68,3 +69,11 @@ def test_benchmark_call_signatures():
     # simulate span reads cfg.horizon
     assert "workers" in inspect.signature(expected_outage).parameters
     assert "horizon" in {f.name for f in fields(SimConfig)}
+
+
+def test_traced_result_attributes():
+    # the simulate span sums departures over stats.flows, and the
+    # rm_optimize span reads the first and last trace.outage
+    assert "flows" in {f.name for f in fields(SimStats)}
+    assert isinstance(FlowStats.departures, property)
+    assert "outage" in {f.name for f in fields(RMTrace)}

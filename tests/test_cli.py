@@ -280,6 +280,18 @@ class TestDelay:
         _, second, _ = run(args, config=FLOWS_TEXT)
         assert first == second
 
+    def test_unstable_load_warns_and_still_simulates(self, run):
+        # data at 0.9 pushes the load past 1, but only flow 1 is solved and
+        # strict priority keeps its delays blind to the levels below
+        args = ["delay", "--dth", "0:6:1", "--simulate", "--flow", "1"]
+        overloaded = FLOWS_TEXT.replace("rate: 0.6", "rate: 0.9")
+        code, out, err = run(args, config=overloaded)
+        assert code == 0
+        assert err == "warning: offered load >= 1, queues are unstable\n"
+        code, stable_out, stable_err = run(args, config=FLOWS_TEXT)
+        assert (code, stable_err) == (0, "")
+        assert out == stable_out
+
     def test_simulate_rejects_fractional_thresholds(self, run):
         code, _, err = run(
             ["delay", "--dth", "0.5:1.5:0.5", "--simulate"], config=FLOWS_TEXT

@@ -17,7 +17,7 @@ from dasqos.delay import (
     priority_service_energy,
     solve_phi_star,
 )
-from dasqos.energy import eval_energy, ExactPoisson
+from dasqos.energy import arrival_energy, eval_energy, ExactPoisson
 from dasqos.errors import ConfigError, NoRootError, StabilityError
 from dasqos.traffic import (
     DeterministicUnit,
@@ -45,10 +45,8 @@ def two_flow(lam_v=0.2, lam_d=0.6, p=0.1, L=4, mode="gaussian") -> PrioritySyste
 
 
 def raw_root_fn(system: PrioritySystem, priority: int):
-    from dasqos.delay import flow_arrival_energy
-
     index = system.flow_index(priority)
-    energy = flow_arrival_energy(system, index)
+    energy = arrival_energy(system.flows[index].arrival)
     return lambda phi: eval_energy(energy, phi) + priority_service_energy(
         system, index, phi
     )

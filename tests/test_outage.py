@@ -7,6 +7,7 @@ expansion (kept under tests/), and tiny outages get an exact rational
 product.
 """
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -175,23 +176,34 @@ def test_kernel_matches_partial_fractions_on_separated_poles():
     assert worst <= 1e-8
 
 
-def test_tiny_outage_matches_exact_fraction_product():
-    # the target sits under its antenna, so the outage is ~2e-9 and
-    # 1 - prod(...) in plain floating point would keep only ~7 digits
+def _under_antenna_outage(exponent: float, alpha: float) -> tuple[float, float]:
+    """(kernel, exact Fraction product) at antenna 0 with the target under it."""
     layout = hex_cluster(7, 2.0)
     antennas = AntennaVector((0.42, 0.42), (0.0, math.pi), 0.01)
-    scenario = CellScenario(layout, antennas, ChannelParams(4.0, 1.0, 0.75))
+    scenario = CellScenario(layout, antennas, ChannelParams(exponent, 1.0, alpha))
     users = UserVector((0.42, 0.3, 0.5, 0.7, 0.2, 0.9, 0.6), (0.0, 1, 2, 3, 4, 5, 6))
     rates = _user_rates(scenario, users, 0)
     k = scenario.channel.sir_threshold
-    a0, alpha = Fraction(float(rates[0])), Fraction(0.75)
+    a0, alpha_q = Fraction(float(rates[0])), Fraction(alpha)
     clear = Fraction(1)
     for q in rates[1:] / k:
-        clear *= 1 - alpha * a0 / (Fraction(float(q)) + a0)
-    exact = float(1 - clear)
+        clear *= 1 - alpha_q * a0 / (Fraction(float(q)) + a0)
+    return antenna_outage_closed_form(scenario, users, 0), float(1 - clear)
+
+
+def test_tiny_outage_matches_exact_fraction_product():
+    # the target sits under its antenna, so the outage is ~2e-9 and
+    # 1 - prod(...) in plain floating point would keep only ~7 digits
+    got, exact = _under_antenna_outage(4.0, 0.75)
     assert exact < 1e-8
-    got = antenna_outage_closed_form(scenario, users, 0)
     assert got == pytest.approx(exact, rel=1e-12)
+    # near-idle interferers make each factor 1 - tiny; a flat exponent
+    # brings every interferer close to the target's rate, a steep one
+    # leaves the outage far below 1e-9
+    for exponent in (0.5, 8.0):
+        for alpha in (1e-12, 1e-6, 1.0):
+            got, exact = _under_antenna_outage(exponent, alpha)
+            assert got == pytest.approx(exact, rel=1e-12), (exponent, alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
@@ -300,7 +312,7 @@ def test_moving_antenna_toward_user_helps():
             0.05,
         )
         perturbed = antenna_outage_closed_form(
-            scenario.with_antennas(moved), users, 0
+            replace(scenario, antennas=moved), users, 0
         )
         assert perturbed <= base + 1e-12
 
@@ -444,7 +456,6 @@ def test_expected_outage_matches_scalar_loop():
         assert est.std_err == pytest.approx(
             float(np.std(values, ddof=1) / math.sqrt(200)), rel=1e-9
         )
-        assert est.samples == 200
 
 
 def test_expected_outage_deterministic_and_worker_invariant():
@@ -460,10 +471,10 @@ def test_expected_outage_common_random_numbers():
     # same seed, different antennas: identical user draws, so the difference
     # between two layouts is exactly the integrand difference
     scenario = seven_cell_scenario()
-    near = expected_outage(scenario, 300, np.random.default_rng(8),
-                           antennas=symmetric_circle(4, 0.42))
-    far = expected_outage(scenario, 300, np.random.default_rng(8),
-                          antennas=symmetric_circle(4, 0.9))
+    near = expected_outage(replace(scenario, antennas=symmetric_circle(4, 0.42)), 300,
+                           np.random.default_rng(8))
+    far = expected_outage(replace(scenario, antennas=symmetric_circle(4, 0.9)), 300,
+                          np.random.default_rng(8))
     assert near.value != far.value  # different layouts actually evaluated
 
 

@@ -6,6 +6,7 @@ sized from repeated runs at other seeds before freezing.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestRotationInvariance:
             antennas = symmetric_circle(4, 0.58, rotation)
             estimates.append(
                 expected_outage(
-                    scenario, 6000, np.random.default_rng(seed), antennas=antennas
+                    replace(scenario, antennas=antennas), 6000, np.random.default_rng(seed)
                 )
             )
         for i in range(len(estimates)):
@@ -314,10 +315,9 @@ class TestBatchedScoring:
         base = scenario.antennas
         for r, value, se in zip(grid, sweep.outage, sweep.std_err):
             est = expected_outage(
-                scenario,
+                replace(scenario, antennas=AntennaVector((r,) * base.count, base.angles, base.height)),
                 700,
                 np.random.default_rng(spawned),
-                antennas=AntennaVector((r,) * base.count, base.angles, base.height),
             )
             assert (value, se) == (est.value, est.std_err)
 
@@ -330,10 +330,9 @@ class TestBatchedScoring:
         eval_seed = int(np.random.default_rng(3).integers(2**63))
         for average, value, se in zip(trace.averages, trace.outage, trace.outage_se):
             est = expected_outage(
-                scenario,
+                replace(scenario, antennas=_antennas_from_params(np.array(average), init, mode)),
                 cfg.eval_samples,
                 np.random.default_rng(eval_seed),
-                antennas=_antennas_from_params(np.array(average), init, mode),
             )
             assert (value, se) == (est.value, est.std_err)
 

@@ -101,6 +101,13 @@ def test_service_moments_p_zero():
     assert service_moments(TruncatedGeometric(0.0, 7)) == (1.0, 0.0)
 
 
+def test_certain_failure_uses_every_attempt():
+    # p = 1: every packet takes all L slots and is lost
+    model = TruncatedGeometric(1.0, 6)
+    assert service_moments(model) == (6.0, 0.0)
+    assert packet_loss_probability(model) == 1.0
+
+
 def test_service_moments_exact_near_certain_failure():
     # exact rational enumeration over the binary value of p; the variance
     # is a difference of nearly equal terms as p -> 1 and must stay accurate
@@ -203,14 +210,14 @@ def test_sampling_deterministic_replay():
     a = sample_interarrival(Poisson(0.5), np.random.default_rng(11), 100)
     b = sample_interarrival(Poisson(0.5), np.random.default_rng(11), 100)
     np.testing.assert_array_equal(a, b)
-    x = sample_interarrival(MarkovFluidRenewal(0.1, 0.2, 0.4, 0.6), np.random.default_rng(3))
-    y = sample_interarrival(MarkovFluidRenewal(0.1, 0.2, 0.4, 0.6), np.random.default_rng(3))
-    assert x == y
+    x = sample_interarrival(MarkovFluidRenewal(0.1, 0.2, 0.4, 0.6), np.random.default_rng(3), 100)
+    y = sample_interarrival(MarkovFluidRenewal(0.1, 0.2, 0.4, 0.6), np.random.default_rng(3), 100)
+    np.testing.assert_array_equal(x, y)
 
 
 def test_generic_renewal_cannot_sample():
     with pytest.raises(ConfigError):
-        sample_interarrival(GenericRenewal(2.0, 1.0), np.random.default_rng(0))
+        sample_interarrival(GenericRenewal(2.0, 1.0), np.random.default_rng(0), 1)
 
 
 def test_validation():
@@ -219,7 +226,7 @@ def test_validation():
     with pytest.raises(ConfigError):
         MarkovFluidRenewal(0.1, 0.2, 0.5, 0.6)
     with pytest.raises(ConfigError):
-        TruncatedGeometric(1.0, 4)
+        TruncatedGeometric(1.5, 4)
     with pytest.raises(ConfigError):
         TruncatedGeometric(0.1, 0)
     with pytest.raises(ConfigError):
