@@ -99,6 +99,8 @@ class AntennaVector:
                 raise ConfigError(f"antenna radius must lie in [0, 1], got {r}")
         wrapped = [math.fmod(a, TWO_PI) + (TWO_PI if math.fmod(a, TWO_PI) < 0 else 0.0)
                    for a in self.angles]
+        # a hair below 0 rounds up to 2*pi itself, the same point as 0
+        wrapped = [0.0 if a == TWO_PI else a for a in wrapped]
         order = sorted(range(len(wrapped)), key=lambda i: wrapped[i])
         ang = tuple(wrapped[i] for i in order)
         rad = tuple(float(self.radii[i]) for i in order)

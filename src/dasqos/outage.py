@@ -19,7 +19,9 @@ outages accurate to their last digits. The system is in outage only when
 every antenna fails; antenna outages are treated as independent, so the
 system outage is the per-antenna product. layout_outage scores antenna
 layouts on users that are already drawn; expected_outage, the radius sweep,
-the search's trace rows and its gradient probes all go through it.
+the search's trace rows and its gradient probes all go through it. It walks
+the users in blocks of _BLOCK, each copied cell-major, so every array step
+runs along a block of users and its temporaries stay in cache.
 antenna_outage_mc is the independent fading Monte Carlo that checks the
 formula.
 """
@@ -33,6 +35,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import AntennaVector, ClusterLayout, UserVector, sample_user_batch, user_positions
+
+_BLOCK = 2048  # users per cell-major step; bounds the kernel's temporaries
 
 
 @dataclass(frozen=True)
@@ -87,28 +91,15 @@ def product_form_outage(a0, q, alpha: float) -> np.ndarray:
     """P(SIR < K) for signal rates a0, shape (...), and interferer poles
     q = rate / K, shape (..., n): 1 - prod_i [1 - alpha * a0 / (q_i + a0)].
 
-    With no interferers (n = 0) the outage is 0.
+    The log factors are summed in interferer order, as layout_outage sums
+    them. With no interferers (n = 0) the outage is 0.
     """
-    a0 = np.asarray(a0, dtype=float)[..., None]
-    log_clear = np.log1p(-alpha * a0 / (np.asarray(q, dtype=float) + a0))
+    a0, q = np.asarray(a0, dtype=float), np.asarray(q, dtype=float)
+    log_clear = np.zeros(np.broadcast_shapes(a0.shape, q.shape[:-1]))
+    for i in range(q.shape[-1]):
+        log_clear += np.log1p(-alpha * a0 / (q[..., i] + a0))
     # 0 - expm1 rather than -expm1: no outage comes out as +0, never -0
-    return 0.0 - np.expm1(log_clear.sum(axis=-1))
-
-
-def _link_rates(
-    channel: ChannelParams, ax, ay, h2, ux: np.ndarray, uy: np.ndarray
-) -> np.ndarray:
-    """Exponential rates d^exponent from users at (ux, uy) to an antenna at
-    (ax, ay) whose squared mast height is h2; every argument broadcasts."""
-    d2 = (ux - ax) ** 2 + (uy - ay) ** 2 + h2
-    return d2 ** (channel.path_loss_exponent / 2.0)
-
-
-def _rates_outage(channel: ChannelParams, rates: np.ndarray) -> np.ndarray:
-    """P(SIR < K) from link rates with the cell on the last axis, target first."""
-    return product_form_outage(
-        rates[..., 0], rates[..., 1:] / channel.sir_threshold, channel.on_probability
-    )
+    return 0.0 - np.expm1(log_clear)
 
 
 def _user_rates(scenario: CellScenario, users: UserVector, antenna: int) -> np.ndarray:
@@ -116,14 +107,18 @@ def _user_rates(scenario: CellScenario, users: UserVector, antenna: int) -> np.n
     upos = user_positions(scenario.layout, users)
     ax, ay = scenario.antennas.positions()[antenna]
     h = scenario.antennas.height
-    return _link_rates(scenario.channel, ax, ay, h * h, upos[:, 0], upos[:, 1])
+    d2 = (upos[:, 0] - ax) ** 2 + (upos[:, 1] - ay) ** 2 + h * h
+    return d2 ** (scenario.channel.path_loss_exponent / 2.0)
 
 
 def antenna_outage_closed_form(
     scenario: CellScenario, users: UserVector, antenna: int
 ) -> float:
     """Exact P(SIR < K) at one antenna for fixed users (product form)."""
-    return float(_rates_outage(scenario.channel, _user_rates(scenario, users, antenna)))
+    rates, channel = _user_rates(scenario, users, antenna), scenario.channel
+    return float(
+        product_form_outage(rates[0], rates[1:] / channel.sir_threshold, channel.on_probability)
+    )
 
 
 def antenna_outage_mc(
@@ -163,18 +158,45 @@ def layout_outage(
     batch. Every layout is scored on the same users; the result has shape
     (len(layouts), *ux.shape[:-1]). Layouts must have equal antenna counts;
     each multiplies its antenna outages in its own (angle-sorted) order.
+
+    Each block of users is copied to (cells, block); an antenna's rates and
+    product form are computed in place on (layouts, cells, block), and the
+    interferers' log factors summed in cell order, as product_form_outage
+    sums them, so the two agree bit for bit.
     """
-    positions = np.stack([antennas.positions() for antennas in layouts])
+    if len({antennas.count for antennas in layouts}) > 1:
+        raise ConfigError("layouts must have equal antenna counts")
+    polar = np.array([(antennas.radii, antennas.angles) for antennas in layouts])
     heights = np.array([antennas.height for antennas in layouts])
-    # per-layout values broadcast over the users and their cells
-    lead = (len(layouts),) + (1,) * ux.ndim
-    h2 = (heights * heights).reshape(lead)
-    product = np.ones(lead[:1] + ux.shape[:-1])
-    for m in range(positions.shape[1]):
-        ax = positions[:, m, 0].reshape(lead)
-        ay = positions[:, m, 1].reshape(lead)
-        product *= _rates_outage(channel, _link_rates(channel, ax, ay, h2, ux, uy))
-    return product
+    # per-layout values broadcast over a block's cells and users; antenna
+    # positions as in AntennaVector.positions, indexed antenna first
+    ax = (polar[:, 0] * np.cos(polar[:, 1])).T[..., None, None]
+    ay = (polar[:, 0] * np.sin(polar[:, 1])).T[..., None, None]
+    h2 = (heights * heights)[:, None, None]
+    k, alpha = channel.sir_threshold, channel.on_probability
+    cells = ux.shape[-1]
+    x, y = ux.reshape(-1, cells), uy.reshape(-1, cells)
+    out = np.ones((len(layouts), x.shape[0]))
+    for b in range(0, x.shape[0], _BLOCK):
+        xb, yb = x[b : b + _BLOCK].T.copy(), y[b : b + _BLOCK].T.copy()
+        rates = np.empty((len(layouts),) + xb.shape)  # (layouts, cells, block)
+        dy = np.empty_like(rates)
+        a0, q = rates[:, :1], rates[:, 1:]
+        interferers = [rates[:, i] for i in range(1, cells)]
+        product = out[:, b : b + _BLOCK]
+        for m in range(len(ax)):
+            np.square(np.subtract(xb, ax[m], out=rates), out=rates)
+            rates += np.square(np.subtract(yb, ay[m], out=dy), out=dy)
+            rates += h2
+            rates **= channel.path_loss_exponent / 2.0
+            q /= k
+            q += a0
+            np.log1p(np.divide(-alpha * a0, q, out=q), out=q)
+            log_clear = np.zeros(product.shape)
+            for term in interferers:
+                log_clear += term
+            product *= 0.0 - np.expm1(log_clear)
+    return out.reshape(out.shape[:1] + ux.shape[:-1])
 
 
 def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:

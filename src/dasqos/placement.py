@@ -271,7 +271,7 @@ def radius_sweep(
     values: list[float] = []
     errors: list[float] = []
     for antennas in layouts:
-        # one layout at a time: stacking the grid would multiply peak memory
+        # one layout at a time: stacked, the grid outgrows the cache per block and runs slower
         est = OutageEstimate.of(layout_outage(scenario.channel, [antennas], ux, uy)[0])
         values.append(est.value)
         errors.append(est.std_err)

@@ -420,3 +420,11 @@ class TestFormatting:
         cfg = parse_scenario(format_antenna_block(av))
         assert cfg.antennas == av
         assert cfg.layout == hex_cluster(7, 2.0)
+
+    def test_antenna_block_round_trip_keeps_order_at_wrap(self):
+        # an angle a hair below 0 is stored as 0, so the echo re-parses
+        # with the antennas in the same order
+        av = AntennaVector((0.5, 0.3), (-1e-17, 3.0))
+        cfg = parse_scenario(format_antenna_block(av))
+        assert cfg.antennas == av
+        assert cfg.antennas.radii == (0.5, 0.3)

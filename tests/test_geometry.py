@@ -119,6 +119,15 @@ def test_antenna_vector_sorts_and_wraps():
     assert w.angles[0] == pytest.approx(3 * math.pi / 2)
 
 
+def test_antenna_angle_just_below_zero_wraps_to_zero():
+    # fmod(-1e-17) + 2*pi rounds to 2*pi itself, outside [0, 2*pi)
+    v = AntennaVector((0.5, 0.3), (-1e-17, 3.0))
+    assert v.angles == (0.0, 3.0)
+    assert v.radii == (0.5, 0.3)
+    with pytest.raises(ConfigError, match="distinct"):
+        AntennaVector((0.5, 0.3), (0.0, -1e-17))  # the same point twice
+
+
 def test_antenna_vector_validation():
     with pytest.raises(ConfigError):
         AntennaVector((0.1, 0.2), (1.0, 1.0 + 2 * math.pi))  # equal after wrap

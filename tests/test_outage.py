@@ -7,13 +7,18 @@ expansion (kept under tests/), and tiny outages get an exact rational
 product.
 """
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from dasqos import outage
 from dasqos.errors import ConfigError
 from dasqos.geometry import (
     AntennaVector,
@@ -433,6 +438,80 @@ def test_kernel_matches_scalar_loop_bitwise(alpha):
             upos = user_positions(layout, users)
             value = layout_outage(channel, [antennas, antennas], upos[:, 0], upos[:, 1])
             assert value.tolist() == [reference, reference]
+
+
+# target, the six neighbours at spacing 2, and six more on the next ring
+THIRTEEN_CELLS = cluster_from_centers(
+    [(0.0, 0.0)]
+    + [(2.0 * math.cos(k * math.pi / 3), 2.0 * math.sin(k * math.pi / 3)) for k in range(6)]
+    + [(3.5 * math.cos((k + 0.5) * math.pi / 3), 3.5 * math.sin((k + 0.5) * math.pi / 3))
+       for k in range(6)]
+)
+CLUSTERS = {"one": hex_cluster(1), "hex": hex_cluster(7, 2.0), "thirteen": THIRTEEN_CELLS}
+
+
+# blocks of 1, 2, 3 and 7 users put the user counts across block edges
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_layouts=st.integers(1, 16),
+    n_antennas=st.integers(1, 5),
+    n_users=st.integers(1, 12),
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    exponent=st.one_of(st.sampled_from([2.0, 4.0]), st.floats(0.5, 8.0)),
+    cluster=st.sampled_from(sorted(CLUSTERS)),
+    block=st.sampled_from([1, 2, 3, 7, outage._BLOCK]),
+)
+@settings(max_examples=150)
+def test_kernel_matches_probe_loop_property(
+    seed, n_layouts, n_antennas, n_users, alpha, exponent, cluster, block
+):
+    layout = CLUSTERS[cluster]
+    channel = ChannelParams(exponent, 1.0, alpha)
+    rng = np.random.default_rng(seed)
+    layouts = [
+        AntennaVector(
+            tuple(rng.random(n_antennas)),
+            tuple(rng.random(n_antennas) * 2 * math.pi),
+            float(rng.uniform(0.01, 0.5)),
+        )
+        for _ in range(n_layouts)
+    ]
+    users = [sample_user_vector(layout, rng) for _ in range(n_users)]
+    upos = np.stack([user_positions(layout, u) for u in users])
+    with mock.patch.object(outage, "_BLOCK", block):
+        got = layout_outage(channel, layouts, upos[..., 0], upos[..., 1])
+    want = np.array([
+        [
+            probe_loop_oracle.conditional_system_outage(CellScenario(layout, a, channel), u)
+            for u in users
+        ]
+        for a in layouts
+    ])
+    assert got.tobytes() == want.tobytes()
+    if cluster == "one":
+        assert not got.any()  # no interferer, no outage
+
+
+def test_kernel_memory_stays_per_block():
+    # 1e5 users x 7 cells: the output is 0.8 MB, one whole-batch
+    # temporary 5.6 MB; the blocks keep the rest cache-sized
+    layout = hex_cluster(7, 2.0)
+    ux, uy = sample_user_batch(layout, 100_000, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        layout_outage(ChannelParams(2.0), [symmetric_circle(4, 0.5)], ux, uy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
+def test_kernel_rejects_unequal_antenna_counts():
+    layout = hex_cluster(7, 2.0)
+    ux, uy = sample_user_batch(layout, 5, np.random.default_rng(0))
+    layouts = [symmetric_circle(4, 0.5), symmetric_circle(3, 0.5)]
+    with pytest.raises(ConfigError, match="equal antenna counts"):
+        layout_outage(ChannelParams(2.0), layouts, ux, uy)
 
 
 def test_expected_outage_matches_scalar_loop():
