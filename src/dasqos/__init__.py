@@ -32,6 +32,7 @@ from .geometry import (
     AntennaVector,
     ClusterLayout,
     UserVector,
+    antenna_polar,
     cluster_from_centers,
     hex_cluster,
     sample_user_batch,
@@ -43,6 +44,7 @@ from .outage import (
     CellScenario,
     ChannelParams,
     OutageEstimate,
+    antenna_arrays,
     antenna_outage_closed_form,
     antenna_outage_mc,
     conditional_system_outage,

@@ -75,6 +75,31 @@ def cluster_from_centers(centers, spacing: float | None = None) -> ClusterLayout
     return ClusterLayout(tuple((float(x), float(y)) for x, y in centers), spacing)
 
 
+def antenna_polar(radii, angles) -> np.ndarray:
+    """Normalized layouts, (..., 2, antennas) radii then angles, from (..., antennas).
+
+    Angles are wrapped into [0, 2*pi) and each layout sorted stably by angle.
+    A radius outside [0, 1], a non-finite angle or a repeated wrapped angle
+    raise ConfigError. AntennaVector and the search's probes both come here.
+    """
+    radii, angles = np.asarray(radii, dtype=float), np.asarray(angles, dtype=float)
+    bad = ~((radii >= 0.0) & (radii <= 1.0))
+    if bad.any():
+        raise ConfigError(f"antenna radius must lie in [0, 1], got {radii[bad][0]}")
+    if not np.isfinite(angles).all():
+        raise ConfigError(f"antenna angles must be finite, got {angles[~np.isfinite(angles)][0]}")
+    wrapped = np.fmod(angles, TWO_PI)
+    wrapped += np.where(wrapped < 0.0, TWO_PI, 0.0)  # + 0.0 also turns -0.0 into 0.0
+    wrapped[wrapped == TWO_PI] = 0.0  # a hair below 0 rounds up to 2*pi, the same point as 0
+    order = np.argsort(wrapped, axis=-1, kind="stable")
+    polar = np.stack([np.take_along_axis(a, order, -1) for a in (radii, wrapped)], axis=-2)
+    ang = polar[..., 1, :]
+    same = ~(ang[..., :-1] < ang[..., 1:])
+    if same.any():
+        raise ConfigError(f"antenna angles must be distinct, got {ang[..., :-1][same][0]} twice")
+    return polar
+
+
 @dataclass(frozen=True)
 class AntennaVector:
     """Antenna ring of the target cell, polar coordinates plus mast height.
@@ -94,21 +119,9 @@ class AntennaVector:
             raise ConfigError("need at least one antenna")
         if not self.height > 0.0:
             raise ConfigError(f"antenna height must be > 0, got {self.height}")
-        for r in self.radii:
-            if not 0.0 <= r <= 1.0:
-                raise ConfigError(f"antenna radius must lie in [0, 1], got {r}")
-        wrapped = [math.fmod(a, TWO_PI) + (TWO_PI if math.fmod(a, TWO_PI) < 0 else 0.0)
-                   for a in self.angles]
-        # a hair below 0 rounds up to 2*pi itself, the same point as 0
-        wrapped = [0.0 if a == TWO_PI else a for a in wrapped]
-        order = sorted(range(len(wrapped)), key=lambda i: wrapped[i])
-        ang = tuple(wrapped[i] for i in order)
-        rad = tuple(float(self.radii[i]) for i in order)
-        for a, b in zip(ang, ang[1:]):
-            if not a < b:
-                raise ConfigError(f"antenna angles must be distinct, got {a} twice")
-        object.__setattr__(self, "radii", rad)
-        object.__setattr__(self, "angles", ang)
+        radii, angles = antenna_polar(self.radii, self.angles).tolist()
+        object.__setattr__(self, "radii", tuple(radii))
+        object.__setattr__(self, "angles", tuple(angles))
 
     @property
     def count(self) -> int:

@@ -18,8 +18,9 @@ in [0, 1], including coincident interferer distances, and keeps small
 outages accurate to their last digits. The system is in outage only when
 every antenna fails; antenna outages are treated as independent, so the
 system outage is the per-antenna product. layout_outage scores antenna
-layouts on users that are already drawn; expected_outage, the radius sweep,
-the search's trace rows and its gradient probes all go through it. It walks
+layouts, given as one polar array (antenna_arrays converts AntennaVectors),
+on users that are already drawn; expected_outage, the radius sweep, the
+search's trace rows and its gradient probes all go through it. It walks
 the users in blocks of _BLOCK, each copied cell-major, so every array step
 runs along a block of users and its temporaries stay in cache.
 antenna_outage_mc is the independent fading Monte Carlo that checks the
@@ -148,38 +149,44 @@ def antenna_outage_mc(
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
+def antenna_arrays(layouts) -> tuple[np.ndarray, np.ndarray]:
+    """layout_outage's polar array and heights for AntennaVectors of one count."""
+    if len({a.count for a in layouts}) > 1:
+        raise ConfigError("layouts must have equal antenna counts")
+    return np.array([(a.radii, a.angles) for a in layouts]), np.array([a.height for a in layouts])
+
+
 def layout_outage(
-    channel: ChannelParams, layouts, ux: np.ndarray, uy: np.ndarray
+    channel: ChannelParams, polar: np.ndarray, heights: np.ndarray, ux: np.ndarray, uy: np.ndarray
 ) -> np.ndarray:
     """System outage of each antenna layout for users that are already drawn.
 
-    ux, uy hold user coordinates with the cell on the last axis, target
-    cell first: shape (cells,) for one user vector, (samples, cells) for a
-    batch. Every layout is scored on the same users; the result has shape
-    (len(layouts), *ux.shape[:-1]). Layouts must have equal antenna counts;
-    each multiplies its antenna outages in its own (angle-sorted) order.
+    polar holds (layouts, 2, antennas) normalized layouts, as antenna_polar
+    returns them, and heights their (layouts,) mast heights. ux, uy hold
+    user coordinates with the cell on the last axis, target cell first:
+    shape (cells,) for one user vector, (samples, cells) for a batch. The
+    result has shape (layouts, *ux.shape[:-1]); each layout multiplies its
+    antenna outages in its own (angle-sorted) order.
 
     Each block of users is copied to (cells, block); an antenna's rates and
     product form are computed in place on (layouts, cells, block), and the
     interferers' log factors summed in cell order, as product_form_outage
-    sums them, so the two agree bit for bit.
+    sums them, so the two agree bit for bit. A power of 1 and a division
+    by K = 1 are skipped and a power of 2 squares, for the same bits.
     """
-    if len({antennas.count for antennas in layouts}) > 1:
-        raise ConfigError("layouts must have equal antenna counts")
-    polar = np.array([(antennas.radii, antennas.angles) for antennas in layouts])
-    heights = np.array([antennas.height for antennas in layouts])
     # per-layout values broadcast over a block's cells and users; antenna
     # positions as in AntennaVector.positions, indexed antenna first
     ax = (polar[:, 0] * np.cos(polar[:, 1])).T[..., None, None]
     ay = (polar[:, 0] * np.sin(polar[:, 1])).T[..., None, None]
     h2 = (heights * heights)[:, None, None]
     k, alpha = channel.sir_threshold, channel.on_probability
+    power = channel.path_loss_exponent / 2.0
     cells = ux.shape[-1]
     x, y = ux.reshape(-1, cells), uy.reshape(-1, cells)
-    out = np.ones((len(layouts), x.shape[0]))
+    out = np.ones((len(polar), x.shape[0]))
     for b in range(0, x.shape[0], _BLOCK):
         xb, yb = x[b : b + _BLOCK].T.copy(), y[b : b + _BLOCK].T.copy()
-        rates = np.empty((len(layouts),) + xb.shape)  # (layouts, cells, block)
+        rates = np.empty((len(polar),) + xb.shape)  # (layouts, cells, block)
         dy = np.empty_like(rates)
         a0, q = rates[:, :1], rates[:, 1:]
         interferers = [rates[:, i] for i in range(1, cells)]
@@ -188,8 +195,12 @@ def layout_outage(
             np.square(np.subtract(xb, ax[m], out=rates), out=rates)
             rates += np.square(np.subtract(yb, ay[m], out=dy), out=dy)
             rates += h2
-            rates **= channel.path_loss_exponent / 2.0
-            q /= k
+            if power == 2.0:
+                np.square(rates, out=rates)
+            elif power != 1.0:
+                rates **= power
+            if k != 1.0:
+                q /= k
             q += a0
             np.log1p(np.divide(-alpha * a0, q, out=q), out=q)
             log_clear = np.zeros(product.shape)
@@ -202,8 +213,8 @@ def layout_outage(
 def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:
     """System outage for a fixed user vector: the product over antennas."""
     upos = user_positions(scenario.layout, users)
-    values = layout_outage(scenario.channel, [scenario.antennas], upos[:, 0], upos[:, 1])
-    return float(values[0])
+    polar, heights = antenna_arrays([scenario.antennas])
+    return float(layout_outage(scenario.channel, polar, heights, upos[:, 0], upos[:, 1])[0])
 
 
 def expected_outage(
@@ -223,13 +234,13 @@ def expected_outage(
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
     ux, uy = sample_user_batch(scenario.layout, samples, rng)
-    layouts = [scenario.antennas]
+    polar, heights = antenna_arrays([scenario.antennas])
     if workers <= 1 or samples < 2 * workers:
-        values = layout_outage(scenario.channel, layouts, ux, uy)[0]
+        values = layout_outage(scenario.channel, polar, heights, ux, uy)[0]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                lambda xy: layout_outage(scenario.channel, layouts, *xy)[0],
+                lambda xy: layout_outage(scenario.channel, polar, heights, *xy)[0],
                 zip(np.array_split(ux, workers), np.array_split(uy, workers)),
             )
             values = np.concatenate(list(parts))

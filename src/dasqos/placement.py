@@ -5,7 +5,8 @@ rm_optimize runs a Robbins-Monro loop: each iteration draws one user
 vector, differentiates the conditional outage with respect to the antenna
 parameters by finite differences, and takes a projected descent step with
 step size step_scale * n^(-step_exponent). The returned location is the
-Polyak average of the iterates, which smooths the noisy path.
+Polyak average of the iterates, which smooths the noisy path. Probes and
+trace rows reach the kernel as polar arrays (geometry.antenna_polar).
 
 radius_sweep is the deterministic cross-check: expected outage on a radius
 grid for a symmetric antenna circle, every radius scored on one batch of
@@ -19,7 +20,8 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import AntennaVector, sample_user_batch, sample_user_vector, user_positions
+from .geometry import AntennaVector, antenna_polar, sample_user_batch, sample_user_vector
+from .geometry import user_positions
 from .outage import CellScenario, OutageEstimate, layout_outage
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
@@ -102,16 +104,17 @@ def _params_from_init(init: AntennaVector, mode: str) -> np.ndarray:
     return np.array(list(init.radii) + list(init.angles))
 
 
-def _antennas_from_params(
-    params: np.ndarray, init: AntennaVector, mode: str
-) -> AntennaVector:
+def _polar_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> np.ndarray:
+    """Normalized (rows, 2, antennas) layouts for parameter rows (rows, P)."""
     if mode == "radius_only":
-        radii = (float(params[0]),) * init.count
-        return AntennaVector(radii, init.angles, init.height)
-    m = init.count
-    radii = tuple(float(r) for r in params[:m])
-    angles = tuple(float(a) for a in params[m:])
-    return AntennaVector(radii, angles, init.height)
+        radii = np.repeat(params[:, :1], init.count, axis=1)
+        return antenna_polar(radii, np.broadcast_to(init.angles, radii.shape))
+    return antenna_polar(params[:, : init.count], params[:, init.count :])
+
+
+def _antennas_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> AntennaVector:
+    radii, angles = _polar_from_params(params[None], init, mode)[0].tolist()
+    return AntennaVector(tuple(radii), tuple(angles), init.height)
 
 
 def _fd_gradient(
@@ -128,34 +131,25 @@ def _fd_gradient(
     important, breaks the mirror symmetry at radius 0: for an even
     symmetric circle, -delta and +delta describe the same antenna set, so a
     central difference there is identically zero and the loop would never
-    leave the center. All probes are scored on the user vector in one call.
+    leave the center. The probes form one (2P, 2, antennas) array, scored
+    on the user vector in one call.
     """
     n_radii = params.size if cfg.mode == "radius_only" else init.count
     lo, hi = cfg.radius_bounds
     delta = cfg.fd_step
-    probes: list[np.ndarray] = []  # (upper, lower) point per parameter
-    widths = np.empty(params.size)
-    for i in range(params.size):
-        bounded = i < n_radii
-        up, down = params.copy(), params.copy()
-        if bounded and params[i] + delta > hi:
-            down[i] -= delta
-            up, widths[i] = params, delta
-        elif bounded and params[i] - delta < lo:
-            up[i] += delta
-            down, widths[i] = params, delta
-        else:
-            up[i] += delta
-            down[i] -= delta
-            widths[i] = 2.0 * delta
-        probes += [up, down]
+    i = np.arange(params.size)
+    at_hi = (i < n_radii) & (params + delta > hi)
+    at_lo = (i < n_radii) & ~at_hi & (params - delta < lo)
+    # rows 2i and 2i + 1 are parameter i's upper and lower point
+    probes = np.repeat(params[None], 2 * params.size, axis=0)
+    up, down = probes[0::2], probes[1::2]
+    up[i[~at_hi], i[~at_hi]] += delta
+    down[i[~at_lo], i[~at_lo]] -= delta
+    widths = np.where(at_hi | at_lo, delta, 2.0 * delta)
     upos = user_positions(scenario.layout, users)
-    values = layout_outage(
-        scenario.channel,
-        [_antennas_from_params(x, init, cfg.mode) for x in probes],
-        upos[:, 0],
-        upos[:, 1],
-    )
+    polar = _polar_from_params(probes, init, cfg.mode)
+    heights = np.full(len(probes), init.height)
+    values = layout_outage(scenario.channel, polar, heights, upos[:, 0], upos[:, 1])
     return (values[0::2] - values[1::2]) / widths
 
 
@@ -171,7 +165,8 @@ def rm_optimize(
     conditional outage. The trace's outage column scores every row on one
     evaluation batch, drawn once from its own seed, so successive rows
     differ only through the antenna locations, not through which users
-    were sampled.
+    were sampled. A row whose average equals the previous row's (row 2
+    always does) reuses that row's score.
     """
     params = _params_from_init(init, cfg.mode)
     lo, hi = cfg.radius_bounds
@@ -193,8 +188,10 @@ def rm_optimize(
     for n in range(1, cfg.max_iter + 1):
         iterates.append(tuple(map(float, params)))
         averages.append(tuple(map(float, average)))
-        layout = _antennas_from_params(average, init, cfg.mode)
-        est = OutageEstimate.of(layout_outage(scenario.channel, [layout], ux, uy)[0])
+        if n == 1 or not np.array_equal(average, averages[-2]):  # else est still holds
+            polar = _polar_from_params(average[None], init, cfg.mode)
+            values = layout_outage(scenario.channel, polar, np.array([init.height]), ux, uy)
+            est = OutageEstimate.of(values[0])
         outage_vals.append(est.value)
         outage_ses.append(est.std_err)
 
@@ -263,16 +260,13 @@ def radius_sweep(
     if not grid:
         raise ConfigError("radius grid is empty")
     base = scenario.antennas
-    layouts = [AntennaVector((r,) * base.count, base.angles, base.height) for r in grid]
+    polar = _polar_from_params(np.array(grid)[:, None], base, "radius_only")
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
     seed = int(rng.integers(2**63))
     ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
-    values: list[float] = []
-    errors: list[float] = []
-    for antennas in layouts:
-        # one layout at a time: stacked, the grid outgrows the cache per block and runs slower
-        est = OutageEstimate.of(layout_outage(scenario.channel, [antennas], ux, uy)[0])
-        values.append(est.value)
-        errors.append(est.std_err)
-    return SweepResult(tuple(grid), tuple(values), tuple(errors))
+    height = np.array([base.height])
+    # one layout at a time: stacked, the grid outgrows the cache per block and runs slower
+    ests = [OutageEstimate.of(layout_outage(scenario.channel, p[None], height, ux, uy)[0])
+            for p in polar]
+    return SweepResult(tuple(grid), tuple(e.value for e in ests), tuple(e.std_err for e in ests))

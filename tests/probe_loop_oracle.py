@@ -5,9 +5,10 @@ an independent oracle for the kernel's link rates d^exponent.
 
 conditional_system_outage and fd_gradient are the scalar paths as they
 stood before every gradient probe was scored in one batch: each probe
-builds its scenario, each antenna its link rates, and the system outage is
-the Python product of the per-antenna closed forms (system_outage). The
-batch path must reproduce them bit for bit.
+builds its AntennaVector (antennas_from_params) and its scenario, each
+antenna its link rates, and the system outage is the Python product of the
+per-antenna closed forms (system_outage). The batch path, which builds all
+probes as one polar array, must reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 from dasqos.errors import ConfigError
 from dasqos.geometry import AntennaVector, ClusterLayout, UserVector, user_positions
 from dasqos.outage import CellScenario, product_form_outage
-from dasqos.placement import RMConfig, _antennas_from_params
+from dasqos.placement import RMConfig
 
 
 def antenna_user_distance(
@@ -87,6 +88,17 @@ def conditional_system_outage(scenario: CellScenario, users: UserVector) -> floa
     )
 
 
+def antennas_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> AntennaVector:
+    """One parameter vector as an AntennaVector, one probe at a time."""
+    if mode == "radius_only":
+        radii = (float(params[0]),) * init.count
+        return AntennaVector(radii, init.angles, init.height)
+    m = init.count
+    radii = tuple(float(r) for r in params[:m])
+    angles = tuple(float(a) for a in params[m:])
+    return AntennaVector(radii, angles, init.height)
+
+
 def fd_gradient(
     scenario: CellScenario,
     params: np.ndarray,
@@ -101,7 +113,7 @@ def fd_gradient(
     grad = np.empty(params.size)
 
     def f(x: np.ndarray) -> float:
-        probe = replace(scenario, antennas=_antennas_from_params(x, init, cfg.mode))
+        probe = replace(scenario, antennas=antennas_from_params(x, init, cfg.mode))
         return conditional_system_outage(probe, users)
 
     for i in range(params.size):

@@ -343,6 +343,75 @@ class TestOptimize:
         assert out.startswith("geometry:\n")
 
 
+# Byte pins of a short criterion-6 search (full_polar from the centre,
+# exponent 4, K = 1) and a short sweep (exponent 2, R = 2, alpha = 0.7),
+# captured when every probe was built as an AntennaVector and the kernel ran
+# every pass. The layout echo carries 17 digits, so it pins the probes'
+# gradients to the last bit.
+PIN_OPT_TEXT = """\
+channel:
+  path_loss_exponent: 4.0
+geometry:
+  antennas:
+    radii: [0.0, 0.0, 0.0, 0.0]
+    angles: [0.0, 1.5707963267948966, 3.141592653589793, 4.71238898038469]
+run: {seed: 6, samples: 200}
+rm: {mode: full_polar, max_iter: 8, eval_samples: 200}
+"""
+
+PIN_OPT_CSV = """\
+n,L1_bar,theta1_bar,e_outage_estimate
+1,0,0,0.00842023825
+2,0,0,0.00842023825
+3,0,0,0.00867275985
+4,0.0313320136,-2.57868188e-14,0.00821917862
+5,0.0470431525,-1.26363569e-06,0.00809961783
+6,0.159516713,0.000460912745,0.00868178995
+7,0.234498198,0.000768994228,0.00920725406
+8,0.287188637,0.00116565251,0.00960269878
+"""
+
+PIN_OPT_LAYOUT = """\
+geometry:
+  antennas:
+    radii: [0.32689082207550119, 0.12196247253475095, 0.0024312841321094563, 0.009702490583108998]
+    angles: [0.0014226518062199192, 1.5301363433251727, 3.1401130611703656, 4.7166153691259751]
+    height: 0.050000000000000003
+"""
+
+PIN_SWEEP_TEXT = """\
+channel:
+  path_loss_exponent: 2.0
+  spectral_efficiency: 2.0
+  on_probability: 0.7
+geometry:
+  antennas: {count: 4, radius: 0.3}
+run: {seed: 4, samples: 200}
+"""
+
+PIN_SWEEP_CSV = """\
+radius,e_outage,std_err,samples,alpha,path_loss_exp,spacing_d,argmin
+0,0.312391136,0.0167307098,200,0.7,2,2,0
+0.15,0.302498099,0.0164237813,200,0.7,2,2,0
+0.3,0.274923555,0.0154180927,200,0.7,2,2,0
+0.45,0.241520102,0.013341198,200,0.7,2,2,0
+0.6,0.228721025,0.0105079093,200,0.7,2,2,1
+0.75,0.261534404,0.0100972834,200,0.7,2,2,0
+0.9,0.344676947,0.0124529044,200,0.7,2,2,0
+"""
+
+
+def test_optimize_and_sweep_bytes_are_pinned(run, tmp_path):
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(["optimize", "--out", str(trace)], config=PIN_OPT_TEXT)
+    assert code == 0
+    assert trace.read_bytes() == PIN_OPT_CSV.encode()
+    assert out == PIN_OPT_LAYOUT
+    assert err == "# final E(outage) 0.00960269878 (se 0.00172594473) after 8 iterations\n"
+    code, out, err = run(["sweep", "--radii", "0:0.9:0.15"], config=PIN_SWEEP_TEXT)
+    assert (code, out, err) == (0, PIN_SWEEP_CSV, "")
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [

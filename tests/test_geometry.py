@@ -8,7 +8,9 @@ from dasqos.errors import ConfigError
 from dasqos.geometry import (
     AntennaVector,
     ClusterLayout,
+    TWO_PI,
     UserVector,
+    antenna_polar,
     cluster_from_centers,
     hex_cluster,
     sample_user_batch,
@@ -139,6 +141,76 @@ def test_antenna_vector_validation():
         AntennaVector((), ())
     with pytest.raises(ConfigError):
         UserVector((0.5, 1.2), (0.0, 1.0))
+    with pytest.raises(ConfigError, match="finite"):
+        AntennaVector((0.5,), (math.inf,))
+
+
+def scalar_normalize(radii, angles):
+    """The per-antenna wrap and sort, one float at a time with math.fmod."""
+    wrapped = [math.fmod(a, TWO_PI) + (TWO_PI if math.fmod(a, TWO_PI) < 0 else 0.0)
+               for a in angles]
+    wrapped = [0.0 if a == TWO_PI else a for a in wrapped]
+    order = sorted(range(len(wrapped)), key=lambda i: wrapped[i])
+    return [float(radii[i]) for i in order], [wrapped[i] for i in order]
+
+
+ULP_BELOW_ZERO = -math.ulp(0.0)
+ULP_BELOW_TWO_PI = float(np.nextafter(TWO_PI, 0.0))
+# one layout per row, each with distinct wrapped angles: below 0, at and
+# above 2*pi, one ulp below 0 (rounds up to 2*pi, so to 0) and below 2*pi,
+# both zeros, and radii at 0 and 1
+EDGE_ANGLES = [
+    (ULP_BELOW_ZERO, 3.0, 7.0, -2.0),
+    (TWO_PI, ULP_BELOW_TWO_PI, -math.pi / 2, 3 * math.pi),
+    (-0.0, 1e-300, -TWO_PI - 1.0, 4 * TWO_PI + 2.0),
+    (-1e-17, -3 * TWO_PI + 1e-9, 100.0, -100.0),
+    (0.0, -ULP_BELOW_TWO_PI, 1e6, -2.5 * TWO_PI),
+]
+EDGE_RADII = [
+    (0.0, 1.0, 0.3, 0.7),
+    (1.0, 0.0, 0.5, 0.25),
+    (0.0, 0.0, 1.0, 1.0),
+    (0.9, 0.1, 0.0, 1.0),
+    (1.0, 0.6, 0.0, 0.2),
+]
+
+
+def test_antenna_polar_rows_equal_antenna_vectors_bitwise():
+    polar = antenna_polar(EDGE_RADII, EDGE_ANGLES)
+    assert polar.shape == (len(EDGE_ANGLES), 2, 4)
+    for row, radii, angles in zip(polar, EDGE_RADII, EDGE_ANGLES):
+        v = AntennaVector(radii, angles)
+        want = np.array(scalar_normalize(radii, angles))
+        assert np.array([v.radii, v.angles]).tobytes() == want.tobytes()
+        assert row.tobytes() == want.tobytes()
+        assert all(0.0 <= a < TWO_PI for a in v.angles)
+    assert polar[0, 1, 0] == 0.0 and polar[1, 1, 0] == 0.0  # one ulp below 0, and 2*pi
+    assert math.copysign(1.0, polar[2, 1, 0]) == 1.0  # -0.0 comes out as +0.0
+    assert polar[1, 1, -1] == ULP_BELOW_TWO_PI
+    # any leading shape: a (2, 5) stack of layouts gives the same rows
+    stacked = antenna_polar([EDGE_RADII] * 2, [EDGE_ANGLES] * 2)
+    assert stacked.tobytes() == np.stack([polar, polar]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "radii, angles, message",
+    [
+        ((0.1, 0.2), (1.0, 1.0 + TWO_PI), "distinct"),
+        ((0.5, 0.3), (0.0, -1e-17), "distinct"),
+        ((0.5, 0.3), (TWO_PI, ULP_BELOW_ZERO), "distinct"),
+        ((1.5, 0.3), (0.0, 1.0), r"radius must lie in \[0, 1\], got 1.5"),
+        ((0.5, -0.1), (0.0, 1.0), "radius"),
+        ((0.5, math.nan), (0.0, 1.0), "radius"),
+        ((0.5, 0.3), (0.0, -math.inf), "finite"),
+    ],
+)
+def test_antenna_polar_rejects_as_antenna_vector_does(radii, angles, message):
+    with pytest.raises(ConfigError, match=message) as scalar:
+        AntennaVector(radii, angles)
+    # the bad layout second in a batch: the same error
+    with pytest.raises(ConfigError) as batch:
+        antenna_polar([(0.5, 0.5), radii], [(0.1, 0.2), angles])
+    assert str(batch.value) == str(scalar.value)
 
 
 def test_user_positions_shape():

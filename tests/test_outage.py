@@ -33,6 +33,7 @@ from dasqos.geometry import (
 from dasqos.outage import (
     CellScenario,
     ChannelParams,
+    antenna_arrays,
     antenna_outage_closed_form,
     antenna_outage_mc,
     conditional_system_outage,
@@ -410,7 +411,7 @@ def test_link_rates_match_distance_oracle(exponent):
                     product_form_outage(rates[0], rates[1:] / channel.sir_threshold, 0.6)
                 )
             upos = user_positions(layout, users)
-            value = layout_outage(channel, [antennas], upos[:, 0], upos[:, 1])
+            value = layout_outage(channel, *antenna_arrays([antennas]), upos[:, 0], upos[:, 1])
             assert value.shape == (1,)
             assert value[0] == pytest.approx(expected, rel=1e-10)
 
@@ -424,10 +425,10 @@ def test_kernel_matches_scalar_loop_bitwise(alpha):
     rng = np.random.default_rng(8)
     ux, uy = sample_user_batch(layout, 40, np.random.default_rng(9))
     four = [a for a in KERNEL_LAYOUTS if a.count == 4]  # stacked layouts share a count
-    stacked = layout_outage(channel, four, ux, uy)
+    stacked = layout_outage(channel, *antenna_arrays(four), ux, uy)
     assert stacked.shape == (3, 40)
     for k, antennas in enumerate(four):
-        alone = layout_outage(channel, [antennas], ux, uy)[0]
+        alone = layout_outage(channel, *antenna_arrays([antennas]), ux, uy)[0]
         assert alone.tobytes() == stacked[k].tobytes()
     for antennas in KERNEL_LAYOUTS:
         scenario = CellScenario(layout, antennas, channel)
@@ -436,7 +437,7 @@ def test_kernel_matches_scalar_loop_bitwise(alpha):
             reference = probe_loop_oracle.conditional_system_outage(scenario, users)
             assert conditional_system_outage(scenario, users) == reference
             upos = user_positions(layout, users)
-            value = layout_outage(channel, [antennas, antennas], upos[:, 0], upos[:, 1])
+            value = layout_outage(channel, *antenna_arrays([antennas, antennas]), upos[:, 0], upos[:, 1])
             assert value.tolist() == [reference, reference]
 
 
@@ -450,7 +451,9 @@ THIRTEEN_CELLS = cluster_from_centers(
 CLUSTERS = {"one": hex_cluster(1), "hex": hex_cluster(7, 2.0), "thirteen": THIRTEEN_CELLS}
 
 
-# blocks of 1, 2, 3 and 7 users put the user counts across block edges
+# blocks of 1, 2, 3 and 7 users put the user counts across block edges;
+# exponents 2 and 4 and R = 1 (K = 1) take the kernel's skipped or squared
+# passes, the drawn values the full ones, and the oracle never skips
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_layouts=st.integers(1, 16),
@@ -458,15 +461,16 @@ CLUSTERS = {"one": hex_cluster(1), "hex": hex_cluster(7, 2.0), "thirteen": THIRT
     n_users=st.integers(1, 12),
     alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
     exponent=st.one_of(st.sampled_from([2.0, 4.0]), st.floats(0.5, 8.0)),
+    efficiency=st.one_of(st.just(1.0), st.floats(0.05, 6.0)),
     cluster=st.sampled_from(sorted(CLUSTERS)),
     block=st.sampled_from([1, 2, 3, 7, outage._BLOCK]),
 )
-@settings(max_examples=150)
+@settings(max_examples=200)
 def test_kernel_matches_probe_loop_property(
-    seed, n_layouts, n_antennas, n_users, alpha, exponent, cluster, block
+    seed, n_layouts, n_antennas, n_users, alpha, exponent, efficiency, cluster, block
 ):
     layout = CLUSTERS[cluster]
-    channel = ChannelParams(exponent, 1.0, alpha)
+    channel = ChannelParams(exponent, efficiency, alpha)
     rng = np.random.default_rng(seed)
     layouts = [
         AntennaVector(
@@ -479,7 +483,7 @@ def test_kernel_matches_probe_loop_property(
     users = [sample_user_vector(layout, rng) for _ in range(n_users)]
     upos = np.stack([user_positions(layout, u) for u in users])
     with mock.patch.object(outage, "_BLOCK", block):
-        got = layout_outage(channel, layouts, upos[..., 0], upos[..., 1])
+        got = layout_outage(channel, *antenna_arrays(layouts), upos[..., 0], upos[..., 1])
     want = np.array([
         [
             probe_loop_oracle.conditional_system_outage(CellScenario(layout, a, channel), u)
@@ -499,7 +503,7 @@ def test_kernel_memory_stays_per_block():
     ux, uy = sample_user_batch(layout, 100_000, np.random.default_rng(3))
     tracemalloc.start()
     try:
-        layout_outage(ChannelParams(2.0), [symmetric_circle(4, 0.5)], ux, uy)
+        layout_outage(ChannelParams(2.0), *antenna_arrays([symmetric_circle(4, 0.5)]), ux, uy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,7 +515,7 @@ def test_kernel_rejects_unequal_antenna_counts():
     ux, uy = sample_user_batch(layout, 5, np.random.default_rng(0))
     layouts = [symmetric_circle(4, 0.5), symmetric_circle(3, 0.5)]
     with pytest.raises(ConfigError, match="equal antenna counts"):
-        layout_outage(ChannelParams(2.0), layouts, ux, uy)
+        layout_outage(ChannelParams(2.0), *antenna_arrays(layouts), ux, uy)
 
 
 def test_expected_outage_matches_scalar_loop():

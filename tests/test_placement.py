@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dasqos import placement
 from dasqos.errors import ConfigError
 from dasqos.geometry import AntennaVector, hex_cluster, sample_user_vector, symmetric_circle
 from dasqos.outage import CellScenario, ChannelParams, expected_outage
@@ -335,6 +337,32 @@ class TestBatchedScoring:
                 np.random.default_rng(eval_seed),
             )
             assert (value, se) == (est.value, est.std_err)
+
+    @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
+    def test_unmoved_average_is_not_rescored(self, mode):
+        # every iteration scores its 2P gradient probes in one kernel call;
+        # a trace row costs a call of its own only when the Polyak average
+        # moved since the row before (row 2 repeats the start, so never)
+        scenario = cluster_scenario(4.0, 0.8)
+        init = symmetric_circle(4, 0.2)
+        cfg = RMConfig(mode=mode, max_iter=12, eval_samples=300, tolerance=1e-12)
+        layouts_per_call = []
+
+        def counting(channel, polar, *rest):
+            layouts_per_call.append(len(polar))
+            return kernel(channel, polar, *rest)
+
+        kernel = placement.layout_outage
+        with mock.patch.object(placement, "layout_outage", counting):
+            _, trace = rm_optimize(scenario, init, cfg, np.random.default_rng(3))
+        probes = 2 if mode == "radius_only" else 16
+        assert layouts_per_call.count(probes) == len(trace) == cfg.max_iter
+        moved = [a != b for a, b in zip(trace.averages, trace.averages[1:])]
+        assert moved[0] is False and sum(moved) >= 5
+        assert layouts_per_call.count(1) == 1 + sum(moved)
+        for row, moved_here in enumerate(moved, start=1):
+            if not moved_here:
+                assert trace.outage[row] == trace.outage[row - 1]
 
     @staticmethod
     def _check_gradient(scenario, params, init, cfg, users):
