@@ -3,9 +3,11 @@ distributed antennas.
 
 The analysis half bounds queueing-delay violation for strict-priority flows
 through energy (log moment generating) functions; the geometry half scores
-antenna placements by expected outage and optimizes them. Every closed form
-has a simulation twin: a slot-level queue simulator and a fading Monte
-Carlo, wired to the same parameter objects.
+antenna placements by expected outage and optimizes them. A slot-level
+queue simulator runs the same priority systems the analysis builds. The
+independent checks on each closed form (the simulator's tail fit, a fading
+Monte Carlo, the replaced scalar and partial-fraction outage, the exact
+binomial energy) live under tests/.
 """
 from .delay import (
     PrioritySystem,
@@ -13,15 +15,7 @@ from .delay import (
     delay_violation_probability,
     solve_phi_star,
 )
-from .energy import (
-    AsymptoticRenewal,
-    ExactBinomial,
-    ExactPoisson,
-    arrival_energy,
-    binomial_asymptotic,
-    binomial_energy_gap,
-    eval_energy,
-)
+from .energy import arrival_energy, eval_energy
 from .errors import (
     ConfigError,
     DasqosError,
@@ -46,11 +40,9 @@ from .outage import (
     OutageEstimate,
     antenna_arrays,
     antenna_outage_closed_form,
-    antenna_outage_mc,
     conditional_system_outage,
     expected_outage,
     layout_outage,
-    product_form_outage,
 )
 from .placement import (
     RMConfig,
@@ -60,14 +52,7 @@ from .placement import (
     rm_optimize,
     step_sequence,
 )
-from .slotsim import (
-    ComparisonReport,
-    FlowStats,
-    SimConfig,
-    SimStats,
-    compare_with_analysis,
-    simulate,
-)
+from .slotsim import FlowStats, SimConfig, SimStats, simulate
 from .traffic import (
     DeterministicUnit,
     GenericRenewal,

@@ -189,7 +189,7 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     rows = []
     for pr in priorities:
         table = stats.flow(pr).ccdf_table(int_thresholds)
-        for d, p_hat, lo, hi, _ in table:
+        for d, p_hat, lo, hi in table:
             rows.append((pr, d, p_hat, lo, hi, analytic[pr][float(d)]))
     _emit(
         ["flow", "d_th", "prob_sim", "ci_low", "ci_high", "prob_analytic"],

@@ -26,7 +26,6 @@ import yaml
 from .delay import HigherPriorityMode
 from .errors import ConfigError
 from .geometry import (
-    DEFAULT_SPACING,
     AntennaVector,
     ClusterLayout,
     UserVector,
@@ -242,7 +241,8 @@ def _parse_geometry(
     _reject_unknown(
         fields, {"cluster_size", "spacing", "centers", "antennas", "users"}, "geometry"
     )
-    spacing = _float(fields["spacing"], "spacing") if "spacing" in fields else None
+    # hex_cluster gets only the keys the scenario gives; its defaults fill the rest
+    given = {"spacing": _float(fields["spacing"], "spacing")} if "spacing" in fields else {}
     if "centers" in fields:
         if "cluster_size" in fields:
             raise _fail(fields["cluster_size"], "give either cluster_size or centers, not both")
@@ -252,10 +252,11 @@ def _parse_geometry(
             if len(pair) != 2:
                 raise _fail(item, "each center needs exactly [x, y]")
             centers.append((_float(pair[0], "x"), _float(pair[1], "y")))
-        layout = cluster_from_centers(centers, spacing)
+        layout = cluster_from_centers(centers, given.get("spacing"))
     else:
-        size = _int(fields["cluster_size"], "cluster_size") if "cluster_size" in fields else 7
-        layout = hex_cluster(size, DEFAULT_SPACING if spacing is None else spacing)
+        if "cluster_size" in fields:
+            given["size"] = _int(fields["cluster_size"], "cluster_size")
+        layout = hex_cluster(**given)
     antennas = users = None
     if "antennas" in fields:
         ring = _mapping(fields["antennas"], "antennas")

@@ -9,7 +9,8 @@ the violation exponent is the unique positive root phi* of their sum, and
 
 Service slots are counted in units of the tagged flow's packets, so the
 higher-priority traffic enters through its packet-count generating energy
-evaluated at the slot-usage argument.
+evaluated at the slot-usage argument. The curves are checked against the
+slot simulator by the tail fit under tests/.
 """
 from __future__ import annotations
 

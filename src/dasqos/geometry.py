@@ -127,12 +127,6 @@ class AntennaVector:
     def count(self) -> int:
         return len(self.radii)
 
-    def positions(self) -> np.ndarray:
-        """Planar (count, 2) Cartesian antenna positions."""
-        r = np.asarray(self.radii)
-        a = np.asarray(self.angles)
-        return np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
-
 
 def symmetric_circle(
     count: int,

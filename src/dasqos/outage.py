@@ -13,18 +13,19 @@ Interference in Large Wireless Networks, 2009):
 
     P(SIR >= K) = prod_i [1 - alpha * a0 / (q_i + a0)],  q_i = rate_i / K.
 
-product_form_outage evaluates it in log space. It is exact for every alpha
-in [0, 1], including coincident interferer distances, and keeps small
-outages accurate to their last digits. The system is in outage only when
-every antenna fails; antenna outages are treated as independent, so the
-system outage is the per-antenna product. layout_outage scores antenna
-layouts, given as one polar array (antenna_arrays converts AntennaVectors),
-on users that are already drawn; expected_outage, the radius sweep, the
-search's trace rows and its gradient probes all go through it. It walks
-the users in blocks of _BLOCK, each copied cell-major, so every array step
-runs along a block of users and its temporaries stay in cache.
-antenna_outage_mc is the independent fading Monte Carlo that checks the
-formula.
+Evaluated in log space it is exact for every alpha in [0, 1], including
+coincident interferer distances, and keeps small outages accurate to their
+last digits. The system is in outage only when every antenna fails;
+antenna outages are treated as independent, so the system outage is the
+per-antenna product. layout_outage holds the only copy of this arithmetic:
+it scores antenna layouts, given as one polar array (antenna_arrays
+converts AntennaVectors), on users that are already drawn, and one
+antenna's outage, the conditional and expected system outage, the radius
+sweep, the search's trace rows and its gradient probes all go through it.
+It walks the users in blocks of _BLOCK, each copied cell-major, so every
+array step runs along a block of users and its temporaries stay in cache.
+The checks on it live under tests/: the scalar product form it replaced,
+the paper's partial-fraction expansion and a fading Monte Carlo.
 """
 from __future__ import annotations
 
@@ -88,67 +89,6 @@ class OutageEstimate:
         return cls(float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
 
 
-def product_form_outage(a0, q, alpha: float) -> np.ndarray:
-    """P(SIR < K) for signal rates a0, shape (...), and interferer poles
-    q = rate / K, shape (..., n): 1 - prod_i [1 - alpha * a0 / (q_i + a0)].
-
-    The log factors are summed in interferer order, as layout_outage sums
-    them. With no interferers (n = 0) the outage is 0.
-    """
-    a0, q = np.asarray(a0, dtype=float), np.asarray(q, dtype=float)
-    log_clear = np.zeros(np.broadcast_shapes(a0.shape, q.shape[:-1]))
-    for i in range(q.shape[-1]):
-        log_clear += np.log1p(-alpha * a0 / (q[..., i] + a0))
-    # 0 - expm1 rather than -expm1: no outage comes out as +0, never -0
-    return 0.0 - np.expm1(log_clear)
-
-
-def _user_rates(scenario: CellScenario, users: UserVector, antenna: int) -> np.ndarray:
-    """Rates of every cell's user to one antenna; the target cell comes first."""
-    upos = user_positions(scenario.layout, users)
-    ax, ay = scenario.antennas.positions()[antenna]
-    h = scenario.antennas.height
-    d2 = (upos[:, 0] - ax) ** 2 + (upos[:, 1] - ay) ** 2 + h * h
-    return d2 ** (scenario.channel.path_loss_exponent / 2.0)
-
-
-def antenna_outage_closed_form(
-    scenario: CellScenario, users: UserVector, antenna: int
-) -> float:
-    """Exact P(SIR < K) at one antenna for fixed users (product form)."""
-    rates, channel = _user_rates(scenario, users, antenna), scenario.channel
-    return float(
-        product_form_outage(rates[0], rates[1:] / channel.sir_threshold, channel.on_probability)
-    )
-
-
-def antenna_outage_mc(
-    scenario: CellScenario,
-    users: UserVector,
-    antenna: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo P(SIR < K) at one antenna; returns (estimate, std err).
-
-    Draws exponential fading for every cell, then one Bernoulli gate per
-    interferer when alpha < 1 (the target is never gated; an idle target
-    has nothing to lose).
-    """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    rates = _user_rates(scenario, users, antenna)
-    alpha = scenario.channel.on_probability
-    fading = rng.exponential(1.0, (trials, rates.size))
-    signal = fading[:, 0] / rates[0]
-    powers = fading[:, 1:] / rates[1:]
-    if alpha < 1.0:
-        powers = powers * (rng.random((trials, rates.size - 1)) < alpha)
-    hits = np.count_nonzero(signal < scenario.channel.sir_threshold * powers.sum(axis=1))
-    p_hat = int(hits) / trials
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
-
-
 def antenna_arrays(layouts) -> tuple[np.ndarray, np.ndarray]:
     """layout_outage's polar array and heights for AntennaVectors of one count."""
     if len({a.count for a in layouts}) > 1:
@@ -170,12 +110,13 @@ def layout_outage(
 
     Each block of users is copied to (cells, block); an antenna's rates and
     product form are computed in place on (layouts, cells, block), and the
-    interferers' log factors summed in cell order, as product_form_outage
-    sums them, so the two agree bit for bit. A power of 1 and a division
-    by K = 1 are skipped and a power of 2 squares, for the same bits.
+    interferers' log factors summed in cell order, as the scalar product
+    form under tests/ sums them, so the two agree bit for bit. A power of 1
+    and a division by K = 1 are skipped and a power of 2 squares, for the
+    same bits.
     """
     # per-layout values broadcast over a block's cells and users; antenna
-    # positions as in AntennaVector.positions, indexed antenna first
+    # positions indexed antenna first
     ax = (polar[:, 0] * np.cos(polar[:, 1])).T[..., None, None]
     ay = (polar[:, 0] * np.sin(polar[:, 1])).T[..., None, None]
     h2 = (heights * heights)[:, None, None]
@@ -208,6 +149,21 @@ def layout_outage(
                 log_clear += term
             product *= 0.0 - np.expm1(log_clear)
     return out.reshape(out.shape[:1] + ux.shape[:-1])
+
+
+def antenna_outage_closed_form(
+    scenario: CellScenario, users: UserVector, antenna: int
+) -> float:
+    """Exact P(SIR < K) at one antenna for fixed users: layout_outage on
+    that antenna alone. An index outside [0, count) raises ConfigError."""
+    if not 0 <= antenna < scenario.antennas.count:
+        raise ConfigError(
+            f"antenna index {antenna} out of range [0, {scenario.antennas.count})"
+        )
+    upos = user_positions(scenario.layout, users)
+    polar, heights = antenna_arrays([scenario.antennas])
+    one = polar[..., antenna : antenna + 1]
+    return float(layout_outage(scenario.channel, one, heights, upos[:, 0], upos[:, 1])[0])
 
 
 def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:

@@ -91,7 +91,7 @@ class RMTrace:
         return len(self.iterates)
 
 
-def step_sequence(n: int, scale: float = 15.0, exponent: float = 0.75) -> float:
+def step_sequence(n: int, scale: float, exponent: float) -> float:
     """Step size at iteration n >= 1: scale * n^(-exponent)."""
     if n < 1:
         raise ConfigError(f"iteration index must be >= 1, got {n}")
@@ -236,10 +236,6 @@ class SweepResult:
     @property
     def argmin_radius(self) -> float:
         return self.radii[int(np.argmin(self.outage))]
-
-    @property
-    def min_outage(self) -> float:
-        return float(min(self.outage))
 
 
 def radius_sweep(

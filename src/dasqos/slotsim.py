@@ -18,6 +18,10 @@ lattice of the slots where a packet can end, with the per-packet rule run
 only where a busy period starts off that lattice. The per-attempt
 probability may be a plain number or the expected-outage output of the
 antenna engine; the simulator does not care where it came from.
+
+The checks on it live under tests/: the per-slot and per-packet loops it
+replaced, the fit of its delay tails against the analysis, and the mean
+delay and queue length of the Little's-law test.
 """
 from __future__ import annotations
 
@@ -38,7 +42,6 @@ from .traffic import (
 )
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile for the CCDF bands
-MIN_TAIL_EVENTS = 30  # fewest tail departures a fitted threshold may rest on
 
 DelayConvention = Literal["sojourn", "waiting"]
 
@@ -107,17 +110,6 @@ class FlowStats:
     def loss_rate(self) -> float:
         return self.lost / self.departures if self.departures else 0.0
 
-    @property
-    def mean_queue_length(self) -> float:
-        return self.area / self.window
-
-    @property
-    def mean_delay(self) -> float:
-        if not self.departures:
-            return math.nan
-        total = sum(d * c for d, c in enumerate(self.delay_counts))
-        return total / self.departures
-
     def ccdf(self, threshold: int) -> float:
         """Empirical P(delay > threshold) over departures."""
         if not self.departures:
@@ -125,24 +117,14 @@ class FlowStats:
         tail = sum(self.delay_counts[threshold + 1 :]) if threshold >= 0 else self.departures
         return tail / self.departures
 
-    def ccdf_table(
-        self, thresholds
-    ) -> list[tuple[int, float, float, float, int]]:
-        """Rows (threshold, p_hat, ci_low, ci_high, tail_events)."""
+    def ccdf_table(self, thresholds) -> list[tuple[int, float, float, float]]:
+        """Rows (threshold, p_hat, ci_low, ci_high)."""
         rows = []
         for d in thresholds:
             p_hat = self.ccdf(int(d))
             n = self.departures
             half = Z_95 * math.sqrt(p_hat * (1.0 - p_hat) / n) if n else math.nan
-            rows.append(
-                (
-                    int(d),
-                    p_hat,
-                    max(0.0, p_hat - half),
-                    min(1.0, p_hat + half),
-                    int(round(p_hat * n)) if n else 0,
-                )
-            )
+            rows.append((int(d), p_hat, max(0.0, p_hat - half), min(1.0, p_hat + half)))
         return rows
 
 
@@ -402,61 +384,3 @@ def simulate(cfg: SimConfig) -> SimStats:
             free = np.flatnonzero(keep).astype(e.dtype) if free is None else free[keep]
             del keep  # held through the next level, the mask would raise its peak
     return SimStats(tuple(flow_stats))
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Fit of the empirical delay tail against an analytic curve."""
-
-    thresholds: tuple[int, ...]
-    log10_gap: tuple[float, ...]
-    excluded: tuple[int, ...]
-    empirical_slope: float
-    analytic_slope: float
-
-    @property
-    def slope_ratio(self) -> float:
-        return self.empirical_slope / self.analytic_slope
-
-
-def compare_with_analysis(
-    cfg: SimConfig,
-    priority: int,
-    analytic: dict[int, float],
-    stats: SimStats | None = None,
-) -> ComparisonReport:
-    """Simulate (unless stats is given) and fit the flow's log tail.
-
-    Thresholds whose empirical tail holds fewer than MIN_TAIL_EVENTS
-    departures are dropped from the gap and slope fits and reported in
-    excluded. Slopes are least-squares fits of log10 CCDF versus threshold,
-    so the ratio is meaningful even when the analytic curve is not exactly
-    exponential.
-    """
-    if stats is None:
-        stats = simulate(cfg)
-    fs = stats.flow(priority)
-    kept: list[int] = []
-    dropped: list[int] = []
-    emp: list[float] = []
-    ana: list[float] = []
-    gaps: list[float] = []
-    for d in sorted(analytic):
-        p_hat = fs.ccdf(int(d))
-        events = p_hat * fs.departures if fs.departures else 0.0
-        if events < MIN_TAIL_EVENTS or analytic[d] <= 0.0:
-            dropped.append(int(d))
-            continue
-        kept.append(int(d))
-        emp.append(p_hat)
-        ana.append(analytic[d])
-        gaps.append(math.log10(p_hat) - math.log10(analytic[d]))
-    if len(kept) < 2:
-        raise ConfigError(
-            f"only {len(kept)} thresholds have >= {MIN_TAIL_EVENTS} tail "
-            "events; cannot fit a slope"
-        )
-    x = np.asarray(kept, dtype=float)
-    slope_emp = float(np.polyfit(x, np.log10(emp), 1)[0])
-    slope_ana = float(np.polyfit(x, np.log10(ana), 1)[0])
-    return ComparisonReport(tuple(kept), tuple(gaps), tuple(dropped), slope_emp, slope_ana)

@@ -1,7 +1,14 @@
-"""Reference implementations that the batched outage kernel replaced.
+"""Reference implementations that the batched outage kernel replaced, and
+the fading Monte Carlo that checks the product form.
 
 antenna_user_distance is the plain 3-D distance of one antenna-user link,
 an independent oracle for the kernel's link rates d^exponent.
+
+product_form_outage is the scalar product form, summed in log space in
+interferer order as the kernel sums it; antenna_outage_closed_form feeds it
+one antenna's link rates, and the kernel must reproduce it bit for bit.
+antenna_outage_mc draws the fading itself on the same link rates, so it
+shares no arithmetic with the library.
 
 conditional_system_outage and fd_gradient are the scalar paths as they
 stood before every gradient probe was scored in one batch: each probe
@@ -19,8 +26,15 @@ import numpy as np
 
 from dasqos.errors import ConfigError
 from dasqos.geometry import AntennaVector, ClusterLayout, UserVector, user_positions
-from dasqos.outage import CellScenario, product_form_outage
+from dasqos.outage import CellScenario
 from dasqos.placement import RMConfig
+
+
+def antenna_positions(antennas: AntennaVector) -> np.ndarray:
+    """Planar (count, 2) Cartesian antenna positions."""
+    r = np.asarray(antennas.radii)
+    a = np.asarray(antennas.angles)
+    return np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
 
 
 def antenna_user_distance(
@@ -38,33 +52,71 @@ def antenna_user_distance(
         raise ConfigError(f"antenna index {antenna} out of range")
     if not 0 <= cell < layout.size:
         raise ConfigError(f"cell index {cell} out of range")
-    apos = antennas.positions()[antenna]
+    apos = antenna_positions(antennas)[antenna]
     upos = user_positions(layout, users)[cell]
     dx = upos[0] - apos[0]
     dy = upos[1] - apos[1]
     return math.sqrt(dx * dx + dy * dy + antennas.height**2)
 
 
-def _link_rates(
-    scenario: CellScenario, ux: np.ndarray, uy: np.ndarray, antenna: int
-) -> np.ndarray:
-    apos = scenario.antennas.positions()[antenna]
+def _link_rates(scenario: CellScenario, users: UserVector, antenna: int) -> np.ndarray:
+    """Rates d^exponent of every cell's user to one antenna, target cell first."""
+    upos = user_positions(scenario.layout, users)
+    apos = antenna_positions(scenario.antennas)[antenna]
     h = scenario.antennas.height
-    d2 = (ux - apos[0]) ** 2 + (uy - apos[1]) ** 2 + h * h
+    d2 = (upos[:, 0] - apos[0]) ** 2 + (upos[:, 1] - apos[1]) ** 2 + h * h
     return d2 ** (scenario.channel.path_loss_exponent / 2.0)
+
+
+def product_form_outage(a0, q, alpha: float) -> np.ndarray:
+    """P(SIR < K) for signal rates a0, shape (...), and interferer poles
+    q = rate / K, shape (..., n): 1 - prod_i [1 - alpha * a0 / (q_i + a0)].
+
+    The log factors are summed in interferer order, as layout_outage sums
+    them. With no interferers (n = 0) the outage is 0.
+    """
+    a0, q = np.asarray(a0, dtype=float), np.asarray(q, dtype=float)
+    log_clear = np.zeros(np.broadcast_shapes(a0.shape, q.shape[:-1]))
+    for i in range(q.shape[-1]):
+        log_clear += np.log1p(-alpha * a0 / (q[..., i] + a0))
+    # 0 - expm1 rather than -expm1: no outage comes out as +0, never -0
+    return 0.0 - np.expm1(log_clear)
 
 
 def antenna_outage_closed_form(
     scenario: CellScenario, users: UserVector, antenna: int
 ) -> float:
-    upos = user_positions(scenario.layout, users)
-    rates = _link_rates(scenario, upos[:, 0], upos[:, 1], antenna)
-    channel = scenario.channel
+    rates, channel = _link_rates(scenario, users, antenna), scenario.channel
     return float(
-        product_form_outage(
-            rates[0], rates[1:] / channel.sir_threshold, channel.on_probability
-        )
+        product_form_outage(rates[0], rates[1:] / channel.sir_threshold, channel.on_probability)
     )
+
+
+def antenna_outage_mc(
+    scenario: CellScenario,
+    users: UserVector,
+    antenna: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Monte-Carlo P(SIR < K) at one antenna; returns (estimate, std err).
+
+    Draws exponential fading for every cell, then one Bernoulli gate per
+    interferer when alpha < 1 (the target is never gated; an idle target
+    has nothing to lose).
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    rates = _link_rates(scenario, users, antenna)
+    alpha = scenario.channel.on_probability
+    fading = rng.exponential(1.0, (trials, rates.size))
+    signal = fading[:, 0] / rates[0]
+    powers = fading[:, 1:] / rates[1:]
+    if alpha < 1.0:
+        powers = powers * (rng.random((trials, rates.size - 1)) < alpha)
+    hits = np.count_nonzero(signal < scenario.channel.sir_threshold * powers.sum(axis=1))
+    p_hat = int(hits) / trials
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
 def system_outage(per_antenna) -> float:

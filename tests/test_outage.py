@@ -3,8 +3,10 @@
 The two-interferer case has a hand-derivable answer, general geometries
 get a fading Monte-Carlo oracle at every on-probability, repeated poles get
 an Erlang-transform oracle, separated poles get the paper's partial-fraction
-expansion (kept under tests/), and tiny outages get an exact rational
-product.
+expansion, and tiny outages get an exact rational product. The Monte
+Carlo, the link rates it draws on and the scalar product form are kept
+under tests/ (probe_loop_oracle), so none of them shares arithmetic with
+the kernel.
 """
 import math
 import tracemalloc
@@ -35,15 +37,13 @@ from dasqos.outage import (
     ChannelParams,
     antenna_arrays,
     antenna_outage_closed_form,
-    antenna_outage_mc,
     conditional_system_outage,
     expected_outage,
     layout_outage,
-    product_form_outage,
 )
-from dasqos.outage import _user_rates
 from partial_fraction_oracle import outage_expansion
 import probe_loop_oracle
+from probe_loop_oracle import _link_rates, antenna_outage_mc, product_form_outage
 
 
 def two_cell_scenario(exponent=4.0, efficiency=1.0, alpha=1.0, spacing=2.0):
@@ -120,7 +120,7 @@ def test_expansion_structure_and_reconstruction():
     rng = np.random.default_rng(3)
     scenario = seven_cell_scenario()
     users = sample_user_vector(scenario.layout, rng)
-    rates = _user_rates(scenario, users, 0)
+    rates = _link_rates(scenario, users, 0)
     expansion = outage_expansion(rates[0], rates[1:], scenario.channel.sir_threshold)
     # multiplicities cover every cell, exactly one negative (signal) pole
     assert sum(k for _, k in expansion.poles) == 7
@@ -170,7 +170,7 @@ def test_kernel_matches_partial_fractions_on_separated_poles():
         )
         channel = ChannelParams(float(rng.uniform(1.5, 5.0)), float(rng.uniform(0.25, 3.0)))
         scenario = CellScenario(layout, antennas, channel)
-        rates = _user_rates(scenario, sample_user_vector(layout, rng), 0)
+        rates = _link_rates(scenario, sample_user_vector(layout, rng), 0)
         q = np.sort(rates[1:])
         if q.size > 1 and np.min(np.diff(q) / q[1:]) < 1e-3:
             continue  # the expansion's residues cancel badly here
@@ -188,7 +188,7 @@ def _under_antenna_outage(exponent: float, alpha: float) -> tuple[float, float]:
     antennas = AntennaVector((0.42, 0.42), (0.0, math.pi), 0.01)
     scenario = CellScenario(layout, antennas, ChannelParams(exponent, 1.0, alpha))
     users = UserVector((0.42, 0.3, 0.5, 0.7, 0.2, 0.9, 0.6), (0.0, 1, 2, 3, 4, 5, 6))
-    rates = _user_rates(scenario, users, 0)
+    rates = _link_rates(scenario, users, 0)
     k = scenario.channel.sir_threshold
     a0, alpha_q = Fraction(float(rates[0])), Fraction(alpha)
     clear = Fraction(1)
@@ -306,7 +306,7 @@ def test_moving_antenna_toward_user_helps():
         scenario = CellScenario(layout, start, channel)
         users = sample_user_vector(layout, rng)
         base = antenna_outage_closed_form(scenario, users, 0)
-        apos = start.positions()[0]
+        apos = probe_loop_oracle.antenna_positions(start)[0]
         upos = user_positions(layout, users)[0]
         gap = upos - apos
         if np.linalg.norm(gap) < 0.05:
@@ -406,7 +406,7 @@ def test_link_rates_match_distance_oracle(exponent):
                     for i in range(layout.size)
                 ]
                 rates = np.array(dist) ** exponent
-                assert _user_rates(scenario, users, m) == pytest.approx(rates, rel=1e-12)
+                assert _link_rates(scenario, users, m) == pytest.approx(rates, rel=1e-12)
                 expected *= float(
                     product_form_outage(rates[0], rates[1:] / channel.sir_threshold, 0.6)
                 )
@@ -494,6 +494,21 @@ def test_kernel_matches_probe_loop_property(
     assert got.tobytes() == want.tobytes()
     if cluster == "one":
         assert not got.any()  # no interferer, no outage
+    # one antenna alone, the kernel on a one-antenna slice, bit for bit
+    scenarios = [CellScenario(layout, a, channel) for a in layouts[:2]]
+    cases = [(s, u, m) for s in scenarios for u in users[:2] for m in range(n_antennas)]
+    alone = np.array([antenna_outage_closed_form(*case) for case in cases])
+    oracle = np.array([probe_loop_oracle.antenna_outage_closed_form(*case) for case in cases])
+    assert alone.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("antenna", [-1, 4])
+def test_antenna_index_out_of_range_rejected(antenna):
+    # an empty slice would score 1.0, and -1 would score the last antenna
+    scenario = seven_cell_scenario()
+    users = sample_user_vector(scenario.layout, np.random.default_rng(1))
+    with pytest.raises(ConfigError, match="out of range"):
+        antenna_outage_closed_form(scenario, users, antenna)
 
 
 def test_kernel_memory_stays_per_block():
