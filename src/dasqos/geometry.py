@@ -92,7 +92,7 @@ def antenna_polar(radii, angles) -> np.ndarray:
     wrapped += np.where(wrapped < 0.0, TWO_PI, 0.0)  # + 0.0 also turns -0.0 into 0.0
     wrapped[wrapped == TWO_PI] = 0.0  # a hair below 0 rounds up to 2*pi, the same point as 0
     order = np.argsort(wrapped, axis=-1, kind="stable")
-    polar = np.stack([np.take_along_axis(a, order, -1) for a in (radii, wrapped)], axis=-2)
+    polar = np.take_along_axis(np.stack([radii, wrapped], axis=-2), order[..., None, :], -1)
     ang = polar[..., 1, :]
     same = ~(ang[..., :-1] < ang[..., 1:])
     if same.any():

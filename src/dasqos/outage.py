@@ -22,8 +22,11 @@ it scores antenna layouts, given as one polar array (antenna_arrays
 converts AntennaVectors), on users that are already drawn, and one
 antenna's outage, the conditional and expected system outage, the radius
 sweep, the search's trace rows and its gradient probes all go through it.
-It walks the users in blocks of _BLOCK, each copied cell-major, so every
-array step runs along a block of users and its temporaries stay in cache.
+It walks the users in blocks of _BLOCK, each copied cell-major once, and
+steps through the layouts inside each block, _BLOCK // block of them at a
+time (at least one), so every array step runs along a block of users and
+its temporaries stay about one block in size: a large batch takes one
+layout per step, one user vector all its layouts in one step.
 The checks on it live under tests/: the scalar product form it replaced,
 the paper's partial-fraction expansion and a fading Monte Carlo.
 """
@@ -108,12 +111,13 @@ def layout_outage(
     result has shape (layouts, *ux.shape[:-1]); each layout multiplies its
     antenna outages in its own (angle-sorted) order.
 
-    Each block of users is copied to (cells, block); an antenna's rates and
-    product form are computed in place on (layouts, cells, block), and the
-    interferers' log factors summed in cell order, as the scalar product
-    form under tests/ sums them, so the two agree bit for bit. A power of 1
-    and a division by K = 1 are skipped and a power of 2 squares, for the
-    same bits.
+    Each block of users is copied to (cells, block) once; the layouts are
+    taken max(1, _BLOCK // block) at a time, an antenna's rates and product
+    form computed in place on (step, cells, block), and the interferers'
+    log factors summed in cell order, as the scalar product form under
+    tests/ sums them, so the two agree bit for bit whatever the step. A
+    power of 1 and a division by K = 1 are skipped and a power of 2
+    squares, for the same bits.
     """
     # per-layout values broadcast over a block's cells and users; antenna
     # positions indexed antenna first
@@ -127,27 +131,30 @@ def layout_outage(
     out = np.ones((len(polar), x.shape[0]))
     for b in range(0, x.shape[0], _BLOCK):
         xb, yb = x[b : b + _BLOCK].T.copy(), y[b : b + _BLOCK].T.copy()
-        rates = np.empty((len(polar),) + xb.shape)  # (layouts, cells, block)
-        dy = np.empty_like(rates)
-        a0, q = rates[:, :1], rates[:, 1:]
-        interferers = [rates[:, i] for i in range(1, cells)]
-        product = out[:, b : b + _BLOCK]
-        for m in range(len(ax)):
-            np.square(np.subtract(xb, ax[m], out=rates), out=rates)
-            rates += np.square(np.subtract(yb, ay[m], out=dy), out=dy)
-            rates += h2
-            if power == 2.0:
-                np.square(rates, out=rates)
-            elif power != 1.0:
-                rates **= power
-            if k != 1.0:
-                q /= k
-            q += a0
-            np.log1p(np.divide(-alpha * a0, q, out=q), out=q)
-            log_clear = np.zeros(product.shape)
-            for term in interferers:
-                log_clear += term
-            product *= 0.0 - np.expm1(log_clear)
+        step = max(1, _BLOCK // xb.shape[1])  # layouts per step, temporaries ~ one block
+        for s in range(0, len(polar), step):
+            layouts = slice(s, s + step)
+            product = out[layouts, b : b + _BLOCK]
+            rates = np.empty((len(product),) + xb.shape)  # (step, cells, block)
+            dy = np.empty_like(rates)
+            a0, q = rates[:, :1], rates[:, 1:]
+            interferers = [rates[:, i] for i in range(1, cells)]
+            for m in range(len(ax)):
+                np.square(np.subtract(xb, ax[m, layouts], out=rates), out=rates)
+                rates += np.square(np.subtract(yb, ay[m, layouts], out=dy), out=dy)
+                rates += h2[layouts]
+                if power == 2.0:
+                    np.square(rates, out=rates)
+                elif power != 1.0:
+                    rates **= power
+                if k != 1.0:
+                    q /= k
+                q += a0
+                np.log1p(np.divide(-alpha * a0, q, out=q), out=q)
+                log_clear = np.zeros(product.shape)
+                for term in interferers:
+                    log_clear += term
+                product *= 0.0 - np.expm1(log_clear)
     return out.reshape(out.shape[:1] + ux.shape[:-1])
 
 

@@ -77,7 +77,8 @@ class RMTrace:
 
     Row n holds the raw iterate, the Polyak average of all earlier iterates
     (row 1 repeats the start), and the expected outage scored at that
-    average on a fixed evaluation stream shared by every row.
+    average on a fixed evaluation stream shared by every row. The outage
+    columns are filled after the search; nothing in the loop reads them.
     """
 
     iterates: tuple[tuple[float, ...], ...]
@@ -162,38 +163,29 @@ def rm_optimize(
     """Minimize expected outage from init; returns (Polyak average, trace).
 
     Each iteration draws a fresh user vector from rng and descends the
-    conditional outage. The trace's outage column scores every row on one
-    evaluation batch, drawn once from its own seed, so successive rows
-    differ only through the antenna locations, not through which users
-    were sampled. A row whose average equals the previous row's (row 2
-    always does) reuses that row's score.
+    conditional outage. The loop records only the iterates and averages;
+    after it, the trace's outage column is scored on one evaluation batch,
+    drawn from a seed taken from rng before the first iteration, so
+    successive rows differ only through the antenna locations, not through
+    which users were sampled. The distinct rows, row 1 and each row whose
+    average moved, go to the kernel in one call; a repeated row (row 2
+    always is one) takes the previous row's estimate.
     """
     params = _params_from_init(init, cfg.mode)
     lo, hi = cfg.radius_bounds
     n_radii = params.size if cfg.mode == "radius_only" else init.count
     # drawn from a seed of its own, the evaluation batch leaves rng's stream alone
     eval_seed = int(rng.integers(2**63))
-    ux, uy = sample_user_batch(
-        scenario.layout, cfg.eval_samples, np.random.default_rng(eval_seed)
-    )
 
     average = params.copy()
     iterates: list[tuple[float, ...]] = []
     averages: list[tuple[float, ...]] = []
-    outage_vals: list[float] = []
-    outage_ses: list[float] = []
     converged = False
     pinned_streak = np.zeros(n_radii, dtype=int)
 
     for n in range(1, cfg.max_iter + 1):
         iterates.append(tuple(map(float, params)))
         averages.append(tuple(map(float, average)))
-        if n == 1 or not np.array_equal(average, averages[-2]):  # else est still holds
-            polar = _polar_from_params(average[None], init, cfg.mode)
-            values = layout_outage(scenario.channel, polar, np.array([init.height]), ux, uy)
-            est = OutageEstimate.of(values[0])
-        outage_vals.append(est.value)
-        outage_ses.append(est.std_err)
 
         if n > cfg.convergence_window:
             moved = np.max(np.abs(average - averages[n - 1 - cfg.convergence_window]))
@@ -216,11 +208,20 @@ def rm_optimize(
         params = new
 
     diverged = bool(np.any(pinned_streak >= cfg.convergence_window))
+    ux, uy = sample_user_batch(
+        scenario.layout, cfg.eval_samples, np.random.default_rng(eval_seed)
+    )
+    rows = np.array(averages)
+    distinct = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    polar = _polar_from_params(rows[distinct], init, cfg.mode)
+    values = layout_outage(scenario.channel, polar, np.full(len(polar), init.height), ux, uy)
+    ests = [OutageEstimate.of(v) for v in values]
+    row_ests = [ests[i] for i in np.cumsum(distinct) - 1]  # a repeated row keeps its predecessor's
     trace = RMTrace(
         tuple(iterates),
         tuple(averages),
-        tuple(outage_vals),
-        tuple(outage_ses),
+        tuple(e.value for e in row_ests),
+        tuple(e.std_err for e in row_ests),
         converged,
         diverged,
     )
@@ -261,8 +262,6 @@ def radius_sweep(
         raise ConfigError(f"need at least 2 samples, got {samples}")
     seed = int(rng.integers(2**63))
     ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
-    height = np.array([base.height])
-    # one layout at a time: stacked, the grid outgrows the cache per block and runs slower
-    ests = [OutageEstimate.of(layout_outage(scenario.channel, p[None], height, ux, uy)[0])
-            for p in polar]
+    values = layout_outage(scenario.channel, polar, np.full(len(grid), base.height), ux, uy)
+    ests = [OutageEstimate.of(v) for v in values]
     return SweepResult(tuple(grid), tuple(e.value for e in ests), tuple(e.std_err for e in ests))

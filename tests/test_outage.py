@@ -502,6 +502,27 @@ def test_kernel_matches_probe_loop_property(
     assert alone.tobytes() == oracle.tobytes()
 
 
+# 10 users in blocks of _BLOCK: a full block steps one layout at a time, a
+# partial last block of r users _BLOCK // r, so 4 steps 1 then 2 (the last
+# of 9 layouts alone), 8 steps 1 then 4, 9 steps 1 then all 9, 30 steps 3
+# and 2048 more than the 9 layouts
+@pytest.mark.parametrize("block", [1, 4, 8, 9, 30, 2048])
+def test_layout_steps_match_single_layout_calls(block):
+    channel = ChannelParams(3.3, 1.5, 0.7)
+    rng = np.random.default_rng(21)
+    layouts = [
+        AntennaVector(
+            tuple(rng.random(4)), tuple(rng.random(4) * 2 * math.pi), float(rng.uniform(0.01, 0.5))
+        )
+        for _ in range(9)
+    ]
+    ux, uy = sample_user_batch(hex_cluster(7, 2.0), 10, rng)
+    with mock.patch.object(outage, "_BLOCK", block):
+        stacked = layout_outage(channel, *antenna_arrays(layouts), ux, uy)
+    alone = [layout_outage(channel, *antenna_arrays([a]), ux, uy)[0] for a in layouts]
+    assert stacked.tobytes() == np.array(alone).tobytes()
+
+
 @pytest.mark.parametrize("antenna", [-1, 4])
 def test_antenna_index_out_of_range_rejected(antenna):
     # an empty slice would score 1.0, and -1 would score the last antenna

@@ -343,8 +343,8 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
     def test_unmoved_average_is_not_rescored(self, mode):
         # every iteration scores its 2P gradient probes in one kernel call;
-        # a trace row costs a call of its own only when the Polyak average
-        # moved since the row before (row 2 repeats the start, so never)
+        # after the loop one call scores the trace's distinct rows, row 1
+        # and each row whose Polyak average moved (row 2 repeats the start)
         scenario = cluster_scenario(4.0, 0.8)
         init = symmetric_circle(4, 0.2)
         cfg = RMConfig(mode=mode, max_iter=12, eval_samples=300, tolerance=1e-12)
@@ -358,13 +358,49 @@ class TestBatchedScoring:
         with mock.patch.object(placement, "layout_outage", counting):
             _, trace = rm_optimize(scenario, init, cfg, np.random.default_rng(3))
         probes = 2 if mode == "radius_only" else 16
-        assert layouts_per_call.count(probes) == len(trace) == cfg.max_iter
         moved = [a != b for a, b in zip(trace.averages, trace.averages[1:])]
         assert moved[0] is False and sum(moved) >= 5
-        assert layouts_per_call.count(1) == 1 + sum(moved)
+        assert len(trace) == cfg.max_iter
+        assert layouts_per_call == [probes] * cfg.max_iter + [1 + sum(moved)]
         for row, moved_here in enumerate(moved, start=1):
             if not moved_here:
                 assert trace.outage[row] == trace.outage[row - 1]
+                assert trace.outage_se[row] == trace.outage_se[row - 1]
+
+    @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
+    @pytest.mark.parametrize(
+        "max_iter, window, tolerance, rows",
+        [(1, 10, 1e-12, 1), (40, 3, 3e-2, 4)],  # one row; converged early
+    )
+    def test_short_traces_equal_expected_outage(self, mode, max_iter, window, tolerance, rows):
+        scenario = cluster_scenario(4.0, 0.8)
+        init = symmetric_circle(4, 0.2)
+        cfg = RMConfig(
+            mode=mode,
+            max_iter=max_iter,
+            convergence_window=window,
+            eval_samples=300,
+            tolerance=tolerance,
+        )
+        _, trace = rm_optimize(scenario, init, cfg, np.random.default_rng(3))
+        assert len(trace) == rows and trace.converged == (rows < max_iter)
+        eval_seed = int(np.random.default_rng(3).integers(2**63))
+        for average, value, se in zip(trace.averages, trace.outage, trace.outage_se):
+            est = expected_outage(
+                replace(scenario, antennas=_antennas_from_params(np.array(average), init, mode)),
+                cfg.eval_samples,
+                np.random.default_rng(eval_seed),
+            )
+            assert (value, se) == (est.value, est.std_err)
+
+    @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
+    def test_search_leaves_rng_stream_in_place(self, mode):
+        # the evaluation seed, then one user vector per iteration: a search
+        # of 12 iterations leaves rng where earlier versions left it
+        cfg = RMConfig(mode=mode, max_iter=12, eval_samples=300, tolerance=1e-12)
+        rng = np.random.default_rng(3)
+        rm_optimize(cluster_scenario(4.0, 0.8), symmetric_circle(4, 0.2), cfg, rng)
+        assert rng.random() == 0.8473039702317086
 
     @staticmethod
     def _check_gradient(scenario, params, init, cfg, users):
