@@ -38,7 +38,6 @@ from .outage import (
     CellScenario,
     ChannelParams,
     OutageEstimate,
-    antenna_arrays,
     antenna_outage_closed_form,
     conditional_system_outage,
     expected_outage,

@@ -115,9 +115,12 @@ def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{out}: {exc.strerror}") from exc
 
 
 def _expected_outage(cfg: ScenarioConfig) -> OutageEstimate:

@@ -64,6 +64,10 @@ class RunParams:
     delay_convention: DelayConvention = "sojourn"
     higher_priority_mode: HigherPriorityMode = "gaussian"
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy seeds only non-negative integers
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:

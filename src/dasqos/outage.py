@@ -18,10 +18,10 @@ coincident interferer distances, and keeps small outages accurate to their
 last digits. The system is in outage only when every antenna fails;
 antenna outages are treated as independent, so the system outage is the
 per-antenna product. layout_outage holds the only copy of this arithmetic:
-it scores antenna layouts, given as one polar array (antenna_arrays
-converts AntennaVectors), on users that are already drawn, and one
-antenna's outage, the conditional and expected system outage, the radius
-sweep, the search's trace rows and its gradient probes all go through it.
+it scores antenna layouts of one mast height, given as one polar array, on
+users that are already drawn, and one antenna's outage, the conditional
+and expected system outage, the radius sweep, the search's trace rows and
+its gradient probes all go through it.
 It walks the users in blocks of _BLOCK, each copied cell-major once, and
 steps through the layouts inside each block, _BLOCK // block of them at a
 time (at least one), so every array step runs along a block of users and
@@ -33,7 +33,6 @@ the paper's partial-fraction expansion and a fading Monte Carlo.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,24 +91,17 @@ class OutageEstimate:
         return cls(float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
 
 
-def antenna_arrays(layouts) -> tuple[np.ndarray, np.ndarray]:
-    """layout_outage's polar array and heights for AntennaVectors of one count."""
-    if len({a.count for a in layouts}) > 1:
-        raise ConfigError("layouts must have equal antenna counts")
-    return np.array([(a.radii, a.angles) for a in layouts]), np.array([a.height for a in layouts])
-
-
 def layout_outage(
-    channel: ChannelParams, polar: np.ndarray, heights: np.ndarray, ux: np.ndarray, uy: np.ndarray
+    channel: ChannelParams, polar: np.ndarray, height: float, ux: np.ndarray, uy: np.ndarray
 ) -> np.ndarray:
     """System outage of each antenna layout for users that are already drawn.
 
     polar holds (layouts, 2, antennas) normalized layouts, as antenna_polar
-    returns them, and heights their (layouts,) mast heights. ux, uy hold
-    user coordinates with the cell on the last axis, target cell first:
-    shape (cells,) for one user vector, (samples, cells) for a batch. The
-    result has shape (layouts, *ux.shape[:-1]); each layout multiplies its
-    antenna outages in its own (angle-sorted) order.
+    returns them, all at one mast height. ux, uy hold user coordinates with
+    the cell on the last axis, target cell first: shape (cells,) for one
+    user vector, (samples, cells) for a batch. The result has shape
+    (layouts, *ux.shape[:-1]); each layout multiplies its antenna outages
+    in its own (angle-sorted) order.
 
     Each block of users is copied to (cells, block) once; the layouts are
     taken max(1, _BLOCK // block) at a time, an antenna's rates and product
@@ -123,7 +115,7 @@ def layout_outage(
     # positions indexed antenna first
     ax = (polar[:, 0] * np.cos(polar[:, 1])).T[..., None, None]
     ay = (polar[:, 0] * np.sin(polar[:, 1])).T[..., None, None]
-    h2 = (heights * heights)[:, None, None]
+    h2 = height * height
     k, alpha = channel.sir_threshold, channel.on_probability
     power = channel.path_loss_exponent / 2.0
     cells = ux.shape[-1]
@@ -142,7 +134,7 @@ def layout_outage(
             for m in range(len(ax)):
                 np.square(np.subtract(xb, ax[m, layouts], out=rates), out=rates)
                 rates += np.square(np.subtract(yb, ay[m, layouts], out=dy), out=dy)
-                rates += h2[layouts]
+                rates += h2
                 if power == 2.0:
                     np.square(rates, out=rates)
                 elif power != 1.0:
@@ -167,17 +159,18 @@ def antenna_outage_closed_form(
         raise ConfigError(
             f"antenna index {antenna} out of range [0, {scenario.antennas.count})"
         )
+    a = scenario.antennas
     upos = user_positions(scenario.layout, users)
-    polar, heights = antenna_arrays([scenario.antennas])
-    one = polar[..., antenna : antenna + 1]
-    return float(layout_outage(scenario.channel, one, heights, upos[:, 0], upos[:, 1])[0])
+    one = np.array([[a.radii, a.angles]])[..., antenna : antenna + 1]
+    return float(layout_outage(scenario.channel, one, a.height, upos[:, 0], upos[:, 1])[0])
 
 
 def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:
     """System outage for a fixed user vector: the product over antennas."""
+    a = scenario.antennas
     upos = user_positions(scenario.layout, users)
-    polar, heights = antenna_arrays([scenario.antennas])
-    return float(layout_outage(scenario.channel, polar, heights, upos[:, 0], upos[:, 1])[0])
+    polar = np.array([[a.radii, a.angles]])
+    return float(layout_outage(scenario.channel, polar, a.height, upos[:, 0], upos[:, 1])[0])
 
 
 def expected_outage(
@@ -196,14 +189,17 @@ def expected_outage(
     """
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
+    a = scenario.antennas
     ux, uy = sample_user_batch(scenario.layout, samples, rng)
-    polar, heights = antenna_arrays([scenario.antennas])
+    polar = np.array([[a.radii, a.angles]])
     if workers <= 1 or samples < 2 * workers:
-        values = layout_outage(scenario.channel, polar, heights, ux, uy)[0]
+        values = layout_outage(scenario.channel, polar, a.height, ux, uy)[0]
     else:
+        # imported here, as at module level it would slow every CLI start-up
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                lambda xy: layout_outage(scenario.channel, polar, heights, *xy)[0],
+                lambda xy: layout_outage(scenario.channel, polar, a.height, *xy)[0],
                 zip(np.array_split(ux, workers), np.array_split(uy, workers)),
             )
             values = np.concatenate(list(parts))

@@ -78,7 +78,8 @@ class RMTrace:
     Row n holds the raw iterate, the Polyak average of all earlier iterates
     (row 1 repeats the start), and the expected outage scored at that
     average on a fixed evaluation stream shared by every row. The outage
-    columns are filled after the search; nothing in the loop reads them.
+    columns are filled after the search, in one kernel call; nothing in
+    the loop reads them.
     """
 
     iterates: tuple[tuple[float, ...], ...]
@@ -118,6 +119,16 @@ def _antennas_from_params(params: np.ndarray, init: AntennaVector, mode: str) ->
     return AntennaVector(tuple(radii), tuple(angles), init.height)
 
 
+def _score(
+    scenario: CellScenario, polar: np.ndarray, height: float, samples: int, seed: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Expected outage and standard error of each layout at one height,
+    all scored on one batch of samples users drawn from seed."""
+    ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
+    ests = [OutageEstimate.of(v) for v in layout_outage(scenario.channel, polar, height, ux, uy)]
+    return tuple(e.value for e in ests), tuple(e.std_err for e in ests)
+
+
 def _fd_gradient(
     scenario: CellScenario,
     params: np.ndarray,
@@ -149,8 +160,7 @@ def _fd_gradient(
     widths = np.where(at_hi | at_lo, delta, 2.0 * delta)
     upos = user_positions(scenario.layout, users)
     polar = _polar_from_params(probes, init, cfg.mode)
-    heights = np.full(len(probes), init.height)
-    values = layout_outage(scenario.channel, polar, heights, upos[:, 0], upos[:, 1])
+    values = layout_outage(scenario.channel, polar, init.height, upos[:, 0], upos[:, 1])
     return (values[0::2] - values[1::2]) / widths
 
 
@@ -164,12 +174,10 @@ def rm_optimize(
 
     Each iteration draws a fresh user vector from rng and descends the
     conditional outage. The loop records only the iterates and averages;
-    after it, the trace's outage column is scored on one evaluation batch,
-    drawn from a seed taken from rng before the first iteration, so
-    successive rows differ only through the antenna locations, not through
-    which users were sampled. The distinct rows, row 1 and each row whose
-    average moved, go to the kernel in one call; a repeated row (row 2
-    always is one) takes the previous row's estimate.
+    after it, every trace row is scored in one kernel call on one
+    evaluation batch, drawn from a seed taken from rng before the first
+    iteration, so successive rows differ only through the antenna
+    locations, not through which users were sampled.
     """
     params = _params_from_init(init, cfg.mode)
     lo, hi = cfg.radius_bounds
@@ -208,23 +216,9 @@ def rm_optimize(
         params = new
 
     diverged = bool(np.any(pinned_streak >= cfg.convergence_window))
-    ux, uy = sample_user_batch(
-        scenario.layout, cfg.eval_samples, np.random.default_rng(eval_seed)
-    )
-    rows = np.array(averages)
-    distinct = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-    polar = _polar_from_params(rows[distinct], init, cfg.mode)
-    values = layout_outage(scenario.channel, polar, np.full(len(polar), init.height), ux, uy)
-    ests = [OutageEstimate.of(v) for v in values]
-    row_ests = [ests[i] for i in np.cumsum(distinct) - 1]  # a repeated row keeps its predecessor's
-    trace = RMTrace(
-        tuple(iterates),
-        tuple(averages),
-        tuple(e.value for e in row_ests),
-        tuple(e.std_err for e in row_ests),
-        converged,
-        diverged,
-    )
+    polar = _polar_from_params(np.array(averages), init, cfg.mode)
+    outage, outage_se = _score(scenario, polar, init.height, cfg.eval_samples, eval_seed)
+    trace = RMTrace(tuple(iterates), tuple(averages), outage, outage_se, converged, diverged)
     return _antennas_from_params(average, init, cfg.mode), trace
 
 
@@ -261,7 +255,4 @@ def radius_sweep(
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
     seed = int(rng.integers(2**63))
-    ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
-    values = layout_outage(scenario.channel, polar, np.full(len(grid), base.height), ux, uy)
-    ests = [OutageEstimate.of(v) for v in values]
-    return SweepResult(tuple(grid), tuple(e.value for e in ests), tuple(e.std_err for e in ests))
+    return SweepResult(tuple(grid), *_score(scenario, polar, base.height, samples, seed))

@@ -20,8 +20,7 @@ probability may be a plain number or the expected-outage output of the
 antenna engine; the simulator does not care where it came from.
 
 The checks on it live under tests/: the per-slot and per-packet loops it
-replaced, the fit of its delay tails against the analysis, and the mean
-delay and queue length of the Little's-law test.
+replaced and the fit of its delay tails against the analysis.
 """
 from __future__ import annotations
 
@@ -89,9 +88,7 @@ class FlowStats:
     """Post-warmup tallies for one flow.
 
     delay_counts[d] is the number of departures (served or lost) whose
-    recorded delay was exactly d slots; area is the summed per-slot number
-    of packets present, which divided by the window length is the mean
-    queue length (head-of-line packet included).
+    recorded delay was exactly d slots.
     """
 
     priority: int
@@ -99,8 +96,6 @@ class FlowStats:
     served: int
     lost: int
     delay_counts: tuple[int, ...]
-    area: int
-    window: int
 
     @property
     def departures(self) -> int:
@@ -342,18 +337,14 @@ def _serve_level(flow, limit, e, idx, free, fail, cfg: SimConfig, last: bool):
     depart = end[:done] if free is None else free[end[:done]]
     first = int(np.searchsorted(e, e.dtype.type(warmup)))  # first post-warmup arrival
     lost = int(np.count_nonzero(fail[depart[first:]]))
-    # slots present: arrival (or warmup) through departure or the horizon
-    area = int(np.clip(depart[:first] - warmup + 1, 0, None).sum(dtype=np.int64))
-    area += (len(e) - done) * horizon - int(np.maximum(e[done:], warmup).sum(dtype=np.int64))
     # in place: depart (a view of end on the top level) is not read again
     wait = np.subtract(depart[first:], e[first:done], out=depart[first:])
-    area += int(wait.sum(dtype=np.int64)) + len(wait)
     wait += 1 if cfg.delay_convention == "sojourn" else 0
     counts = np.zeros(int(wait.max(initial=-1)) + 1, dtype=np.int64)
     for c in range(0, len(wait), _BLOCK):  # bincount copies its input to int64
         counts += np.bincount(wait[c : c + _BLOCK], minlength=len(counts))
     tallies = (len(e) - first, len(wait) - lost, lost, tuple(counts.tolist()))
-    return FlowStats(flow.priority, *tallies, area, horizon - warmup), keep
+    return FlowStats(flow.priority, *tallies), keep
 
 
 def simulate(cfg: SimConfig) -> SimStats:

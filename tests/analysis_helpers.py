@@ -10,8 +10,8 @@ the analysis never builds; binomial_energy_gap measures how far the
 moment-based approximation the analysis uses strays from it (criterion 1).
 
 compare_with_analysis fits a simulated delay tail against an analytic
-curve (criterion 3), and mean_delay and mean_queue_length are the two
-sides of Little's law on one flow's simulator tallies.
+curve (criterion 3), and mean_delay is the mean recorded delay of one
+flow's simulator tallies.
 """
 from __future__ import annotations
 
@@ -106,11 +106,6 @@ def binomial_energy_gap(q: float, phi_max: float) -> float:
         a = eval_energy(approx, phi)
         worst = max(worst, abs(a - e) / e)
     return worst
-
-
-def mean_queue_length(fs: FlowStats) -> float:
-    """Time-average packets present, head-of-line packet included."""
-    return fs.area / fs.window
 
 
 def mean_delay(fs: FlowStats) -> float:

@@ -64,7 +64,6 @@ def simulate(cfg: SimConfig) -> SimStats:
     """
     rng = np.random.default_rng(cfg.seed)
     horizon, warmup = cfg.horizon, cfg.warmup
-    window = horizon - warmup
     n_flows = len(cfg.system.flows)
     queues = [_eligible_slots(f, horizon, rng) for f in cfg.system.flows]
     heads = [0] * n_flows
@@ -88,14 +87,9 @@ def simulate(cfg: SimConfig) -> SimStats:
     delay_counts: list[dict[int, int]] = [{} for _ in range(n_flows)]
     served = [0] * n_flows
     lost = [0] * n_flows
-    area = [0] * n_flows
     attempts = [0] * n_flows
 
     def close_out(flow_idx: int, eligible: int, depart: int, was_lost: bool) -> None:
-        lo = max(eligible, warmup)
-        hi = min(depart, horizon - 1)
-        if hi >= lo:
-            area[flow_idx] += hi - lo + 1
         if eligible >= warmup:
             if was_lost:
                 lost[flow_idx] += 1
@@ -142,21 +136,12 @@ def simulate(cfg: SimConfig) -> SimStats:
             attempts[pick] = 0
         slot += 1
 
-    # whatever is still queued at the horizon occupies the tail of the window
-    for i in range(n_flows):
-        for e in queues[i][heads[i] :]:
-            lo = max(e, warmup)
-            if lo <= horizon - 1:
-                area[i] += horizon - lo
-
     flow_stats = []
     for i, f in enumerate(cfg.system.flows):
         counts = delay_counts[i]
         top = max(counts) if counts else -1
         table = tuple(counts.get(d, 0) for d in range(top + 1))
-        flow_stats.append(
-            FlowStats(f.priority, arrived[i], served[i], lost[i], table, area[i], window)
-        )
+        flow_stats.append(FlowStats(f.priority, arrived[i], served[i], lost[i], table))
     return SimStats(tuple(flow_stats))
 
 

@@ -1,12 +1,18 @@
 """End-to-end command tests: argv in, CSV text and exit code out.
 
 Everything runs in-process through main() so coverage and debuggers see
-the command paths; stdout/stderr are captured with capsys.
+the command paths; stdout/stderr are captured with capsys. One test imports
+the CLI in a fresh interpreter to see which modules start-up loads.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dasqos
 from dasqos.cli import main
 from dasqos.config import format_float, parse_scenario
 from dasqos.delay import PrioritySystem, delay_violation_probability
@@ -473,6 +479,27 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "No such file" in err
 
+    def test_unwritable_out_is_a_config_error(self, run, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run(["outage", "--out", str(out)], config=ALPHA0_TEXT)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "No such file" in err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["outage"], ALPHA0_TEXT),
+            (["sweep", "--radii", "0.2"], SWEEP_TEXT),
+            (["optimize"], OPT_TEXT),
+            (["delay", "--dth", "1:2:1", "--simulate"], FLOWS_TEXT),
+        ],
+        ids=["outage", "sweep", "optimize", "delay-simulate"],
+    )
+    def test_negative_seed_flag(self, run, argv, config):
+        code, out, err = run(argv + ["--seed", "-1"], config=config)
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
     def test_unknown_priority(self, run):
         code, _, err = run(
             ["delay", "--dth", "1:2:1", "--flow", "99"], config=FLOWS_TEXT
@@ -504,3 +531,12 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_cli_import_leaves_thread_pools_out():
+    # only expected_outage(workers > 1) needs concurrent.futures, and the
+    # import pulls logging and queue into every CLI start-up
+    src = str(Path(dasqos.__file__).parents[1])
+    check = "import sys, dasqos.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0

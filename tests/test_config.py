@@ -218,6 +218,10 @@ class TestFieldErrors:
             "<config>:3:10: unknown key 'color' in flow",
         )
 
+    def test_negative_seed(self):
+        # numpy rejects it only once a command draws, with a traceback
+        expect("run: {seed: -1}\n", "<config>:1:6: seed must be >= 0, got -1")
+
     def test_rm_has_no_radius_bounds_field(self):
         expect(
             "rm:\n  radius_bounds: [0.0, 1.0]\n",

@@ -35,7 +35,6 @@ from dasqos.geometry import (
 from dasqos.outage import (
     CellScenario,
     ChannelParams,
-    antenna_arrays,
     antenna_outage_closed_form,
     conditional_system_outage,
     expected_outage,
@@ -51,6 +50,12 @@ def two_cell_scenario(exponent=4.0, efficiency=1.0, alpha=1.0, spacing=2.0):
     channel = ChannelParams(exponent, efficiency, alpha)
     antennas = AntennaVector((0.0,), (0.0,), 0.05)
     return CellScenario(layout, antennas, channel)
+
+
+def one_height(layouts):
+    """layout_outage's polar array and mast height for AntennaVectors of one height."""
+    (height,) = {a.height for a in layouts}
+    return np.array([(a.radii, a.angles) for a in layouts]), height
 
 
 def seven_cell_scenario(exponent=2.0, efficiency=1.0, alpha=1.0, radius=0.42):
@@ -411,7 +416,7 @@ def test_link_rates_match_distance_oracle(exponent):
                     product_form_outage(rates[0], rates[1:] / channel.sir_threshold, 0.6)
                 )
             upos = user_positions(layout, users)
-            value = layout_outage(channel, *antenna_arrays([antennas]), upos[:, 0], upos[:, 1])
+            value = layout_outage(channel, *one_height([antennas]), upos[:, 0], upos[:, 1])
             assert value.shape == (1,)
             assert value[0] == pytest.approx(expected, rel=1e-10)
 
@@ -424,11 +429,12 @@ def test_kernel_matches_scalar_loop_bitwise(alpha):
     channel = ChannelParams(3.3, 1.0, alpha)
     rng = np.random.default_rng(8)
     ux, uy = sample_user_batch(layout, 40, np.random.default_rng(9))
-    four = [a for a in KERNEL_LAYOUTS if a.count == 4]  # stacked layouts share a count
-    stacked = layout_outage(channel, *antenna_arrays(four), ux, uy)
-    assert stacked.shape == (3, 40)
+    # stacked layouts share a count and a height
+    four = [a for a in KERNEL_LAYOUTS if a.count == 4 and a.height == 0.05]
+    stacked = layout_outage(channel, *one_height(four), ux, uy)
+    assert stacked.shape == (2, 40)
     for k, antennas in enumerate(four):
-        alone = layout_outage(channel, *antenna_arrays([antennas]), ux, uy)[0]
+        alone = layout_outage(channel, *one_height([antennas]), ux, uy)[0]
         assert alone.tobytes() == stacked[k].tobytes()
     for antennas in KERNEL_LAYOUTS:
         scenario = CellScenario(layout, antennas, channel)
@@ -437,7 +443,7 @@ def test_kernel_matches_scalar_loop_bitwise(alpha):
             reference = probe_loop_oracle.conditional_system_outage(scenario, users)
             assert conditional_system_outage(scenario, users) == reference
             upos = user_positions(layout, users)
-            value = layout_outage(channel, *antenna_arrays([antennas, antennas]), upos[:, 0], upos[:, 1])
+            value = layout_outage(channel, *one_height([antennas, antennas]), upos[:, 0], upos[:, 1])
             assert value.tolist() == [reference, reference]
 
 
@@ -472,18 +478,17 @@ def test_kernel_matches_probe_loop_property(
     layout = CLUSTERS[cluster]
     channel = ChannelParams(exponent, efficiency, alpha)
     rng = np.random.default_rng(seed)
+    height = float(rng.uniform(0.01, 0.5))
     layouts = [
         AntennaVector(
-            tuple(rng.random(n_antennas)),
-            tuple(rng.random(n_antennas) * 2 * math.pi),
-            float(rng.uniform(0.01, 0.5)),
+            tuple(rng.random(n_antennas)), tuple(rng.random(n_antennas) * 2 * math.pi), height
         )
         for _ in range(n_layouts)
     ]
     users = [sample_user_vector(layout, rng) for _ in range(n_users)]
     upos = np.stack([user_positions(layout, u) for u in users])
     with mock.patch.object(outage, "_BLOCK", block):
-        got = layout_outage(channel, *antenna_arrays(layouts), upos[..., 0], upos[..., 1])
+        got = layout_outage(channel, *one_height(layouts), upos[..., 0], upos[..., 1])
     want = np.array([
         [
             probe_loop_oracle.conditional_system_outage(CellScenario(layout, a, channel), u)
@@ -510,16 +515,15 @@ def test_kernel_matches_probe_loop_property(
 def test_layout_steps_match_single_layout_calls(block):
     channel = ChannelParams(3.3, 1.5, 0.7)
     rng = np.random.default_rng(21)
+    height = float(rng.uniform(0.01, 0.5))
     layouts = [
-        AntennaVector(
-            tuple(rng.random(4)), tuple(rng.random(4) * 2 * math.pi), float(rng.uniform(0.01, 0.5))
-        )
+        AntennaVector(tuple(rng.random(4)), tuple(rng.random(4) * 2 * math.pi), height)
         for _ in range(9)
     ]
     ux, uy = sample_user_batch(hex_cluster(7, 2.0), 10, rng)
     with mock.patch.object(outage, "_BLOCK", block):
-        stacked = layout_outage(channel, *antenna_arrays(layouts), ux, uy)
-    alone = [layout_outage(channel, *antenna_arrays([a]), ux, uy)[0] for a in layouts]
+        stacked = layout_outage(channel, *one_height(layouts), ux, uy)
+    alone = [layout_outage(channel, *one_height([a]), ux, uy)[0] for a in layouts]
     assert stacked.tobytes() == np.array(alone).tobytes()
 
 
@@ -539,19 +543,11 @@ def test_kernel_memory_stays_per_block():
     ux, uy = sample_user_batch(layout, 100_000, np.random.default_rng(3))
     tracemalloc.start()
     try:
-        layout_outage(ChannelParams(2.0), *antenna_arrays([symmetric_circle(4, 0.5)]), ux, uy)
+        layout_outage(ChannelParams(2.0), *one_height([symmetric_circle(4, 0.5)]), ux, uy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
-
-
-def test_kernel_rejects_unequal_antenna_counts():
-    layout = hex_cluster(7, 2.0)
-    ux, uy = sample_user_batch(layout, 5, np.random.default_rng(0))
-    layouts = [symmetric_circle(4, 0.5), symmetric_circle(3, 0.5)]
-    with pytest.raises(ConfigError, match="equal antenna counts"):
-        layout_outage(ChannelParams(2.0), *antenna_arrays(layouts), ux, uy)
 
 
 def test_expected_outage_matches_scalar_loop():

@@ -341,10 +341,11 @@ class TestBatchedScoring:
             assert (value, se) == (est.value, est.std_err)
 
     @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
-    def test_unmoved_average_is_not_rescored(self, mode):
+    def test_trace_is_scored_in_one_call(self, mode):
         # every iteration scores its 2P gradient probes in one kernel call;
-        # after the loop one call scores the trace's distinct rows, row 1
-        # and each row whose Polyak average moved (row 2 repeats the start)
+        # after the loop one call scores every trace row, and a row whose
+        # Polyak average did not move (row 2 repeats the start) scores as
+        # its predecessor
         scenario = cluster_scenario(4.0, 0.8)
         init = symmetric_circle(4, 0.2)
         cfg = RMConfig(mode=mode, max_iter=12, eval_samples=300, tolerance=1e-12)
@@ -361,7 +362,7 @@ class TestBatchedScoring:
         moved = [a != b for a, b in zip(trace.averages, trace.averages[1:])]
         assert moved[0] is False and sum(moved) >= 5
         assert len(trace) == cfg.max_iter
-        assert layouts_per_call == [probes] * cfg.max_iter + [1 + sum(moved)]
+        assert layouts_per_call == [probes] * cfg.max_iter + [len(trace)]
         for row, moved_here in enumerate(moved, start=1):
             if not moved_here:
                 assert trace.outage[row] == trace.outage[row - 1]

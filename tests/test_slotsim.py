@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slot_loop_oracle
-from analysis_helpers import compare_with_analysis, mean_delay, mean_queue_length
+from analysis_helpers import compare_with_analysis, mean_delay
 from dasqos import slotsim
 from dasqos.delay import PrioritySystem, delay_violation_probability
 from dasqos.errors import ConfigError
@@ -110,7 +110,6 @@ class TestBookkeeping:
             assert fs.departures == fs.served + fs.lost
             assert fs.arrived >= fs.departures
             assert sum(fs.delay_counts) == fs.departures
-            assert fs.window == 990_000
             assert mean_delay(fs) >= 1.0  # sojourn counts the service slot
 
     def test_ccdf_nonincreasing_from_one(self, fig5_stats):
@@ -127,15 +126,6 @@ class TestBookkeeping:
             assert p_hat == fs.ccdf(d)
             assert 0.0 <= lo <= p_hat <= hi <= 1.0
 
-    def test_little_law_is_tight(self, fig5_stats):
-        # area sums the same slots the recorded delays count, so the law
-        # holds to boundary clipping, far inside the 3 s.e. it must meet
-        for fs in fig5_stats.flows:
-            lam_hat = fs.departures / fs.window
-            assert mean_queue_length(fs) == pytest.approx(
-                lam_hat * mean_delay(fs), rel=1e-3
-            )
-
     def test_stable_flag(self):
         # the delay command's unstable-load warning reads the same load
         assert fig5_config(1_000_000, seed=7).system.effective_load() < 1.0
@@ -151,7 +141,6 @@ class TestQuietAndBoundary:
         assert fs.served == 0
         assert fs.lost == 0
         assert fs.loss_rate == 0.0
-        assert mean_queue_length(fs) == 0.0
         assert math.isnan(mean_delay(fs))
         assert math.isnan(fs.ccdf(3))
 
