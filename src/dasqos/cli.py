@@ -6,6 +6,12 @@ outage for pinned users or the expectation over user placement; optimize
 runs the stochastic placement search and echoes the final layout as a
 config snippet; sweep scores a shared-radius grid.
 
+CSV cells are written with %.9g when they are floats (numpy float64
+included) and with str otherwise. The CSV path, --out or run.output, is
+opened without truncation before the command runs, so a path that cannot
+be written fails at once; a failed run neither truncates an existing file
+nor leaves a new one behind.
+
 Exit codes: 0 success, 2 configuration/validation problem, 3 numerical
 failure (unstable queue, missing decay-rate root).
 """
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -101,17 +108,33 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"grid values must be numbers: {text!r}") from None
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+def _claim_output(path: str) -> bool:
+    """Fail fast when the CSV path cannot be written, truncating nothing.
+
+    Returns True when the check created the file, which a failed run removes.
+    """
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    return not existed
 
 
 def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
+    # one %-format per row, cached by the row's cell types: %.9g is
+    # format_float for any float (subclasses too), %s is str for the rest
+    formats: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    for row in rows:
+        cells = tuple(row)
+        types = tuple(map(type, cells))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.9g" if issubclass(t, float) else "%s" for t in types
+            )
+        lines.append(fmt % cells)
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -161,16 +184,13 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     for d in thresholds:
         if d < 0.0:
             raise ConfigError(f"delay bound must be >= 0, got {d}")
-    analytic: dict[int, dict[float, float]] = {}
-    for pr in priorities:
-        # one root solve per flow; exp(-rate * d) is exactly what
-        # delay_violation_probability returns for each threshold
-        rate = delay_decay_rate(system, pr)
-        analytic[pr] = {d: math.exp(-rate * d) for d in thresholds}
+    # one root solve per flow; exp(-rate * d) is exactly what
+    # delay_violation_probability returns for each threshold
+    rates = [(pr, delay_decay_rate(system, pr)) for pr in priorities]
 
     if not args.simulate:
         rows = [
-            (pr, d, analytic[pr][d]) for pr in priorities for d in thresholds
+            (pr, d, math.exp(-rate * d)) for pr, rate in rates for d in thresholds
         ]
         _emit(["flow", "d_th", "prob_analytic"], rows, cfg.run.output)
         return
@@ -190,10 +210,10 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     if system.effective_load() >= 1.0:
         print("warning: offered load >= 1, queues are unstable", file=sys.stderr)
     rows = []
-    for pr in priorities:
+    for pr, rate in rates:
         table = stats.flow(pr).ccdf_table(int_thresholds)
         for d, p_hat, lo, hi in table:
-            rows.append((pr, d, p_hat, lo, hi, analytic[pr][float(d)]))
+            rows.append((pr, d, p_hat, lo, hi, math.exp(-rate * d)))
     _emit(
         ["flow", "d_th", "prob_sim", "ci_low", "ci_high", "prob_analytic"],
         rows,
@@ -311,7 +331,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_scenario(args.config)
         run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
-        args.func(args, replace(cfg, run=run))
+        created = run.output is not None and _claim_output(run.output)
+        try:
+            args.func(args, replace(cfg, run=run))
+        except BaseException:
+            if created:
+                os.remove(run.output)
+            raise
     except (StabilityError, NoRootError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

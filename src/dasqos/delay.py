@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Callable, Literal, get_args
 
 from .energy import arrival_energy, eval_energy, expm1
 from .errors import ConfigError, NoRootError, StabilityError
@@ -90,40 +90,57 @@ class PrioritySystem:
             )
 
 
-def priority_service_energy(system: PrioritySystem, index: int, phi: float) -> float:
-    """Energy of the service process seen by flows[index], evaluated at -phi.
+def service_energy(system: PrioritySystem, index: int) -> Callable[[float], float]:
+    """Energy of the service process seen by flows[index], as a function of phi.
 
-    The tagged flow's own departures contribute the renewal quadratic at
-    -phi. Each higher-priority flow j steals the slots of its busy periods,
-    which enter through flow j's slot-usage energy at
+    The function evaluates the service energy at -phi. The tagged flow's own
+    departures contribute the renewal quadratic at -phi. Each higher-priority
+    flow j steals the slots of its busy periods, which enter through flow
+    j's slot-usage energy at
 
         phi_hat = phi/mu_y + phi^2 var_y/(2 mu_y^3),
 
     the positive rate at which withheld slots cost the tagged flow packets.
     Every such term is positive, so priority load above the flow always
-    shrinks its decay exponent.
+    shrinks its decay exponent. The moments of every flow are taken once
+    here, not on each evaluation.
     """
-    flow = system.flows[index]
-    mu_y, var_y = service_moments(flow.service)
-    quad = phi * phi * var_y / (2.0 * mu_y**3)
-    total = -phi / mu_y + quad
-    hat = phi / mu_y + quad
+    mu_y, var_y = service_moments(system.flows[index].service)
+    scale = 2.0 * mu_y**3
+    exact = system.higher_priority_mode == "exact_poisson"
+    terms = []
     for other in system.flows[:index]:
         mu_x, var_x = arrival_moments(other.arrival)
         mu_s, var_s = service_moments(other.service)
-        if system.higher_priority_mode == "exact_poisson":
+        if exact:
             if not isinstance(other.arrival, Poisson) or (mu_s, var_s) != (1.0, 0.0):
                 raise ConfigError(
                     "exact_poisson mode needs Poisson arrivals and "
                     "single-attempt service on every higher-priority flow"
                 )
-            total += arrival_rate(other.arrival) * expm1(hat)
+            terms.append(arrival_rate(other.arrival))
         else:
             # slot usage per unit time: mean mu_s/mu_x, variance by renewal CLT
-            mean = mu_s / mu_x
-            var = mu_s * mu_s * var_x / mu_x**3 + var_s / mu_x
-            total += hat * mean + hat * hat * var / 2.0
-    return total
+            terms.append((mu_s / mu_x, mu_s * mu_s * var_x / mu_x**3 + var_s / mu_x))
+
+    def energy(phi: float) -> float:
+        quad = phi * phi * var_y / scale
+        total = -phi / mu_y + quad
+        hat = phi / mu_y + quad
+        if exact:
+            for rate in terms:
+                total += rate * expm1(hat)
+        else:
+            for mean, var in terms:
+                total += hat * mean + hat * hat * var / 2.0
+        return total
+
+    return energy
+
+
+def priority_service_energy(system: PrioritySystem, index: int, phi: float) -> float:
+    """Energy of the service process seen by flows[index], evaluated at -phi."""
+    return service_energy(system, index)(phi)
 
 
 def solve_phi_star(system: PrioritySystem, priority: int) -> float:
@@ -137,9 +154,10 @@ def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     index = system.flow_index(priority)
     system.check_stability(index)
     energy = arrival_energy(system.flows[index].arrival)
+    service = service_energy(system, index)
 
     def f(phi: float) -> float:
-        return eval_energy(energy, phi) + priority_service_energy(system, index, phi)
+        return eval_energy(energy, phi) + service(phi)
 
     lo, hi = 0.0, 1.0
     while f(hi) < 0.0:

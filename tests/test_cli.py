@@ -4,21 +4,29 @@ Everything runs in-process through main() so coverage and debuggers see
 the command paths; stdout/stderr are captured with capsys. One test imports
 the CLI in a fresh interpreter to see which modules start-up loads.
 """
+import contextlib
+import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import dasqos
-from dasqos.cli import main
+from dasqos import cli
+from dasqos.cli import _emit, main
 from dasqos.config import format_float, parse_scenario
 from dasqos.delay import PrioritySystem, delay_violation_probability
 from dasqos.geometry import symmetric_circle
 from dasqos.outage import CellScenario
 from dasqos.traffic import DeterministicUnit, Poisson, TrafficFlow, TruncatedGeometric
+from emit_oracle import emit_text
 from probe_loop_oracle import antenna_outage_closed_form
 
 F2_TEXT = """\
@@ -419,6 +427,85 @@ def test_optimize_and_sweep_bytes_are_pinned(run, tmp_path):
     assert (code, out, err) == (0, PIN_SWEEP_CSV, "")
 
 
+# Four flows, one of each arrival kind, on a 1,001-point grid: the largest
+# delay CSV, with a short simulation of the two-flow scenario next to it.
+# The sha256 pins were taken when every cell was formatted on its own and
+# every service-energy evaluation recomputed the flows' moments.
+FOUR_FLOWS_TEXT = """\
+flows:
+  - priority: 1
+    name: control
+    arrival: {kind: poisson, rate: 0.1}
+    service: {kind: unit}
+  - priority: 2
+    name: video
+    arrival: {kind: markov_fluid, rate_a: 0.5, rate_b: 0.1, weight_a: 0.5, weight_b: 0.5}
+    service: {kind: truncated_geometric, failure_prob: 0.1, max_attempts: 3}
+  - priority: 3
+    name: telemetry
+    arrival: {kind: renewal, mean: 8.0, variance: 40.0}
+    service: {kind: unit}
+  - priority: 4
+    name: bulk
+    arrival: {kind: poisson, rate: 0.3}
+    service: {kind: truncated_geometric, failure_prob: 0.2, max_attempts: 4}
+"""
+
+PIN_ANALYTIC_SHA256 = "3aeb08b0eb762d5a468c82fdc99d6a1abcc7d7ad108f0f7ecdc46c481d318568"
+PIN_SIMULATE_SHA256 = "b389f06539170023a70af7332c9aebf0fb9681e5fccdb3b73b1205a087033de8"
+
+
+def test_delay_bytes_are_pinned(run, tmp_path):
+    curve = tmp_path / "curve.csv"
+    argv = ["delay", "--dth", "0:50:0.05", "--out", str(curve)]
+    assert run(argv, config=FOUR_FLOWS_TEXT) == (0, "", "")
+    text = curve.read_bytes()
+    assert text.count(b"\n") == 1 + 4 * 1001
+    assert hashlib.sha256(text).hexdigest() == PIN_ANALYTIC_SHA256
+    code, out, err = run(["delay", "--dth", "0:20:1", "--simulate"], config=FLOWS_TEXT)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PIN_SIMULATE_SHA256
+
+
+# Cells of every type a command writes, the float edges among them; a
+# drawn table mixes them, so a column's type can change from row to row.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1e16]
+CELLS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.sampled_from(EDGE_FLOATS).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=6),
+)
+
+
+def _tables():
+    def rows(width):
+        row = st.lists(CELLS, min_size=width, max_size=width)
+        return st.lists(st.one_of(row, row.map(tuple)), max_size=12)
+
+    # mostly rectangular, as every command writes; sometimes ragged
+    return st.one_of(
+        st.integers(0, 6).flatmap(rows),
+        st.lists(st.one_of(st.lists(CELLS, max_size=6), st.lists(CELLS, max_size=6).map(tuple)), max_size=8),
+    )
+
+
+@given(header=st.lists(st.text(max_size=4), max_size=6), rows=_tables())
+@example(
+    header=["a", "b"],
+    rows=[(1, 0.5), (0.5, 1), [np.float64(-0.0), np.int64(7)], (True, None), ("x", math.nan)],
+)
+def test_emit_matches_per_cell_oracle(header, rows):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(header, rows, None)
+    assert out.getvalue() == emit_text(header, rows)
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -485,6 +572,61 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
         assert "No such file" in err
+
+    @pytest.mark.parametrize("where", ["flag", "run.output"])
+    def test_unwritable_out_fails_before_the_run(self, run, tmp_path, monkeypatch, where):
+        def simulate(cfg):
+            raise AssertionError("simulate ran although the CSV cannot be written")
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        out = tmp_path / "missing" / "x.csv"
+        argv, config = ["delay", "--dth", "1:2:1", "--simulate"], FLOWS_TEXT
+        if where == "flag":
+            argv += ["--out", str(out)]
+        else:
+            config = config.replace("run: {", f"run: {{output: '{out}', ")
+        code, stdout, err = run(argv, config=config)
+        assert (code, stdout, err) == (2, "", f"error: {out}: No such file or directory\n")
+
+    def test_directory_out_is_a_config_error(self, run, tmp_path):
+        code, _, err = run(["delay", "--dth", "1:2:1", "--out", str(tmp_path)], config=FLOWS_TEXT)
+        assert (code, err) == (2, f"error: {tmp_path}: Is a directory\n")
+
+    def test_failed_run_leaves_the_output_as_it_was(self, run, tmp_path):
+        unstable = FLOWS_TEXT.replace("rate: 0.6", "rate: 0.9")
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("earlier run\n", encoding="utf-8")
+        for out in (old, new):
+            code, _, err = run(["delay", "--dth", "1:2:1", "--out", str(out)], config=unstable)
+            assert code == 3 and err.startswith("numerical failure:")
+        assert old.read_text(encoding="utf-8") == "earlier run\n"
+        assert not new.exists()
+        # a run that succeeds replaces the earlier CSV
+        code, _, _ = run(["delay", "--dth", "1:2:1", "--out", str(old)], config=FLOWS_TEXT)
+        assert code == 0
+        assert old.read_text(encoding="utf-8").startswith("flow,d_th,prob_analytic\n")
+
+    @pytest.mark.parametrize(
+        "higher",
+        [
+            "{kind: poisson, rate: 0.2}\n    service: {kind: truncated_geometric, failure_prob: 0.1, max_attempts: 2}",
+            "{kind: renewal, mean: 5.0, variance: 25.0}\n    service: {kind: unit}",
+        ],
+        ids=["retrying", "renewal"],
+    )
+    def test_exact_poisson_rejects_higher_flow_before_writing(self, run, tmp_path, higher):
+        config = FLOWS_TEXT.replace(
+            "{kind: poisson, rate: 0.2}\n    service: {kind: unit}", higher
+        ).replace("run: {", "run: {higher_priority_mode: exact_poisson, ")
+        assert higher in config
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(["delay", "--dth", "1:2:1", "--out", str(out)], config=config)
+        assert (code, stdout) == (2, "")
+        assert err == (
+            "error: exact_poisson mode needs Poisson arrivals and "
+            "single-attempt service on every higher-priority flow\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, config",

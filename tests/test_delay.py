@@ -9,12 +9,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dasqos.delay import (
     PrioritySystem,
     delay_decay_rate,
     delay_violation_probability,
     priority_service_energy,
+    service_energy,
     solve_phi_star,
 )
 from dasqos.energy import arrival_energy, eval_energy
@@ -28,6 +31,7 @@ from dasqos.traffic import (
     TruncatedGeometric,
 )
 from analysis_helpers import four_flow_delay
+from service_energy_oracle import priority_service_energy as per_call_service_energy
 
 
 def single_poisson(rate: float) -> PrioritySystem:
@@ -94,6 +98,62 @@ def test_exact_poisson_mode_rejects_wrong_flows():
     )
     with pytest.raises(ConfigError):
         priority_service_energy(bad, 1, 0.5)
+
+
+POISSON_UNIT = st.tuples(st.floats(0.01, 2.0).map(Poisson), st.just(DeterministicUnit()))
+ANY_FLOW = st.tuples(
+    st.one_of(
+        st.floats(0.01, 2.0).map(Poisson),
+        st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.0, 1.0)).map(
+            lambda t: MarkovFluidRenewal(t[0], t[1], t[2], 1.0 - t[2])
+        ),
+        st.tuples(st.floats(0.5, 20.0), st.floats(0.0, 80.0)).map(lambda t: GenericRenewal(*t)),
+    ),
+    st.one_of(
+        st.just(DeterministicUnit()),
+        st.tuples(st.floats(0.0, 0.95), st.integers(1, 6)).map(lambda t: TruncatedGeometric(*t)),
+    ),
+)
+
+
+def _systems():
+    # exact_poisson draws its higher flows mostly from the ones it accepts
+    def build(mode, flows):
+        return PrioritySystem(
+            tuple(TrafficFlow(i + 1, a, s) for i, (a, s) in enumerate(flows)), mode
+        )
+
+    flows = lambda flow: st.lists(flow, min_size=1, max_size=5)
+    return st.one_of(
+        flows(ANY_FLOW).map(lambda f: build("gaussian", f)),
+        flows(st.one_of(POISSON_UNIT, POISSON_UNIT, ANY_FLOW)).map(
+            lambda f: build("exact_poisson", f)
+        ),
+    )
+
+
+PHIS = st.lists(
+    st.one_of(st.floats(0.0, 64.0), st.sampled_from([0.0, 1e-300, 1.0, 64.0, 710.0])),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(system=_systems(), phis=PHIS)
+def test_service_energy_matches_per_call_oracle(system, phis):
+    # same bits at every phi, or the same ConfigError, for every flow
+    for index in range(len(system.flows)):
+        try:
+            want = [per_call_service_energy(system, index, phi).hex() for phi in phis]
+        except ConfigError as exc:
+            for build in (lambda: service_energy(system, index), lambda: priority_service_energy(system, index, phis[0])):
+                with pytest.raises(ConfigError) as got:
+                    build()
+                assert str(got.value) == str(exc)
+            continue
+        energy = service_energy(system, index)
+        assert [energy(phi).hex() for phi in phis] == want
+        assert [priority_service_energy(system, index, phi).hex() for phi in phis] == want
 
 
 def test_phi_star_single_poisson_oracle():
