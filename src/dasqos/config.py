@@ -140,6 +140,8 @@ def _float(node: yaml.Node, what: str) -> float:
         raise _fail(node, f"{what} must be a number, got {text!r}") from None
     if math.isnan(value):
         raise _fail(node, f"{what} must not be NaN")
+    if math.isinf(value):
+        raise _fail(node, f"{what} must be finite, got {text!r}")
     return value
 
 
@@ -197,25 +199,23 @@ def _coercer(hint: Any) -> Callable[[yaml.Node, str], Any]:
 
 
 @functools.cache
-def _parameters(fn: Callable, skip: tuple[str, ...]) -> dict[str, tuple[bool, Callable]]:
-    """Key -> (required, coercer) for each parameter of fn not in skip."""
+def _parameters(fn: Callable) -> dict[str, tuple[bool, Callable]]:
+    """Key -> (required, coercer) for each parameter of fn."""
     hints = get_type_hints(fn)
     return {
         name: (p.default is p.empty, _coercer(hints[name]))
         for name, p in inspect.signature(fn).parameters.items()
-        if name not in skip
     }
 
 
-def _build(fn: Callable, node: yaml.Node, what: str,
-           fields: dict[str, yaml.Node] | None = None, skip: tuple[str, ...] = ()):
-    """fn called with the mapping at node, one key per parameter not in skip.
+def _build(fn: Callable, node: yaml.Node, what: str, fields: dict[str, yaml.Node] | None = None):
+    """fn called with the mapping at node, one key per parameter.
 
     fields is that mapping when the caller has already read it.
     """
     if fields is None:
         fields = _mapping(node, what)
-    params = _parameters(fn, skip)
+    params = _parameters(fn)
     _reject_unknown(fields, params, what)
     kwargs = {}
     for name, (required, coerce) in params.items():
@@ -303,9 +303,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             elif key == "run":
                 run = _build(RunParams, node, "run")
             elif key == "rm":
-                # the search's radius bounds are set in code only; a scenario
-                # always searches the whole unit cell
-                rm = _build(RMConfig, node, "rm", skip=("radius_bounds",))
+                rm = _build(RMConfig, node, "rm")
         except ConfigError as exc:
             if str(exc).startswith(source):
                 raise

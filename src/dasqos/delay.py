@@ -138,18 +138,15 @@ def service_energy(system: PrioritySystem, index: int) -> Callable[[float], floa
     return energy
 
 
-def priority_service_energy(system: PrioritySystem, index: int, phi: float) -> float:
-    """Energy of the service process seen by flows[index], evaluated at -phi."""
-    return service_energy(system, index)(phi)
-
-
 def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     """Unique positive root of arrival energy + service energy for one flow.
 
     The combined function is convex, zero at the origin, and has negative
     slope there exactly when the flow is stable, so a sign change brackets
-    one root. Brackets grow by doubling from (0, 1]; hitting BRACKET_CAP
-    without a sign change raises NoRootError.
+    one root. Brackets grow by doubling from (0, 1]; the bisection keeps
+    each end's value, and an end whose energy overflowed is not negative,
+    so it moves down like any other. No sign change up to BRACKET_CAP, or a
+    root the bisection cannot reach in MAX_BISECTIONS steps, raises NoRootError.
     """
     index = system.flow_index(priority)
     system.check_stability(index)
@@ -159,31 +156,33 @@ def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     def f(phi: float) -> float:
         return eval_energy(energy, phi) + service(phi)
 
-    lo, hi = 0.0, 1.0
-    while f(hi) < 0.0:
-        lo = hi
+    # f(0) = 0; a bisection that converges has moved lo off 0
+    lo, f_lo = 0.0, 0.0
+    hi, f_hi = 1.0, f(1.0)
+    while f_hi < 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > BRACKET_CAP:
             raise NoRootError(
-                f"no sign change up to phi = {BRACKET_CAP:g}; "
-                "decay exponent out of range"
+                f"no sign change up to phi = {BRACKET_CAP:g}; decay exponent out of range"
             )
-    if math.isinf(f(hi)):
-        # shrink back from an overflowed endpoint before bisecting
-        while math.isinf(f((lo + hi) / 2.0)):
-            hi = (lo + hi) / 2.0
+        f_hi = f(hi)
     for _ in range(MAX_BISECTIONS):
-        mid = (lo + hi) / 2.0
         if hi - lo <= ROOT_TOL * hi:
             break
-        if f(mid) < 0.0:
-            lo = mid
+        mid = (lo + hi) / 2.0
+        if (f_mid := f(mid)) < 0.0:
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
+            hi, f_hi = mid, f_mid
+    if hi - lo > ROOT_TOL * hi:
+        raise NoRootError(
+            f"{MAX_BISECTIONS} bisections left the root in ({lo:.3g}, {hi:.3g}]; "
+            "decay exponent out of range"
+        )
     root = (lo + hi) / 2.0
-    # one secant polish; keep it only if it stays bracketed and improves
-    f_lo, f_hi = f(lo), f(hi)
-    if f_hi > f_lo and math.isfinite(f_hi):
+    # one secant polish, kept only if it stays bracketed and improves (f_hi = inf gives lo)
+    if f_hi > f_lo:
         candidate = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         if lo < candidate < hi and abs(f(candidate)) <= abs(f(root)):
             root = candidate

@@ -19,4 +19,5 @@ class StabilityError(DasqosError):
 
 
 class NoRootError(DasqosError):
-    """The decay-rate root equation has no sign change on the search bracket."""
+    """The decay-rate root equation has no sign change on the search bracket,
+    or its root lies too close to 0 for the bisection to reach."""

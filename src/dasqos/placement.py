@@ -20,11 +20,11 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import AntennaVector, antenna_polar, sample_user_batch, sample_user_vector
-from .geometry import user_positions
+from .geometry import AntennaVector, antenna_polar, sample_user_batch
 from .outage import CellScenario, OutageEstimate, layout_outage
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
+RADIUS_BOUNDS = (0.0, 1.0)  # radii are clamped to the unit cell after each step
 
 RMMode = Literal["radius_only", "full_polar"]
 
@@ -38,8 +38,7 @@ class RMConfig:
     step_scale * n^(-step_exponent); the gradient is a finite difference
     with half-width fd_step. The loop stops at max_iter or once the Polyak
     average moved less than tolerance over convergence_window iterations.
-    Radii are clamped to radius_bounds after each step. eval_samples sets
-    the per-row expected-outage budget in the trace.
+    eval_samples sets the per-row expected-outage budget in the trace.
     """
 
     mode: RMMode = "radius_only"
@@ -49,7 +48,6 @@ class RMConfig:
     max_iter: int = 200
     convergence_window: int = 10
     tolerance: float = 1e-4
-    radius_bounds: tuple[float, float] = (0.0, 1.0)
     eval_samples: int = 10_000
 
     def __post_init__(self) -> None:
@@ -64,9 +62,6 @@ class RMConfig:
             raise ConfigError(f"fd_step must be > 0, got {self.fd_step}")
         if self.max_iter < 1 or self.convergence_window < 1:
             raise ConfigError("max_iter and convergence_window must be >= 1")
-        lo, hi = self.radius_bounds
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ConfigError(f"radius bounds must nest in [0, 1], got {self.radius_bounds}")
         if self.eval_samples < 2:
             raise ConfigError("eval_samples must be >= 2")
 
@@ -134,9 +129,10 @@ def _fd_gradient(
     params: np.ndarray,
     init: AntennaVector,
     cfg: RMConfig,
-    users,
+    ux: np.ndarray,
+    uy: np.ndarray,
 ) -> np.ndarray:
-    """Finite-difference gradient of the conditional outage.
+    """Finite-difference gradient of the conditional outage at users (ux, uy), each (cells,).
 
     Central differences except against a radius bound, where the probe
     switches to one-sided. That keeps probes feasible and, just as
@@ -147,7 +143,7 @@ def _fd_gradient(
     on the user vector in one call.
     """
     n_radii = params.size if cfg.mode == "radius_only" else init.count
-    lo, hi = cfg.radius_bounds
+    lo, hi = RADIUS_BOUNDS
     delta = cfg.fd_step
     i = np.arange(params.size)
     at_hi = (i < n_radii) & (params + delta > hi)
@@ -158,9 +154,8 @@ def _fd_gradient(
     up[i[~at_hi], i[~at_hi]] += delta
     down[i[~at_lo], i[~at_lo]] -= delta
     widths = np.where(at_hi | at_lo, delta, 2.0 * delta)
-    upos = user_positions(scenario.layout, users)
     polar = _polar_from_params(probes, init, cfg.mode)
-    values = layout_outage(scenario.channel, polar, init.height, upos[:, 0], upos[:, 1])
+    values = layout_outage(scenario.channel, polar, init.height, ux, uy)
     return (values[0::2] - values[1::2]) / widths
 
 
@@ -180,7 +175,6 @@ def rm_optimize(
     locations, not through which users were sampled.
     """
     params = _params_from_init(init, cfg.mode)
-    lo, hi = cfg.radius_bounds
     n_radii = params.size if cfg.mode == "radius_only" else init.count
     # drawn from a seed of its own, the evaluation batch leaves rng's stream alone
     eval_seed = int(rng.integers(2**63))
@@ -201,12 +195,12 @@ def rm_optimize(
                 converged = True
                 break
 
-        users = sample_user_vector(scenario.layout, rng)
-        grad = _fd_gradient(scenario, params, init, cfg, users)
+        ux, uy = sample_user_batch(scenario.layout, 1, rng)
+        grad = _fd_gradient(scenario, params, init, cfg, ux[0], uy[0])
 
         proposal = params - step_sequence(n, cfg.step_scale, cfg.step_exponent) * grad
         new = proposal.copy()
-        new[:n_radii] = np.clip(new[:n_radii], lo, hi)
+        new[:n_radii] = np.clip(new[:n_radii], *RADIUS_BOUNDS)
         pushing = (np.abs(proposal[:n_radii] - new[:n_radii]) > cfg.fd_step) & (
             np.abs(grad[:n_radii]) > GRADIENT_FLOOR
         )

@@ -114,6 +114,13 @@ class TrafficFlow:
     def __post_init__(self) -> None:
         if self.priority < 1:
             raise ConfigError(f"priority must be >= 1, got {self.priority}")
+        try:  # the energies take the interval variance and the mean's cube
+            mean, var = arrival_moments(self.arrival)
+            fits = math.isfinite(var) and math.isfinite(mean**3)
+        except (ZeroDivisionError, OverflowError):  # rate * rate underflows, mean**3 overflows
+            fits = False
+        if not fits:
+            raise ConfigError(f"interval moments of {self.arrival} do not fit a float")
 
 
 def arrival_moments(model: ArrivalModel) -> tuple[float, float]:

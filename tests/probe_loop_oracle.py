@@ -26,6 +26,7 @@ import numpy as np
 
 from dasqos.errors import ConfigError
 from dasqos.geometry import AntennaVector, ClusterLayout, UserVector, user_positions
+from dasqos import placement
 from dasqos.outage import CellScenario
 from dasqos.placement import RMConfig
 
@@ -158,9 +159,10 @@ def fd_gradient(
     cfg: RMConfig,
     users: UserVector,
 ) -> np.ndarray:
-    """Finite-difference gradient, one conditional outage per probe."""
+    """Finite-difference gradient, one conditional outage per probe; a
+    radius within fd_step of placement.RADIUS_BOUNDS takes a one-sided probe."""
     n_radii = params.size if cfg.mode == "radius_only" else init.count
-    lo, hi = cfg.radius_bounds
+    lo, hi = placement.RADIUS_BOUNDS
     delta = cfg.fd_step
     grad = np.empty(params.size)
 

@@ -112,6 +112,14 @@ rm: {max_iter: 1, eval_samples: 2, step_scale: 5.0}
 """
 
 
+ONE_FLOW = """\
+flows:
+  - priority: 1
+    arrival: {}
+    service: {{kind: unit}}
+"""
+
+
 @pytest.fixture
 def run(tmp_path, capsys):
     def invoke(argv, config=None):
@@ -626,6 +634,78 @@ class TestExitCodes:
             "error: exact_poisson mode needs Poisson arrivals and "
             "single-attempt service on every higher-priority flow\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config, code, first_line",
+        [
+            (
+                "outage",
+                ALPHA0_TEXT.replace("geometry:\n", "geometry:\n  spacing: inf\n"),
+                2,
+                "error: {path}:5:12: spacing must be finite, got 'inf'",
+            ),
+            (
+                "outage",
+                ALPHA0_TEXT.replace("exponent: 2.0", "exponent: inf"),
+                2,
+                "error: {path}:2:23: path_loss_exponent must be finite, got 'inf'",
+            ),
+            (
+                "delay",
+                ONE_FLOW.format("{kind: renewal, mean: 2.0, variance: inf}"),
+                2,
+                "error: {path}:3:51: variance must be finite, got 'inf'",
+            ),
+            (
+                "delay",
+                ONE_FLOW.format("{kind: poisson, rate: 1.0e-320}"),
+                2,
+                "error: {path}:2:3: interval moments of Poisson(rate=1e-320) "
+                "do not fit a float",
+            ),
+            (
+                "delay",
+                ONE_FLOW.format(
+                    "{kind: markov_fluid, rate_a: 1.0, rate_b: 1.0e-200, "
+                    "weight_a: 0.5, weight_b: 0.5}"
+                ),
+                2,
+                "error: {path}:2:3: interval moments of MarkovFluidRenewal(rate_a=1.0, "
+                "rate_b=1e-200, weight_a=0.5, weight_b=0.5) do not fit a float",
+            ),
+            (
+                "delay",
+                ONE_FLOW.format("{kind: renewal, mean: 1.0e110, variance: 1.0}"),
+                2,
+                "error: {path}:2:3: interval moments of GenericRenewal(mean=1e+110, "
+                "variance=1.0) do not fit a float",
+            ),
+            (
+                "delay",
+                ONE_FLOW.format("{kind: renewal, mean: 2.0, variance: 1.0e308}"),
+                3,
+                "numerical failure: 200 bisections left the root in (0, 6.22e-61]; "
+                "decay exponent out of range",
+            ),
+        ],
+        ids=[
+            "spacing-inf",
+            "path-loss-inf",
+            "variance-inf",
+            "poisson-rate-underflows",
+            "markov-fluid-rate-underflows",
+            "renewal-mean-cube-overflows",
+            "bisection-runs-out",
+        ],
+    )
+    def test_numbers_at_float_edges(self, run, tmp_path, command, config, code, first_line):
+        # each exited 0 with nan or zero rows, or in a traceback, before
+        out = tmp_path / "x.csv"
+        grid = ["--dth", "0:2:1"] if command == "delay" else []
+        got, stdout, err = run([command, "--out", str(out), *grid], config=config)
+        assert (got, stdout) == (code, "")
+        assert err.splitlines()[0] == first_line.format(path=tmp_path / "scenario.yaml")
         assert not out.exists()
 
     @pytest.mark.parametrize(

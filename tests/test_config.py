@@ -322,6 +322,8 @@ class TestFieldErrors:
         expect(base.format("fast"), "<config>:3:34: rate must be a number, got 'fast'")
         expect(base.format("[1]"), "<config>:3:34: rate must be a scalar")
         expect(base.format("nan"), "<config>:3:34: rate must not be NaN")
+        for text in ("inf", "-inf", "1e400"):
+            expect(base.format(text), f"<config>:3:34: rate must be finite, got {text!r}")
 
     def test_list_element_coercion_message(self):
         # a bad element is named by its list, at the element's position

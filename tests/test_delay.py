@@ -9,19 +9,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dasqos import delay
 from dasqos.delay import (
     PrioritySystem,
     delay_decay_rate,
     delay_violation_probability,
-    priority_service_energy,
     service_energy,
     solve_phi_star,
 )
 from dasqos.energy import arrival_energy, eval_energy
-from dasqos.errors import ConfigError, NoRootError, StabilityError
+from dasqos.errors import ConfigError, DasqosError, NoRootError, StabilityError
 from dasqos.traffic import (
     DeterministicUnit,
     GenericRenewal,
@@ -31,6 +31,7 @@ from dasqos.traffic import (
     TruncatedGeometric,
 )
 from analysis_helpers import four_flow_delay
+import phi_star_oracle
 from service_energy_oracle import priority_service_energy as per_call_service_energy
 
 
@@ -51,16 +52,15 @@ def two_flow(lam_v=0.2, lam_d=0.6, p=0.1, L=4, mode="gaussian") -> PrioritySyste
 def raw_root_fn(system: PrioritySystem, priority: int):
     index = system.flow_index(priority)
     energy = arrival_energy(system.flows[index].arrival)
-    return lambda phi: eval_energy(energy, phi) + priority_service_energy(
-        system, index, phi
-    )
+    service = service_energy(system, index)
+    return lambda phi: eval_energy(energy, phi) + service(phi)
 
 
 def test_unit_service_energy_is_linear():
     sys1 = single_poisson(0.5)
     for phi in (0.1, 0.7, 2.3):
         # single flow, one slot per packet: energy at -phi is exactly -phi
-        assert priority_service_energy(sys1, 0, phi) == pytest.approx(-phi, rel=1e-15)
+        assert service_energy(sys1, 0)(phi) == pytest.approx(-phi, rel=1e-15)
 
 
 def test_no_higher_flows_equals_own_quadratic():
@@ -69,7 +69,7 @@ def test_no_higher_flows_equals_own_quadratic():
     mu_y, var_y = 1.111, None  # mean pinned by the service moments test
     own = lambda phi: -phi / 1.111 + phi * phi * 0.12267900000000013 / (2 * 1.111**3)
     for phi in (0.2, 0.5, 1.0):
-        got = priority_service_energy(sys2, 1, phi)
+        got = service_energy(sys2, 1)(phi)
         # lam_v=1e-9 leaves a vanishing voice term
         assert got == pytest.approx(own(phi), abs=1e-8)
 
@@ -85,7 +85,7 @@ def test_service_energy_two_implementations_agree():
     expected = -phi / mu_y + phi * phi * var_y / (2 * mu_y**3) + 0.2 * (
         math.exp(hat) - 1.0
     )
-    assert priority_service_energy(sys2, 1, phi) == pytest.approx(expected, rel=1e-12)
+    assert service_energy(sys2, 1)(phi) == pytest.approx(expected, rel=1e-12)
 
 
 def test_exact_poisson_mode_rejects_wrong_flows():
@@ -97,7 +97,7 @@ def test_exact_poisson_mode_rejects_wrong_flows():
         higher_priority_mode="exact_poisson",
     )
     with pytest.raises(ConfigError):
-        priority_service_energy(bad, 1, 0.5)
+        service_energy(bad, 1)
 
 
 POISSON_UNIT = st.tuples(st.floats(0.01, 2.0).map(Poisson), st.just(DeterministicUnit()))
@@ -116,7 +116,27 @@ ANY_FLOW = st.tuples(
 )
 
 
-def _systems():
+# every arrival kind out to the edges of float range: variances up to 1e308,
+# interval means up to 1e100 (the cube must stay finite), p up to 1
+WIDE_FLOW = st.tuples(
+    st.one_of(
+        st.floats(1e-100, 1.0).map(Poisson),
+        st.tuples(st.floats(1e-50, 3.0), st.floats(1e-50, 3.0), st.floats(0.0, 1.0)).map(
+            lambda t: MarkovFluidRenewal(t[0], t[1], t[2], 1.0 - t[2])
+        ),
+        st.tuples(
+            st.one_of(st.floats(0.5, 20.0), st.floats(0.5, 1e100)),
+            st.one_of(st.floats(0.0, 80.0), st.floats(0.0, 1e308)),
+        ).map(lambda t: GenericRenewal(*t)),
+    ),
+    st.one_of(
+        st.just(DeterministicUnit()),
+        st.tuples(st.floats(0.0, 1.0), st.integers(1, 6)).map(lambda t: TruncatedGeometric(*t)),
+    ),
+)
+
+
+def _systems(any_flow=ANY_FLOW):
     # exact_poisson draws its higher flows mostly from the ones it accepts
     def build(mode, flows):
         return PrioritySystem(
@@ -125,8 +145,8 @@ def _systems():
 
     flows = lambda flow: st.lists(flow, min_size=1, max_size=5)
     return st.one_of(
-        flows(ANY_FLOW).map(lambda f: build("gaussian", f)),
-        flows(st.one_of(POISSON_UNIT, POISSON_UNIT, ANY_FLOW)).map(
+        flows(any_flow).map(lambda f: build("gaussian", f)),
+        flows(st.one_of(POISSON_UNIT, POISSON_UNIT, any_flow)).map(
             lambda f: build("exact_poisson", f)
         ),
     )
@@ -146,14 +166,12 @@ def test_service_energy_matches_per_call_oracle(system, phis):
         try:
             want = [per_call_service_energy(system, index, phi).hex() for phi in phis]
         except ConfigError as exc:
-            for build in (lambda: service_energy(system, index), lambda: priority_service_energy(system, index, phis[0])):
-                with pytest.raises(ConfigError) as got:
-                    build()
-                assert str(got.value) == str(exc)
+            with pytest.raises(ConfigError) as got:
+                service_energy(system, index)
+            assert str(got.value) == str(exc)
             continue
         energy = service_energy(system, index)
         assert [energy(phi).hex() for phi in phis] == want
-        assert [priority_service_energy(system, index, phi).hex() for phi in phis] == want
 
 
 def test_phi_star_single_poisson_oracle():
@@ -243,6 +261,73 @@ def test_no_root_when_tail_decays_faster_than_exponential():
     )
     with pytest.raises(NoRootError):
         solve_phi_star(system, 1)
+
+
+def _solve(solver, system, priority):
+    """The root as float.hex, or the error's type and text."""
+    try:
+        return solver(system, priority).hex()
+    except DasqosError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(system=_systems(WIDE_FLOW))
+def test_phi_star_matches_replaced_solver(system):
+    # the same root bit for bit, or the same error, for every flow; where
+    # the replaced solver ran out of bisections it returned a midpoint that
+    # lo never moved off 0 for, and the solver raises NoRootError instead
+    for flow in system.flows:
+        want = _solve(phi_star_oracle.solve_phi_star, system, flow.priority)
+        got = _solve(solve_phi_star, system, flow.priority)
+        if isinstance(want, str) and isinstance(got, tuple) and "bisections" in got[1]:
+            assert got[0] is NoRootError
+            assert float.fromhex(want) < 2.0**-150
+        else:
+            assert got == want
+
+
+def test_bisection_that_runs_out_raises():
+    # the root, ~8e-308, lies below 2**-200: lo never leaves 0, and the
+    # replaced solver returned its last midpoint as the root
+    system = PrioritySystem(
+        (TrafficFlow(1, GenericRenewal(2.0, 1e308), DeterministicUnit()),)
+    )
+    assert phi_star_oracle.solve_phi_star(system, 1) == 2.0**-201
+    with pytest.raises(NoRootError, match=r"^200 bisections left the root in \(0, 6.22e-61\]"):
+        solve_phi_star(system, 1)
+
+
+OVERFLOW_AT_BRACKET = PrioritySystem(
+    # phi * phi * variance overflows above phi ~ 1.34, so f(2) is +inf and
+    # the bisection walks hi down from an overflowed end to the root, 1.28
+    (TrafficFlow(1, GenericRenewal(4e102, 1e308), DeterministicUnit()),)
+)
+EVERY_KIND = PrioritySystem(
+    # every arrival kind and both service kinds, load ~0.78
+    (
+        TrafficFlow(1, Poisson(0.1), DeterministicUnit()),
+        TrafficFlow(2, MarkovFluidRenewal(0.5, 0.1, 0.5, 0.5), TruncatedGeometric(0.1, 3)),
+        TrafficFlow(3, GenericRenewal(8.0, 40.0), DeterministicUnit()),
+        TrafficFlow(4, Poisson(0.3), TruncatedGeometric(0.2, 4)),
+    )
+)
+
+
+@pytest.mark.parametrize("system", [OVERFLOW_AT_BRACKET, EVERY_KIND], ids=["overflow", "every_kind"])
+def test_phi_star_evaluates_each_point_once(system, monkeypatch):
+    seen = []
+
+    def counting(f, phi):
+        seen.append(phi)
+        return eval_energy(f, phi)
+
+    monkeypatch.setattr(delay, "eval_energy", counting)
+    for flow in system.flows:
+        seen.clear()
+        root = solve_phi_star(system, flow.priority)
+        assert len(set(seen)) == len(seen)
+        assert root.hex() == phi_star_oracle.solve_phi_star(system, flow.priority).hex()
 
 
 def test_violation_probability_basics():

@@ -14,7 +14,13 @@ import pytest
 
 from dasqos import placement
 from dasqos.errors import ConfigError
-from dasqos.geometry import AntennaVector, hex_cluster, sample_user_vector, symmetric_circle
+from dasqos.geometry import (
+    AntennaVector,
+    hex_cluster,
+    sample_user_vector,
+    symmetric_circle,
+    user_positions,
+)
 from dasqos.outage import CellScenario, ChannelParams, expected_outage
 from dasqos.placement import (
     RMConfig,
@@ -94,9 +100,6 @@ class TestRMConfigValidation:
             {"fd_step": 0.0},
             {"max_iter": 0},
             {"convergence_window": 0},
-            {"radius_bounds": (0.4, 0.2)},
-            {"radius_bounds": (-0.1, 0.5)},
-            {"radius_bounds": (0.0, 1.2)},
             {"eval_samples": 1},
         ],
     )
@@ -220,14 +223,14 @@ class TestDivergenceFlag:
             max_iter=12,
             convergence_window=5,
             eval_samples=2,
-            radius_bounds=(0.0, 0.05),
         )
-        _, trace = rm_optimize(
-            cluster_scenario(2.0),
-            symmetric_circle(4, 0.02),
-            cfg,
-            np.random.default_rng(3),
-        )
+        with mock.patch.object(placement, "RADIUS_BOUNDS", (0.0, 0.05)):
+            _, trace = rm_optimize(
+                cluster_scenario(2.0),
+                symmetric_circle(4, 0.02),
+                cfg,
+                np.random.default_rng(3),
+            )
         assert trace.diverged
         assert all(0.0 <= row[0] <= 0.05 for row in trace.iterates)
 
@@ -405,7 +408,8 @@ class TestBatchedScoring:
 
     @staticmethod
     def _check_gradient(scenario, params, init, cfg, users):
-        grad = _fd_gradient(scenario, params, init, cfg, users)
+        upos = user_positions(scenario.layout, users)
+        grad = _fd_gradient(scenario, params, init, cfg, upos[:, 0], upos[:, 1])
         reference = probe_loop_oracle.fd_gradient(scenario, params, init, cfg, users)
         assert grad.tobytes() == reference.tobytes()
         return grad
@@ -415,14 +419,15 @@ class TestBatchedScoring:
     def test_gradient_probes_at_radius_bounds(self, mode, bounds):
         # radii on, just inside and between the bounds take one-sided and
         # central probes; each must equal the per-probe scalar loop
-        cfg = RMConfig(mode=mode, fd_step=1e-3, radius_bounds=bounds)
+        cfg = RMConfig(mode=mode, fd_step=1e-3)
         lo, hi = bounds
         scenario = cluster_scenario(3.0)
         users = sample_user_vector(scenario.layout, np.random.default_rng(17))
         init = AntennaVector((0.3,) * 4, (0.3, 1.9, 3.5, 5.0))
         for radii in ([lo, hi, lo + 4e-4, hi - 4e-4], [hi, lo, 0.5 * (lo + hi), hi]):
             params = np.array(radii[:1] if mode == "radius_only" else radii + list(init.angles))
-            grad = self._check_gradient(scenario, params, init, cfg, users)
+            with mock.patch.object(placement, "RADIUS_BOUNDS", bounds):
+                grad = self._check_gradient(scenario, params, init, cfg, users)
             assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
 
     def test_gradient_angle_probe_wraps_and_reorders(self):

@@ -233,3 +233,26 @@ def test_validation():
         GenericRenewal(0.0, 1.0)
     with pytest.raises(ConfigError):
         TrafficFlow(0, Poisson(1.0), DeterministicUnit())
+
+
+@pytest.mark.parametrize(
+    "arrival",
+    [
+        Poisson(1e-320),  # rate * rate underflows to 0
+        Poisson(1e-160),  # the variance overflows to inf
+        MarkovFluidRenewal(1.0, 1e-200, 0.5, 0.5),
+        GenericRenewal(1e110, 1.0),  # mean**3 raises OverflowError
+        GenericRenewal(2.0, math.inf),
+    ],
+    ids=repr,
+)
+def test_flow_moments_must_fit_a_float(arrival):
+    with pytest.raises(ConfigError, match="do not fit a float"):
+        TrafficFlow(1, arrival, DeterministicUnit())
+
+
+def test_flow_moments_at_the_float_edge_are_kept():
+    # the cube of the mean still fits: the energies keep mean**3 as it is
+    flow = TrafficFlow(1, GenericRenewal(5e102, 1e308), DeterministicUnit())
+    assert math.isfinite(arrival_moments(flow.arrival)[0] ** 3)
+    TrafficFlow(1, Poisson(1e-100), DeterministicUnit())
