@@ -100,6 +100,9 @@ class TestRMConfigValidation:
             {"fd_step": 0.0},
             {"max_iter": 0},
             {"convergence_window": 0},
+            {"fd_step": -1e-4},
+            {"convergence_window": -1},
+            {"eval_samples": 0},
             {"eval_samples": 1},
         ],
     )
