@@ -6,8 +6,9 @@ outage for pinned users or the expectation over user placement; optimize
 runs the stochastic placement search and echoes the final layout as a
 config snippet; sweep scores a shared-radius grid.
 
-CSV cells are written with %.9g when they are floats (numpy float64
-included) and with str otherwise. The CSV path, --out or run.output, is
+Each CSV table is written with one %-format taken from its first row:
+%.9g for a float cell (numpy float64 included), %s for any other, so every
+column of a table holds one cell type. The CSV path, --out or run.output, is
 opened without truncation before the command runs, so a path that cannot
 be written fails at once; a failed run neither truncates an existing file
 nor leaves a new one behind.
@@ -52,16 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, about: str, samples: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument(
-            "--samples", type=int, default=None, help="override run.samples"
-        )
+        if samples:
+            p.add_argument(
+                "--samples", type=int, default=None, help="override run.samples"
+            )
         p.add_argument("--out", default=None, help="CSV path (default stdout)")
+        p.set_defaults(func=func, samples=None)
+        return p
 
-    p_delay = sub.add_parser("delay", help="delay-bound violation curves")
-    common(p_delay)
+    p_delay = command("delay", cmd_delay, "delay-bound violation curves")
     p_delay.add_argument("--flow", type=int, default=None, help="single priority")
     p_delay.add_argument(
         "--dth", default="0:30:1", help="threshold grid start:stop:step"
@@ -69,22 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_delay.add_argument(
         "--simulate", action="store_true", help="add slot-simulator columns"
     )
-    p_delay.set_defaults(func=cmd_delay)
-
-    p_outage = sub.add_parser("outage", help="outage for fixed or random users")
-    common(p_outage)
-    p_outage.set_defaults(func=cmd_outage)
-
-    p_opt = sub.add_parser("optimize", help="stochastic placement search")
-    common(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_sweep = sub.add_parser("sweep", help="expected outage on a radius grid")
-    common(p_sweep)
+    command("outage", cmd_outage, "outage for fixed or random users")
+    # the search scores its trace on rm.eval_samples users, never run.samples
+    command("optimize", cmd_optimize, "stochastic placement search", samples=False)
+    p_sweep = command("sweep", cmd_sweep, "expected outage on a radius grid")
     p_sweep.add_argument(
         "--radii", default="0:0.9:0.05", help="radius grid start:stop:step"
     )
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -122,19 +117,12 @@ def _claim_output(path: str) -> bool:
 
 
 def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
-    # one %-format per row, cached by the row's cell types: %.9g is
-    # format_float for any float (subclasses too), %s is str for the rest
-    formats: dict[tuple[type, ...], str] = {}
+    # one %-format for the table, from its first row's cells: %.9g is
+    # format_float for any float (numpy's too), %s is str for the rest
     lines = [",".join(header)]
-    for row in rows:
-        cells = tuple(row)
-        types = tuple(map(type, cells))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                "%.9g" if issubclass(t, float) else "%s" for t in types
-            )
-        lines.append(fmt % cells)
+    if rows:
+        fmt = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines += map(fmt.__mod__, rows)
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -221,9 +209,16 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     )
 
 
-def _outage_row_tail(scenario: CellScenario, samples: int):
+OUTAGE_HEADER = ["radius", "e_outage", "std_err", "samples", "alpha", "path_loss_exp", "spacing_d"]
+
+
+def _outage_row(scenario: CellScenario, samples: int, radius, value, std_err) -> tuple:
+    """One OUTAGE_HEADER row: an E(outage) estimate and the cell it was made on."""
     spacing = scenario.layout.spacing
     return (
+        radius,
+        value,
+        std_err,
         samples,
         scenario.channel.on_probability,
         scenario.channel.path_loss_exponent,
@@ -242,17 +237,10 @@ def cmd_outage(args, cfg: ScenarioConfig) -> None:
         _emit(["antenna", "outage"], rows, cfg.run.output)
         return
     est = _expected_outage(cfg)
-    row = (
-        scenario.antennas.radii[0],
-        est.value,
-        est.std_err,
-        *_outage_row_tail(scenario, cfg.run.samples),
+    row = _outage_row(
+        scenario, cfg.run.samples, scenario.antennas.radii[0], est.value, est.std_err
     )
-    _emit(
-        ["radius", "e_outage", "std_err", "samples", "alpha", "path_loss_exp", "spacing_d"],
-        [row],
-        cfg.run.output,
-    )
+    _emit(OUTAGE_HEADER, [row], cfg.run.output)
 
 
 def cmd_optimize(args, cfg: ScenarioConfig) -> None:
@@ -297,31 +285,11 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> None:
         np.random.default_rng(cfg.run.seed),
     )
     best = result.argmin_radius
-    rows = []
-    for r, value, se in zip(result.radii, result.outage, result.std_err):
-        rows.append(
-            (
-                r,
-                value,
-                se,
-                *_outage_row_tail(scenario, samples),
-                1 if r == best else 0,
-            )
-        )
-    _emit(
-        [
-            "radius",
-            "e_outage",
-            "std_err",
-            "samples",
-            "alpha",
-            "path_loss_exp",
-            "spacing_d",
-            "argmin",
-        ],
-        rows,
-        cfg.run.output,
-    )
+    rows = [
+        (*_outage_row(scenario, samples, r, value, se), int(r == best))
+        for r, value, se in zip(result.radii, result.outage, result.std_err)
+    ]
+    _emit([*OUTAGE_HEADER, "argmin"], rows, cfg.run.output)
 
 
 def main(argv=None) -> int:

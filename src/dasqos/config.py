@@ -13,6 +13,7 @@ by hand.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import io
@@ -231,11 +232,26 @@ def _build_kind(table: dict[str, Callable], node: yaml.Node, what: str):
     return _build(table[kind], node, what, {k: v for k, v in fields.items() if k != "kind"})
 
 
+@contextlib.contextmanager
+def _located(node: yaml.Node):
+    """Prefix a constructor's ConfigError, which has no location, with node's."""
+    try:
+        yield
+    except ConfigError as exc:
+        if str(exc).startswith(node.start_mark.name):
+            raise
+        raise _fail(node, str(exc)) from exc
+
+
 def _parse_flows(node: yaml.Node) -> tuple[TrafficFlow, ...]:
-    flows = tuple(_build(TrafficFlow, item, "flow") for item in _sequence(node, "flows"))
+    # each flow's constructor errors point at that flow's item
+    flows = []
+    for item in _sequence(node, "flows"):
+        with _located(item):
+            flows.append(_build(TrafficFlow, item, "flow"))
     if not flows:
         raise _fail(node, "flows must not be empty")
-    return flows
+    return tuple(flows)
 
 
 def _parse_geometry(
@@ -293,7 +309,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     channel = layout = antennas = users = rm = None
     run = RunParams()
     for key, node in sections.items():
-        try:
+        with _located(node):
             if key == "flows":
                 flows = _parse_flows(node)
             elif key == "channel":
@@ -304,10 +320,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
                 run = _build(RunParams, node, "run")
             elif key == "rm":
                 rm = _build(RMConfig, node, "rm")
-        except ConfigError as exc:
-            if str(exc).startswith(source):
-                raise
-            raise _fail(node, str(exc)) from exc
     return ScenarioConfig(flows, channel, layout, antennas, users, run, rm)
 
 

@@ -120,8 +120,12 @@ def service_energy(system: PrioritySystem, index: int) -> Callable[[float], floa
                 )
             terms.append(arrival_rate(other.arrival))
         else:
-            # slot usage per unit time: mean mu_s/mu_x, variance by renewal CLT
-            terms.append((mu_s / mu_x, mu_s * mu_s * var_x / mu_x**3 + var_s / mu_x))
+            # slot usage per unit time: mean mu_s/mu_x, variance by renewal CLT;
+            # mu_s^2 var_x alone can overflow, so it is then divided first
+            var = mu_s * mu_s * var_x / mu_x**3
+            if var == math.inf:
+                var = mu_s * mu_s * (var_x / mu_x**3)
+            terms.append((mu_s / mu_x, var + var_s / mu_x))
 
     def energy(phi: float) -> float:
         quad = phi * phi * var_y / scale

@@ -2,8 +2,9 @@
 
 Ints (bools included) go through str, floats through format_float, and
 everything else through str; the cells of a row are joined by commas.
-cli._emit now formats a whole row with one cached %-format string, and must
-reproduce this text byte for byte.
+cli._emit now formats every row with one %-format taken from the table's
+first row, and must reproduce this text byte for byte on any table whose
+columns each hold one cell type.
 """
 from __future__ import annotations
 

@@ -273,6 +273,22 @@ class TestDelay:
             "2,1,0.837753686",
         ]
 
+    def test_higher_flow_usage_variance_past_float_range(self, run):
+        # mu_s^2 var_x overflows, while the usage variance, 3.5e38, fits; the
+        # root, ~5.12e-39, used to be out of the bisection's reach (exit 3)
+        config = (
+            "flows:\n"
+            "  - priority: 1\n"
+            "    arrival: {kind: renewal, mean: 1.0e90, variance: 1.0e308}\n"
+            "    service: {kind: truncated_geometric, failure_prob: 0.5, max_attempts: 4}\n"
+            "  - priority: 2\n"
+            "    arrival: {kind: poisson, rate: 0.1}\n"
+            "    service: {kind: unit}\n"
+        )
+        code, out, err = run(["delay", "--flow", "2", "--dth", "0:2:1"], config=config)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["flow,d_th,prob_analytic", "2,0,1"]
+
     def test_flow_filter(self, run):
         code, out, _ = run(
             ["delay", "--dth", "1:3:1", "--flow", "2"], config=FLOWS_TEXT
@@ -475,43 +491,77 @@ def test_delay_bytes_are_pinned(run, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == PIN_SIMULATE_SHA256
 
 
-# Cells of every type a command writes, the float edges among them; a
-# drawn table mixes them, so a column's type can change from row to row.
+# The cell kinds a command writes, the float edges among them. A drawn
+# table gives each column one kind, as every command does (see
+# test_every_row_has_the_first_rows_cell_types).
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1e16]
-CELLS = st.one_of(
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+KINDS = [
     st.integers(-(10**20), 10**20),
     st.booleans(),
     st.none(),
-    st.floats(),
-    st.sampled_from(EDGE_FLOATS),
-    st.floats().map(np.float64),
-    st.sampled_from(EDGE_FLOATS).map(np.float64),
+    FLOATS,
+    FLOATS.map(np.float64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.text(max_size=6),
+]
+TABLES = st.lists(st.sampled_from(KINDS), max_size=7).flatmap(
+    lambda kinds: st.lists(st.tuples(*kinds), max_size=12)
 )
 
 
-def _tables():
-    def rows(width):
-        row = st.lists(CELLS, min_size=width, max_size=width)
-        return st.lists(st.one_of(row, row.map(tuple)), max_size=12)
-
-    # mostly rectangular, as every command writes; sometimes ragged
-    return st.one_of(
-        st.integers(0, 6).flatmap(rows),
-        st.lists(st.one_of(st.lists(CELLS, max_size=6), st.lists(CELLS, max_size=6).map(tuple)), max_size=8),
-    )
-
-
-@given(header=st.lists(st.text(max_size=4), max_size=6), rows=_tables())
+@given(header=st.lists(st.text(max_size=4), max_size=6), rows=TABLES)
 @example(
     header=["a", "b"],
-    rows=[(1, 0.5), (0.5, 1), [np.float64(-0.0), np.int64(7)], (True, None), ("x", math.nan)],
+    rows=[
+        (1, 0.5, np.float64(-0.0), np.int64(7), True, None, "x"),
+        (-2, math.nan, np.float64(math.inf), np.int64(-1), False, None, "%s"),
+    ],
 )
 def test_emit_matches_per_cell_oracle(header, rows):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         _emit(header, rows, None)
     assert out.getvalue() == emit_text(header, rows)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["delay", "--dth", "0:3:1"], FLOWS_TEXT),
+        (["delay", "--dth", "0:3:1", "--simulate"], FLOWS_TEXT),
+        (["outage"], THREE_ANTENNA_TEXT),
+        (["outage"], SWEEP_TEXT),
+        (["sweep", "--radii", "0:0.9:0.15"], PIN_SWEEP_TEXT),
+        (["sweep", "--radii", "0.2,0.4"], F2_TEXT.split("  users:")[0]),
+        (["optimize"], OPT_TEXT.replace("max_iter: 1", "max_iter: 3")),
+        (["optimize"], PIN_OPT_TEXT),
+    ],
+    ids=[
+        "delay-analytic",
+        "delay-simulate",
+        "outage-pinned",
+        "outage-sampled",
+        "sweep",
+        "sweep-no-spacing",
+        "optimize-radius-only",
+        "optimize-full-polar",
+    ],
+)
+def test_every_row_has_the_first_rows_cell_types(run, monkeypatch, argv, config):
+    # _emit takes its one %-format from the first row's cells
+    tables = []
+
+    def emit(header, rows, out):
+        tables.append(rows)
+        _emit(header, rows, out)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert run(argv, config=config)[0] == 0
+    (rows,) = tables
+    first = tuple(map(type, rows[0]))
+    for row in rows:
+        assert type(row) is tuple
+        assert tuple(map(type, row)) == first
 
 
 @pytest.mark.parametrize(
@@ -661,7 +711,7 @@ class TestExitCodes:
                 "delay",
                 ONE_FLOW.format("{kind: poisson, rate: 1.0e-320}"),
                 2,
-                "error: {path}:2:3: interval moments of Poisson(rate=1e-320) "
+                "error: {path}:2:5: interval moments of Poisson(rate=1e-320) "
                 "do not fit a float",
             ),
             (
@@ -671,14 +721,14 @@ class TestExitCodes:
                     "weight_a: 0.5, weight_b: 0.5}"
                 ),
                 2,
-                "error: {path}:2:3: interval moments of MarkovFluidRenewal(rate_a=1.0, "
+                "error: {path}:2:5: interval moments of MarkovFluidRenewal(rate_a=1.0, "
                 "rate_b=1e-200, weight_a=0.5, weight_b=0.5) do not fit a float",
             ),
             (
                 "delay",
                 ONE_FLOW.format("{kind: renewal, mean: 1.0e110, variance: 1.0}"),
                 2,
-                "error: {path}:2:3: interval moments of GenericRenewal(mean=1e+110, "
+                "error: {path}:2:5: interval moments of GenericRenewal(mean=1e+110, "
                 "variance=1.0) do not fit a float",
             ),
             (
@@ -747,6 +797,13 @@ class TestExitCodes:
             run(["outage", "--threads", "2"], config=ALPHA0_TEXT)
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_optimize_takes_no_samples_flag(self, run, capsys):
+        # the search scores its trace on rm.eval_samples users
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", "--samples", "20000"], config=OPT_TEXT)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples 20000" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

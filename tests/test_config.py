@@ -348,7 +348,15 @@ class TestValueErrorsGetLocations:
         expect(
             "flows:\n- priority: 1\n  arrival:\n    kind: poisson\n"
             "    rate: -0.5\n  service:\n    kind: unit\n",
-            "<config>:2:1: poisson rate must be > 0, got -0.5",
+            "<config>:2:3: poisson rate must be > 0, got -0.5",
+        )
+
+    def test_bad_value_in_second_flow_points_at_that_flow(self):
+        expect(
+            "flows:\n"
+            "- priority: 1\n  arrival: {kind: poisson, rate: 0.1}\n  service: {kind: unit}\n"
+            "- priority: 2\n  arrival: {kind: poisson, rate: 1.0e-320}\n  service: {kind: unit}\n",
+            "<config>:5:3: interval moments of Poisson(rate=1e-320) do not fit a float",
         )
 
     def test_negative_path_loss_exponent(self):

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dasqos import delay
@@ -29,6 +29,8 @@ from dasqos.traffic import (
     Poisson,
     TrafficFlow,
     TruncatedGeometric,
+    arrival_moments,
+    service_moments,
 )
 from analysis_helpers import four_flow_delay
 import phi_star_oracle
@@ -159,9 +161,50 @@ PHIS = st.lists(
 )
 
 
-@given(system=_systems(), phis=PHIS)
+# a higher flow whose mu_s^2 var_x overflows although its slot-usage
+# variance, mu_s^2 var_x / mu_x^3 = 1.875^2 * 1e38, fits a float
+HUGE_VARIANCE = PrioritySystem(
+    (
+        TrafficFlow(1, GenericRenewal(1e90, 1e308), TruncatedGeometric(0.5, 4)),
+        TrafficFlow(2, Poisson(0.1), DeterministicUnit()),
+    )
+)
+
+
+def _clt_variance(mu_x, var_x, mu_s, var_s):
+    return mu_s * mu_s * var_x / mu_x**3 + var_s / mu_x
+
+
+def _usage_variances(system, index):
+    """(oracle's float, exact value) of each higher flow's slot-usage variance."""
+    if system.higher_priority_mode == "exact_poisson":
+        return []
+    pairs = []
+    for other in system.flows[:index]:
+        moments = (*arrival_moments(other.arrival), *service_moments(other.service))
+        pairs.append((_clt_variance(*moments), _clt_variance(*map(Fraction, moments))))
+    return pairs
+
+
+def _exact_gaussian_energy(system, index, phi) -> Fraction:
+    mu_y, var_y = (Fraction(v) for v in service_moments(system.flows[index].service))
+    phi = Fraction(phi)
+    quad = phi * phi * var_y / (2 * mu_y**3)
+    hat = phi / mu_y + quad
+    total = -phi / mu_y + quad
+    for other, (_, var) in zip(system.flows, _usage_variances(system, index)):
+        mu_x = Fraction(arrival_moments(other.arrival)[0])
+        mu_s = Fraction(service_moments(other.service)[0])
+        total += hat * mu_s / mu_x + hat * hat * var / 2
+    return total
+
+
+@given(system=_systems(st.one_of(ANY_FLOW, WIDE_FLOW)), phis=PHIS)
+@example(system=HUGE_VARIANCE, phis=[0.0, 5.12e-39, 1e-30, 1.0])
 def test_service_energy_matches_per_call_oracle(system, phis):
-    # same bits at every phi, or the same ConfigError, for every flow
+    # same bits at every phi, or the same ConfigError, for every flow, as long
+    # as the oracle's usage variances are finite; where one overflows but the
+    # exact variances fit, the energy is finite wherever its exact value fits
     for index in range(len(system.flows)):
         try:
             want = [per_call_service_energy(system, index, phi).hex() for phi in phis]
@@ -171,7 +214,20 @@ def test_service_energy_matches_per_call_oracle(system, phis):
             assert str(got.value) == str(exc)
             continue
         energy = service_energy(system, index)
-        assert [energy(phi).hex() for phi in phis] == want
+        variances = _usage_variances(system, index)
+        if all(math.isfinite(oracle) for oracle, _ in variances):
+            assert [energy(phi).hex() for phi in phis] == want
+        elif all(exact <= 1e300 for _, exact in variances):
+            for phi in phis:
+                if abs(_exact_gaussian_energy(system, index, phi)) <= 1e300:
+                    assert math.isfinite(energy(phi))
+
+
+def test_usage_variance_overflow_keeps_the_root():
+    # at the root, -0.9 phi + phi (mu_s/mu_x) + phi^2 var/2 = 0 with
+    # var = mu_s^2 var_x/mu_x^3, mu_s = 1.875: phi* = 2 (0.9 - mu_s/mu_x) / var
+    var = 1.875**2 * 1e38
+    assert solve_phi_star(HUGE_VARIANCE, 2) == pytest.approx(2 * (0.9 - 1.875e-90) / var, rel=1e-9)
 
 
 def test_phi_star_single_poisson_oracle():
