@@ -32,6 +32,7 @@ from .config import (
     format_antenna_block,
     format_float,
     load_scenario,
+    parse_number,
 )
 from .delay import PrioritySystem, delay_decay_rate
 from .errors import ConfigError, DasqosError, NoRootError, StabilityError
@@ -83,24 +84,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# start:stop:step grids longer than this stop before any list is built; perfbench's
+# delay-analytic grid has 1,001 points
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid must be start:stop:step, got {text!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"grid values must be numbers: {text!r}") from None
-        if step <= 0.0 or stop < start:
-            raise ConfigError(f"grid needs stop >= start and step > 0: {text!r}")
-        count = int(round((stop - start) / step))
-        grid = [start + i * step for i in range(count + 1)]
-        return [g for g in grid if g <= stop + 1e-12]
-    try:
-        return [float(p) for p in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"grid values must be numbers: {text!r}") from None
+    ranged = ":" in text
+    parts = text.split(":" if ranged else ",")
+    if ranged and len(parts) != 3:
+        raise ConfigError(f"grid must be start:stop:step, got {text!r}")
+    values = [parse_number(p, f"grid value in {text!r}") for p in parts]
+    if not ranged:
+        return values
+    start, stop, step = values
+    if step <= 0.0 or stop < start:
+        raise ConfigError(f"grid needs stop >= start and step > 0: {text!r}")
+    steps = (stop - start) / step  # inf when the span overflows
+    if not steps < MAX_GRID_POINTS:
+        raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    grid = [start + i * step for i in range(round(steps) + 1)]
+    return [g for g in grid if g <= stop + 1e-12]
 
 
 def _claim_output(path: str) -> bool:

@@ -68,6 +68,14 @@ class RunParams:
     def __post_init__(self) -> None:
         if self.seed < 0:  # numpy seeds only non-negative integers
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the texts SimConfig and expected_outage use, here checked at parse time
+        p = self.attempt_failure_prob
+        if p not in (None, LINKED) and not 0.0 <= p <= 1.0:
+            raise ConfigError(f"attempt failure probability must be in [0, 1], got {p}")
+        if not self.horizon > self.warmup >= 0:
+            raise ConfigError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
+        if self.samples < 2:
+            raise ConfigError(f"need at least 2 samples, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -133,17 +141,24 @@ def _scalar(node: yaml.Node, what: str) -> str:
     return str(node.value)
 
 
-def _float(node: yaml.Node, what: str) -> float:
-    text = _scalar(node, what)
+def parse_number(text: str, what: str) -> float:
+    """The number rule for every float a scenario or a CLI grid gives:
+    text that float() reads, not NaN and finite, or a ConfigError naming what."""
     try:
         value = float(text)
     except ValueError:
-        raise _fail(node, f"{what} must be a number, got {text!r}") from None
+        raise ConfigError(f"{what} must be a number, got {text!r}") from None
     if math.isnan(value):
-        raise _fail(node, f"{what} must not be NaN")
+        raise ConfigError(f"{what} must not be NaN")
     if math.isinf(value):
-        raise _fail(node, f"{what} must be finite, got {text!r}")
+        raise ConfigError(f"{what} must be finite, got {text!r}")
     return value
+
+
+def _float(node: yaml.Node, what: str) -> float:
+    text = _scalar(node, what)
+    with _located(node):
+        return parse_number(text, what)
 
 
 def _int(node: yaml.Node, what: str) -> int:
@@ -238,7 +253,7 @@ def _located(node: yaml.Node):
     try:
         yield
     except ConfigError as exc:
-        if str(exc).startswith(node.start_mark.name):
+        if str(exc).startswith(f"{node.start_mark.name}:"):
             raise
         raise _fail(node, str(exc)) from exc
 
@@ -284,6 +299,10 @@ def _parse_geometry(
         antennas = _build(make, fields["antennas"], "antennas", ring)
     if "users" in fields:
         users = _build(UserVector, fields["users"], "users")
+        if users.count != layout.size:  # one user per cell, as user_positions needs
+            raise _fail(
+                fields["users"], f"user vector has {users.count} entries for {layout.size} cells"
+            )
     return layout, antennas, users
 
 

@@ -759,6 +759,76 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, config, first_line",
+        [
+            (
+                ["delay", "--dth", "0:2:1"],
+                FLOWS_TEXT.replace("attempt_failure_prob: 0.1", "attempt_failure_prob: 1.5"),
+                "error: {path}:8:6: attempt failure probability must be in [0, 1], got 1.5",
+            ),
+            (
+                ["delay", "--dth", "0:2:1"],
+                FLOWS_TEXT.replace("warmup: 2000", "warmup: 30000"),
+                "error: {path}:8:6: need horizon > warmup >= 0, got 30000, 30000",
+            ),
+            (
+                ["delay", "--dth", "0:2:1"],
+                FLOWS_TEXT.replace("seed: 5", "seed: 5, samples: 1"),
+                "error: {path}:8:6: need at least 2 samples, got 1",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace(
+                    "radius: 0.3}\n", "radius: 0.3}\n  users: {radii: [0.5, 0.7], angles: [0.0, 1.0]}\n"
+                ),
+                "error: {path}:6:10: user vector has 2 entries for 7 cells",
+            ),
+        ],
+        ids=["attempt-failure-prob", "horizon-warmup", "samples", "users-count"],
+    )
+    def test_run_values_and_users_are_checked_at_parse(self, run, tmp_path, argv, config, first_line):
+        # the first three exited 0 on analytic delay, the last without a location
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(argv + ["--out", str(out)], config=config)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[0] == first_line.format(path=tmp_path / "scenario.yaml")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["delay", "--dth", "nan"], FLOWS_TEXT, "grid value in 'nan' must not be NaN"),
+            (["delay", "--dth", "0,inf"], FLOWS_TEXT, "grid value in '0,inf' must be finite, got 'inf'"),
+            (["delay", "--dth", "0:inf:1"], FLOWS_TEXT, "grid value in '0:inf:1' must be finite, got 'inf'"),
+            (["delay", "--dth", "0:nan:1"], FLOWS_TEXT, "grid value in '0:nan:1' must not be NaN"),
+            (["delay", "--dth", "0:2:nan"], FLOWS_TEXT, "grid value in '0:2:nan' must not be NaN"),
+            (["sweep", "--radii", "0:nan:0.1"], SWEEP_TEXT, "grid value in '0:nan:0.1' must not be NaN"),
+            (
+                ["delay", "--dth", "0,inf", "--simulate"],
+                FLOWS_TEXT,
+                "grid value in '0,inf' must be finite, got 'inf'",
+            ),
+        ],
+        ids=["nan", "list-inf", "stop-inf", "stop-nan", "step-nan", "radii-stop-nan", "simulate-inf"],
+    )
+    def test_non_finite_grid_values(self, run, tmp_path, argv, config, message):
+        # grids follow the scenario's number rule; these printed nan rows or
+        # ended in a traceback
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(argv + ["--out", str(out)], config=config)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_grid_point_bound(self, run, tmp_path):
+        assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) == cli.MAX_GRID_POINTS
+        out = tmp_path / "x.csv"
+        for grid in (f"0:{cli.MAX_GRID_POINTS}:1", "0:2:1e-300", "0:1e308:1e-10"):
+            code, stdout, err = run(["delay", "--dth", grid, "--out", str(out)], config=FLOWS_TEXT)
+            assert (code, stdout) == (2, ""), grid
+            assert err == f"error: grid {grid!r} has more than {cli.MAX_GRID_POINTS} points\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, config",
         [
             (["outage"], ALPHA0_TEXT),

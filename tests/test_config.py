@@ -52,8 +52,8 @@ geometry:
     rotation: 0.5
     height: 0.08
   users:
-    radii: [0.5, 0.7]
-    angles: [0.0, 1.0]
+    radii: [0.5, 0.7, 0.1, 0.2, 0.3, 0.4, 0.6]
+    angles: [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 run:
   seed: 11
   samples: 5000
@@ -100,7 +100,9 @@ class TestFullScenario:
 
         assert cfg.layout == hex_cluster(7, 2.0)
         assert cfg.antennas == symmetric_circle(4, 0.3, 0.5, 0.08)
-        assert cfg.users == UserVector((0.5, 0.7), (0.0, 1.0))
+        assert cfg.users == UserVector(
+            (0.5, 0.7, 0.1, 0.2, 0.3, 0.4, 0.6), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        )
 
         assert cfg.run == RunParams(
             seed=11,
@@ -324,6 +326,12 @@ class TestFieldErrors:
         expect(base.format("nan"), "<config>:3:34: rate must not be NaN")
         for text in ("inf", "-inf", "1e400"):
             expect(base.format(text), f"<config>:3:34: rate must be finite, got {text!r}")
+
+    def test_source_named_like_the_key_keeps_the_location(self):
+        # a number message is located once, even when it starts with the source name
+        with pytest.raises(ConfigError) as err:
+            parse_scenario("geometry:\n  centers: [[a, 0.0]]\n", source="x")
+        assert str(err.value) == "x:2:14: x must be a number, got 'a'"
 
     def test_list_element_coercion_message(self):
         # a bad element is named by its list, at the element's position

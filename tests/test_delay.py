@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from dasqos import delay
@@ -270,6 +270,51 @@ def test_modes_differ_under_five_percent():
     g = solve_phi_star(two_flow(), 2)
     e = solve_phi_star(two_flow(mode="exact_poisson"), 2)
     assert abs(g - e) / e < 0.05
+
+
+# Poisson unit flows above a tagged flow of any kind, where both modes apply.
+# A Poisson unit flow's gaussian usage mean and variance both equal its rate,
+# and e^x - 1 >= x + x^2/2 for x >= 0, so the exact_poisson root function
+# lies above the gaussian one and its root below.
+HIGHER_RATES = st.lists(st.floats(0.001, 0.5), min_size=1, max_size=3)
+MODES = ("gaussian", "exact_poisson")
+
+
+def _tagged_system(rates, tagged, mode) -> PrioritySystem:
+    higher = [TrafficFlow(i + 1, Poisson(r), DeterministicUnit()) for i, r in enumerate(rates)]
+    return PrioritySystem((*higher, TrafficFlow(len(rates) + 1, *tagged)), mode)
+
+
+def _stable_or_skip(rates, tagged, solve):
+    """solve(system) in each mode; draws that are unstable or find no root are skipped."""
+    systems = [_tagged_system(rates, tagged, mode) for mode in MODES]
+    assume(systems[0].effective_load() < 1.0)
+    try:
+        return [solve(s) for s in systems]
+    except NoRootError:
+        reject()
+
+
+@given(rates=HIGHER_RATES, tagged=ANY_FLOW)
+def test_exact_poisson_root_at_most_gaussian_and_decay_positive(rates, tagged):
+    tag = len(rates) + 1
+    gaussian, exact = _stable_or_skip(rates, tagged, lambda s: solve_phi_star(s, tag))
+    assert exact <= gaussian * (1 + 1e-9)
+    for priority in range(1, tag + 1):
+        for rate in _stable_or_skip(rates, tagged, lambda s: delay_decay_rate(s, priority)):
+            assert rate > 0.0
+
+
+@given(rates=HIGHER_RATES, tagged=ANY_FLOW, pick=st.integers(0, 2), growth=st.floats(1.0, 4.0))
+def test_decay_rate_does_not_rise_with_a_higher_rate(rates, tagged, pick, growth):
+    j = pick % len(rates)
+    grown = [r * growth if i == j else r for i, r in enumerate(rates)]
+    for priority in range(j + 2, len(rates) + 2):
+        decay = lambda s: delay_decay_rate(s, priority)
+        before = _stable_or_skip(rates, tagged, decay)
+        after = _stable_or_skip(grown, tagged, decay)
+        for b, a in zip(before, after):
+            assert a <= b * (1 + 1e-9)
 
 
 def test_phi_star_shrinks_toward_stability_boundary():
