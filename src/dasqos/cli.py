@@ -196,7 +196,6 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
         cfg.run.horizon,
         cfg.run.warmup,
         cfg.run.seed,
-        cfg.run.delay_convention,
     )
     stats = simulate(sim_cfg)
     if system.effective_load() >= 1.0:
@@ -288,10 +287,10 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> None:
         samples,
         np.random.default_rng(cfg.run.seed),
     )
-    best = result.argmin_radius
+    best = int(np.argmin(result.outage))  # the first minimum, so one row even if radii repeat
     rows = [
-        (*_outage_row(scenario, samples, r, value, se), int(r == best))
-        for r, value, se in zip(result.radii, result.outage, result.std_err)
+        (*_outage_row(scenario, samples, r, value, se), int(i == best))
+        for i, (r, value, se) in enumerate(zip(result.radii, result.outage, result.std_err))
     ]
     _emit([*OUTAGE_HEADER, "argmin"], rows, cfg.run.output)
 

@@ -36,7 +36,6 @@ from .geometry import (
 )
 from .outage import ChannelParams
 from .placement import RMConfig
-from .slotsim import DelayConvention
 from .traffic import (
     ArrivalModel,
     DeterministicUnit,
@@ -62,7 +61,6 @@ class RunParams:
     warmup: int = 0
     output: str | None = None  # CSV path; --out overrides it, stdout when neither is set
     attempt_failure_prob: float | Literal["linked"] | None = None
-    delay_convention: DelayConvention = "sojourn"
     higher_priority_mode: HigherPriorityMode = "gaussian"
 
     def __post_init__(self) -> None:

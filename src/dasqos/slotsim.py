@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, get_args
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from .traffic import (
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile for the CCDF bands
 
-DelayConvention = Literal["sojourn", "waiting"]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -54,7 +51,6 @@ class SimConfig:
     horizon: int
     warmup: int = 0
     seed: int = 0
-    delay_convention: DelayConvention = "sojourn"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.attempt_failure_prob <= 1.0:
@@ -65,11 +61,6 @@ class SimConfig:
         if not self.horizon > self.warmup >= 0:
             raise ConfigError(
                 f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}"
-            )
-        if self.delay_convention not in get_args(DelayConvention):
-            raise ConfigError(
-                f"delay convention must be {' or '.join(get_args(DelayConvention))}, "
-                f"got {self.delay_convention!r}"
             )
         for f in self.system.flows:
             if (
@@ -339,7 +330,7 @@ def _serve_level(flow, limit, e, idx, free, fail, cfg: SimConfig, last: bool):
     lost = int(np.count_nonzero(fail[depart[first:]]))
     # in place: depart (a view of end on the top level) is not read again
     wait = np.subtract(depart[first:], e[first:done], out=depart[first:])
-    wait += 1 if cfg.delay_convention == "sojourn" else 0
+    wait += 1  # sojourn: the eligibility slot through the departure slot
     counts = np.zeros(int(wait.max(initial=-1)) + 1, dtype=np.int64)
     for c in range(0, len(wait), _BLOCK):  # bincount copies its input to int64
         counts += np.bincount(wait[c : c + _BLOCK], minlength=len(counts))
@@ -351,8 +342,8 @@ def simulate(cfg: SimConfig) -> SimStats:
     """Run one replication; deterministic in cfg.seed.
 
     Queues are unbounded. Delays are recorded at departure for served and
-    lost packets alike: sojourn counts arrival slot through departure slot
-    inclusive, waiting drops the final (service) slot.
+    lost packets alike, as the sojourn: the eligibility slot through the
+    departure slot inclusive.
     """
     rng = np.random.default_rng(cfg.seed)
     flows = cfg.system.flows

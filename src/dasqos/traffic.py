@@ -157,14 +157,10 @@ def service_moments(model: ServiceModel) -> tuple[float, float]:
     raise TypeError(f"unknown service model {model!r}")
 
 
-def packet_loss_probability(model: ServiceModel) -> float:
-    """Probability a packet exhausts every transmission attempt."""
-    match model:
-        case DeterministicUnit():
-            return 0.0
-        case TruncatedGeometric(failure_prob=p, max_attempts=L):
-            return p**L
-    raise TypeError(f"unknown service model {model!r}")
+def packet_loss_probability(failure_prob: float, max_attempts: int) -> float:
+    """Probability a packet fails all of its max_attempts attempts, each
+    independently with failure_prob; max_attempts is 1 for unit service."""
+    return failure_prob**max_attempts
 
 
 def sample_interarrival(model: ArrivalModel, rng: np.random.Generator, size: int) -> np.ndarray:

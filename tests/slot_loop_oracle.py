@@ -59,8 +59,8 @@ def simulate(cfg: SimConfig) -> SimStats:
     """Run one replication; deterministic in cfg.seed.
 
     Queues are unbounded. Delays are recorded at departure for served and
-    lost packets alike: sojourn counts arrival slot through departure slot
-    inclusive, waiting drops the final (service) slot.
+    lost packets alike, as the sojourn: the eligibility slot through the
+    departure slot inclusive.
     """
     rng = np.random.default_rng(cfg.seed)
     horizon, warmup = cfg.horizon, cfg.warmup
@@ -83,7 +83,6 @@ def simulate(cfg: SimConfig) -> SimStats:
                 "simulated at slot level"
             )
 
-    base = 1 if cfg.delay_convention == "sojourn" else 0
     delay_counts: list[dict[int, int]] = [{} for _ in range(n_flows)]
     served = [0] * n_flows
     lost = [0] * n_flows
@@ -95,7 +94,7 @@ def simulate(cfg: SimConfig) -> SimStats:
                 lost[flow_idx] += 1
             else:
                 served[flow_idx] += 1
-            d = depart - eligible + base
+            d = depart - eligible + 1
             counts = delay_counts[flow_idx]
             counts[d] = counts.get(d, 0) + 1
 

@@ -201,7 +201,7 @@ def test_criterion_4_monotone_trends():
                 for v in (0.05, 0.125, 0.2)
             ]
         ), f"voice-flow trend broke at d={d}"
-    losses = [packet_loss_probability(TruncatedGeometric(0.1, n)) for n in range(1, 9)]
+    losses = [packet_loss_probability(0.1, n) for n in range(1, 9)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
     record_criterion(
         4,
@@ -398,7 +398,7 @@ def test_criterion_8_simulated_loss_law():
         cfg = SimConfig(PrioritySystem(flows), p, 10_000_000, 10_000, seed=seed)
         stats = simulate(cfg)
         flow = stats.flow(1)
-        target = p**attempts
+        target = packet_loss_probability(p, attempts)
         se = math.sqrt(target * (1.0 - target) / flow.departures)
         deviations.append((flow.loss_rate - target) / se)
     elapsed = time.perf_counter() - start

@@ -221,6 +221,12 @@ class TestSweep:
         # ties break toward the first grid point
         assert [r[-1] for r in rows] == ["1", "0", "0"]
 
+    def test_repeated_radius_flags_one_row(self, run):
+        code, out, _ = run(["sweep", "--radii", "0.5,0.2,0.5"], config=ALPHA0_TEXT)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(r[0], r[-1]) for r in rows] == [("0.5", "1"), ("0.2", "0"), ("0.5", "0")]
+
     def test_argmin_flags_the_smallest_value(self, run):
         code, out, _ = run(
             ["sweep", "--radii", "0.2:0.4:0.1"], config=SWEEP_TEXT

@@ -61,7 +61,6 @@ run:
   warmup: 1000
   output: out.csv
   attempt_failure_prob: linked
-  delay_convention: waiting
   higher_priority_mode: exact_poisson
 rm:
   mode: full_polar
@@ -111,7 +110,6 @@ class TestFullScenario:
             warmup=1000,
             output="out.csv",
             attempt_failure_prob=LINKED,
-            delay_convention="waiting",
             higher_priority_mode="exact_poisson",
         )
         assert cfg.rm == RMConfig(
@@ -291,10 +289,10 @@ class TestFieldErrors:
         )
 
     def test_bad_delay_convention(self):
+        # delay is always the sojourn; a waiting-time tail is the sojourn tail at d + 1
         expect(
-            "run:\n  delay_convention: holding\n",
-            "<config>:2:21: delay_convention must be one of "
-            "('sojourn', 'waiting'), got 'holding'",
+            "run:\n  delay_convention: waiting\n",
+            "<config>:2:21: unknown key 'delay_convention' in run",
         )
 
     def test_bad_rm_mode(self):

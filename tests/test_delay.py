@@ -8,6 +8,7 @@ a numeric drift, not just a changed shape.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from dasqos.delay import (
 )
 from dasqos.energy import arrival_energy, eval_energy
 from dasqos.errors import ConfigError, DasqosError, NoRootError, StabilityError
+from dasqos.slotsim import SimConfig, simulate
 from dasqos.traffic import (
     DeterministicUnit,
     GenericRenewal,
@@ -30,6 +32,7 @@ from dasqos.traffic import (
     TrafficFlow,
     TruncatedGeometric,
     arrival_moments,
+    packet_loss_probability,
     service_moments,
 )
 from analysis_helpers import four_flow_delay
@@ -103,14 +106,15 @@ def test_exact_poisson_mode_rejects_wrong_flows():
 
 
 POISSON_UNIT = st.tuples(st.floats(0.01, 2.0).map(Poisson), st.just(DeterministicUnit()))
-ANY_FLOW = st.tuples(
-    st.one_of(
-        st.floats(0.01, 2.0).map(Poisson),
-        st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.0, 1.0)).map(
-            lambda t: MarkovFluidRenewal(t[0], t[1], t[2], 1.0 - t[2])
-        ),
-        st.tuples(st.floats(0.5, 20.0), st.floats(0.0, 80.0)).map(lambda t: GenericRenewal(*t)),
+ANY_ARRIVAL = st.one_of(
+    st.floats(0.01, 2.0).map(Poisson),
+    st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(0.0, 1.0)).map(
+        lambda t: MarkovFluidRenewal(t[0], t[1], t[2], 1.0 - t[2])
     ),
+    st.tuples(st.floats(0.5, 20.0), st.floats(0.0, 80.0)).map(lambda t: GenericRenewal(*t)),
+)
+ANY_FLOW = st.tuples(
+    ANY_ARRIVAL,
     st.one_of(
         st.just(DeterministicUnit()),
         st.tuples(st.floats(0.0, 0.95), st.integers(1, 6)).map(lambda t: TruncatedGeometric(*t)),
@@ -317,6 +321,88 @@ def test_decay_rate_does_not_rise_with_a_higher_rate(rates, tagged, pick, growth
             assert a <= b * (1 + 1e-9)
 
 
+def _gaussian_decay_or_skip(flows, priority):
+    """delay_decay_rate of priority among flows, (arrival, service) pairs in
+    priority order; draws that are unstable or find no root are skipped."""
+    system = PrioritySystem(tuple(TrafficFlow(i + 1, *f) for i, f in enumerate(flows)))
+    assume(system.effective_load() < 1.0)
+    try:
+        return delay_decay_rate(system, priority)
+    except NoRootError:
+        reject()
+
+
+# the tagged flow's own p, L and rate are left out: they do move its decay
+# rate up (see test_light_tagged_flow_decay_rate_does_not_rise_with_its_rate)
+@given(
+    higher=st.lists(
+        st.tuples(ANY_ARRIVAL, st.floats(0.0, 0.9), st.integers(1, 6)), min_size=1, max_size=2
+    ),
+    tagged=ANY_FLOW,
+    pick=st.integers(0, 1),
+    raised_p=st.floats(0.0, 0.9),
+    more_attempts=st.integers(1, 3),
+)
+def test_decay_rate_does_not_rise_with_a_higher_flows_retries(
+    higher, tagged, pick, raised_p, more_attempts
+):
+    j = pick % len(higher)
+    flows = [(a, TruncatedGeometric(p, L)) for a, p, L in higher] + [tagged]
+    arrival, p, L = higher[j]
+    services = [TruncatedGeometric(p, L + more_attempts)]
+    # a higher p always raises the flow's slot-usage mean, but past the peak of
+    # its service variance it makes the flow more regular, and the decay rate
+    # below can then rise (a period-4 flow at L = 2, p 0.75 -> 0.875, over a
+    # Poisson(0.0625) unit flow): only p raises that keep the variance are checked
+    more_p = TruncatedGeometric(max(p, raised_p), L)
+    if service_moments(more_p)[1] >= service_moments(flows[j][1])[1]:
+        services.append(more_p)
+    for service in services:
+        raised = [*flows[:j], (arrival, service), *flows[j + 1 :]]
+        for priority in range(j + 2, len(flows) + 1):
+            after = _gaussian_decay_or_skip(raised, priority)
+            assert after <= _gaussian_decay_or_skip(flows, priority) * (1 + 1e-9)
+
+
+# a light Poisson unit flow below a Poisson(0.5) unit flow, p = 0: its phi* lies
+# past the maximum of -S(phi) (phi = 1 in gaussian mode), where the arrival
+# energy at phi* falls as the flow gets lighter
+LIGHT_RATES = (0.01, 0.05, 0.2)
+
+
+def _under_half_load(rate, mode="gaussian") -> PrioritySystem:
+    return PrioritySystem(
+        (
+            TrafficFlow(1, Poisson(0.5), DeterministicUnit()),
+            TrafficFlow(2, Poisson(rate), DeterministicUnit()),
+        ),
+        mode,
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="the analysis breaks for a light lower-priority flow")
+@pytest.mark.parametrize("mode", MODES)
+def test_light_tagged_flow_decay_rate_does_not_rise_with_its_rate(mode):
+    rates = [delay_decay_rate(_under_half_load(r, mode), 2) for r in LIGHT_RATES]
+    assert all(a >= b for a, b in zip(rates, rates[1:])), rates
+
+
+def test_light_tagged_flow_pins_and_simulated_slopes():
+    # companion to the xfail above: the analytic decay rates rise with the
+    # flow's own rate, while the simulated tail slope falls
+    pins = {"gaussian": (0.05565, 0.1804, 0.2384), "exact_poisson": (0.02399, 0.09968, 0.1930)}
+    for mode, want in pins.items():
+        got = [delay_decay_rate(_under_half_load(r, mode), 2) for r in LIGHT_RATES]
+        assert got == pytest.approx(want, rel=1e-3)
+    assert delay_violation_probability(_under_half_load(0.01), 2, 6) == pytest.approx(0.7161, rel=1e-3)
+    slopes = []
+    for rate in (0.01, 0.2):
+        fs = simulate(SimConfig(_under_half_load(rate), 0.0, 2_000_000, seed=1)).flow(2)
+        d = np.arange(4, 13)
+        slopes.append(-np.polyfit(d, np.log([fs.ccdf(int(x)) for x in d]), 1)[0])
+    assert slopes[0] > slopes[1]
+
+
 def test_phi_star_shrinks_toward_stability_boundary():
     # load -> 1 from below: root -> 0
     roots = [solve_phi_star(single_poisson(lam), 1) for lam in (0.5, 0.8, 0.95, 0.99)]
@@ -476,7 +562,7 @@ def test_delay_loss_tradeoff_in_L():
     loss = []
     for L in (1, 2, 4, 8):
         viol.append(delay_violation_probability(two_flow(p=0.2, L=L), 2, d_th))
-        loss.append(0.2**L)
+        loss.append(packet_loss_probability(0.2, L))
     assert all(a <= b + 1e-15 for a, b in zip(viol, viol[1:]))
     assert all(a > b for a, b in zip(loss, loss[1:]))
 

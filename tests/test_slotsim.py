@@ -66,10 +66,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(PrioritySystem((voice_flow(),)), 0.0, 1000, warmup=-1)
 
-    def test_unknown_convention(self):
-        with pytest.raises(ConfigError):
-            SimConfig(PrioritySystem((voice_flow(),)), 0.0, 1000, delay_convention="response")
-
     def test_duplicate_priorities(self):
         with pytest.raises(ConfigError):
             SimConfig(PrioritySystem((voice_flow(), voice_flow(0.3))), 0.0, 1000)
@@ -144,26 +140,24 @@ class TestQuietAndBoundary:
         assert math.isnan(mean_delay(fs))
         assert math.isnan(fs.ccdf(3))
 
-    def test_waiting_convention_shifts_by_one_slot(self):
-        # identical seed, identical event sequence; only the recorded
-        # delay changes, by exactly the service slot
-        base = dict(
-            system=PrioritySystem((data_flow(),)), attempt_failure_prob=0.1, horizon=20_000
-        )
-        soj = simulate(SimConfig(**base, seed=13, delay_convention="sojourn")).flow(2)
-        wait = simulate(SimConfig(**base, seed=13, delay_convention="waiting")).flow(2)
-        assert soj.delay_counts[0] == 0
-        assert wait.delay_counts == soj.delay_counts[1:]
-
 
 class TestLossLaw:
     def test_loss_rates_match_closed_form(self, fig5_stats):
         # unit-service voice loses each failed attempt; data needs four
-        data_loss = packet_loss_probability(TruncatedGeometric(0.1, 4))
-        for priority, want in ((1, 0.1), (2, data_loss)):
+        for priority, attempts in ((1, 1), (2, 4)):
+            want = packet_loss_probability(0.1, attempts)
             fs = fig5_stats.flow(priority)
             se = math.sqrt(want * (1.0 - want) / fs.departures)
             assert abs(fs.loss_rate - want) <= 4.0 * se
+
+    def test_unit_flow_loses_each_failed_attempt(self):
+        # one attempt per packet, so the loss is p itself; the sojourn
+        # counts the departure slot, so no delay is 0
+        flow = TrafficFlow(1, Poisson(0.5), DeterministicUnit())
+        fs = simulate(SimConfig(PrioritySystem((flow,)), 0.2, 200_000, seed=1)).flow(1)
+        want = packet_loss_probability(0.2, 1)
+        assert abs(fs.loss_rate - want) <= 4.0 * math.sqrt(want * (1.0 - want) / fs.departures)
+        assert fs.delay_counts[0] == 0
 
     def test_perfect_channel_loses_nothing(self):
         flow = TrafficFlow(1, Poisson(0.5), DeterministicUnit())
@@ -288,12 +282,11 @@ def test_simulate_matches_slot_loop(kind, p):
     horizon = 10_000
     system = PrioritySystem(ORACLE_SCENARIOS[kind](p))
     for seed in (1, 2, 3, 4):
-        for convention in ("sojourn", "waiting"):
-            for warmup in (0, horizon // 2, horizon - 1):
-                cfg = SimConfig(system, p, horizon, warmup, seed, convention)
-                got, want = simulate(cfg), slot_loop_oracle.simulate(cfg)
-                assert got == want
-                assert repr(got) == repr(want)  # plain ints, not numpy scalars
+        for warmup in (0, horizon // 2, horizon - 1):
+            cfg = SimConfig(system, p, horizon, warmup, seed)
+            got, want = simulate(cfg), slot_loop_oracle.simulate(cfg)
+            assert got == want
+            assert repr(got) == repr(want)  # plain ints, not numpy scalars
 
 
 # one retrying level: its free-slot coins come from seed at failure

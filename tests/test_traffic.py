@@ -105,7 +105,7 @@ def test_certain_failure_uses_every_attempt():
     # p = 1: every packet takes all L slots and is lost
     model = TruncatedGeometric(1.0, 6)
     assert service_moments(model) == (6.0, 0.0)
-    assert packet_loss_probability(model) == 1.0
+    assert packet_loss_probability(1.0, 6) == 1.0
 
 
 def test_service_moments_exact_near_certain_failure():
@@ -186,14 +186,14 @@ def test_pgf_derivatives_reproduce_moments(p, L):
 
 
 def test_packet_loss():
-    assert packet_loss_probability(TruncatedGeometric(0.37, 1)) == pytest.approx(0.37)
-    assert packet_loss_probability(TruncatedGeometric(0.2, 4)) == pytest.approx(0.0016)
-    assert packet_loss_probability(TruncatedGeometric(0.0, 4)) == 0.0
-    assert packet_loss_probability(DeterministicUnit()) == 0.0
+    assert packet_loss_probability(0.37, 1) == pytest.approx(0.37)
+    assert packet_loss_probability(0.2, 4) == pytest.approx(0.0016)
+    assert packet_loss_probability(0.0, 4) == 0.0
+    assert packet_loss_probability(0.2, 1) == 0.2  # unit service: its one attempt fails
 
 
 def test_loss_strictly_decreasing_in_L():
-    losses = [packet_loss_probability(TruncatedGeometric(0.2, L)) for L in (1, 2, 4, 8)]
+    losses = [packet_loss_probability(0.2, L) for L in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
