@@ -13,6 +13,9 @@ opened without truncation before the command runs, so a path that cannot
 be written fails at once; a failed run neither truncates an existing file
 nor leaves a new one behind.
 
+Analytic delay, and scenario parsing, run without numpy; the commands that
+need it (delay --simulate, outage, optimize, sweep) import it when they run.
+
 Exit codes: 0 success, 2 configuration/validation problem, 3 numerical
 failure (unstable queue, missing decay-rate root).
 """
@@ -23,8 +26,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import (
     LINKED,
@@ -36,15 +38,9 @@ from .config import (
 )
 from .delay import PrioritySystem, delay_decay_rate
 from .errors import ConfigError, DasqosError, NoRootError, StabilityError
-from .outage import (
-    CellScenario,
-    OutageEstimate,
-    antenna_outage_closed_form,
-    conditional_system_outage,
-    expected_outage,
-)
-from .placement import RMConfig, radius_sweep, rm_optimize
-from .slotsim import SimConfig, simulate
+
+if TYPE_CHECKING:
+    from .outage import CellScenario, OutageEstimate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,6 +136,10 @@ def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
 
 def _expected_outage(cfg: ScenarioConfig) -> OutageEstimate:
     """E(outage) of the configured cell at run.samples users drawn from run.seed."""
+    import numpy as np
+
+    from .outage import CellScenario, expected_outage
+
     return expected_outage(
         CellScenario(*cfg.require_cell()),
         cfg.run.samples,
@@ -190,6 +190,8 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     int_thresholds = [int(d) for d in thresholds]
     if any(i != d for i, d in zip(int_thresholds, thresholds)):
         raise ConfigError("--simulate needs integer d_th values")
+    from .slotsim import SimConfig, simulate
+
     sim_cfg = SimConfig(
         system,
         _failure_prob(cfg),
@@ -230,6 +232,8 @@ def _outage_row(scenario: CellScenario, samples: int, radius, value, std_err) ->
 
 
 def cmd_outage(args, cfg: ScenarioConfig) -> None:
+    from .outage import CellScenario, antenna_outage_closed_form, conditional_system_outage
+
     scenario = CellScenario(*cfg.require_cell())
     if cfg.users is not None:
         rows: list[tuple] = [
@@ -247,6 +251,11 @@ def cmd_outage(args, cfg: ScenarioConfig) -> None:
 
 
 def cmd_optimize(args, cfg: ScenarioConfig) -> None:
+    import numpy as np
+
+    from .outage import CellScenario
+    from .placement import RMConfig, rm_optimize
+
     scenario = CellScenario(*cfg.require_cell())
     antennas = scenario.antennas
     rm_cfg = cfg.rm if cfg.rm is not None else RMConfig()
@@ -278,6 +287,11 @@ def cmd_optimize(args, cfg: ScenarioConfig) -> None:
 
 
 def cmd_sweep(args, cfg: ScenarioConfig) -> None:
+    import numpy as np
+
+    from .outage import CellScenario
+    from .placement import radius_sweep
+
     scenario = CellScenario(*cfg.require_cell())
     grid = _parse_grid(args.radii)
     samples = cfg.run.samples

@@ -20,22 +20,12 @@ import io
 import math
 from collections.abc import Callable, Container
 from dataclasses import dataclass, field
-from typing import Any, Literal, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, Literal, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .delay import HigherPriorityMode
 from .errors import ConfigError
-from .geometry import (
-    AntennaVector,
-    ClusterLayout,
-    UserVector,
-    cluster_from_centers,
-    hex_cluster,
-    symmetric_circle,
-)
-from .outage import ChannelParams
-from .placement import RMConfig
 from .traffic import (
     ArrivalModel,
     DeterministicUnit,
@@ -46,6 +36,11 @@ from .traffic import (
     TrafficFlow,
     TruncatedGeometric,
 )
+
+if TYPE_CHECKING:  # these modules load numpy; a section that needs one imports it
+    from .geometry import AntennaVector, ClusterLayout, UserVector
+    from .outage import ChannelParams
+    from .placement import RMConfig
 
 LINKED = "linked"  # sentinel: derive the per-attempt failure prob from E(outage)
 
@@ -270,6 +265,14 @@ def _parse_flows(node: yaml.Node) -> tuple[TrafficFlow, ...]:
 def _parse_geometry(
     node: yaml.Node,
 ) -> tuple[ClusterLayout, AntennaVector | None, UserVector | None]:
+    from .geometry import (
+        AntennaVector,
+        UserVector,
+        cluster_from_centers,
+        hex_cluster,
+        symmetric_circle,
+    )
+
     fields = _mapping(node, "geometry")
     _reject_unknown(
         fields, {"cluster_size", "spacing", "centers", "antennas", "users"}, "geometry"
@@ -330,12 +333,16 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             if key == "flows":
                 flows = _parse_flows(node)
             elif key == "channel":
+                from .outage import ChannelParams
+
                 channel = _build(ChannelParams, node, "channel")
             elif key == "geometry":
                 layout, antennas, users = _parse_geometry(node)
             elif key == "run":
                 run = _build(RunParams, node, "run")
             elif key == "rm":
+                from .placement import RMConfig
+
                 rm = _build(RMConfig, node, "rm")
     return ScenarioConfig(flows, channel, layout, antennas, users, run, rm)
 

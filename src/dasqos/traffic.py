@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,8 @@ def packet_loss_probability(failure_prob: float, max_attempts: int) -> float:
 
 def sample_interarrival(model: ArrivalModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw size inter-arrival intervals."""
+    import numpy as np  # here, so the analysis imports without numpy
+
     match model:
         case Poisson(rate=lam):
             return rng.exponential(1.0 / lam, size)

@@ -1,8 +1,9 @@
 """End-to-end command tests: argv in, CSV text and exit code out.
 
 Everything runs in-process through main() so coverage and debuggers see
-the command paths; stdout/stderr are captured with capsys. One test imports
-the CLI in a fresh interpreter to see which modules start-up loads.
+the command paths; stdout/stderr are captured with capsys. One test runs
+the CLI in a fresh interpreter with numpy blocked, to see which modules
+start-up and analytic delay load.
 """
 import contextlib
 import hashlib
@@ -642,7 +643,7 @@ class TestExitCodes:
         def simulate(cfg):
             raise AssertionError("simulate ran although the CSV cannot be written")
 
-        monkeypatch.setattr(cli, "simulate", simulate)
+        monkeypatch.setattr("dasqos.slotsim.simulate", simulate)
         out = tmp_path / "missing" / "x.csv"
         argv, config = ["delay", "--dth", "1:2:1", "--simulate"], FLOWS_TEXT
         if where == "flag":
@@ -888,10 +889,45 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-def test_cli_import_leaves_thread_pools_out():
-    # only expected_outage(workers > 1) needs concurrent.futures, and the
-    # import pulls logging and queue into every CLI start-up
+# flows of every arrival kind and both service kinds, plus a run section: the
+# kind of document perfbench's set-up probe parses
+START_UP_TEXT = """\
+flows:
+  - priority: 1
+    arrival: {kind: poisson, rate: 0.1}
+    service: {kind: unit}
+  - priority: 2
+    arrival: {kind: markov_fluid, rate_a: 0.5, rate_b: 0.1, weight_a: 0.5, weight_b: 0.5}
+    service: {kind: truncated_geometric, failure_prob: 0.1, max_attempts: 3}
+  - priority: 3
+    arrival: {kind: renewal, mean: 8.0, variance: 40.0}
+    service: {kind: unit}
+run: {attempt_failure_prob: 0.1, seed: 5}
+"""
+
+START_UP_CHECK = """\
+import sys
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+import dasqos.cli
+dasqos.cli.load_scenario(sys.argv[1])
+assert dasqos.cli.main(sys.argv[2:]) == 0
+assert "concurrent.futures" not in sys.modules
+"""
+
+
+def test_cli_start_up_and_analytic_delay_run_without_numpy(tmp_path):
+    # numpy is most of a CLI start-up and only the commands that draw use it;
+    # concurrent.futures is for expected_outage(workers > 1) alone, and its
+    # import pulls logging and queue in
+    config = tmp_path / "flows.yaml"
+    config.write_text(START_UP_TEXT)
+    argv = ["delay", "--config", str(config), "--dth", "0:30:0.5", "--out"]
     src = str(Path(dasqos.__file__).parents[1])
-    check = "import sys, dasqos.cli; sys.exit('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0
+    done = subprocess.run(
+        [sys.executable, "-c", START_UP_CHECK, str(config), *argv, str(tmp_path / "blocked.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main([*argv, str(tmp_path / "free.csv")]) == 0
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
