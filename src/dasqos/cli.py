@@ -181,8 +181,13 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     rates = [(pr, delay_decay_rate(system, pr)) for pr in priorities]
 
     if not args.simulate:
+        # each threshold is formatted once for all flows; _emit writes the
+        # string as %s, the same bytes as its %.9g
+        labels = [format_float(d) for d in thresholds]
         rows = [
-            (pr, d, math.exp(-rate * d)) for pr, rate in rates for d in thresholds
+            (pr, label, math.exp(-rate * d))
+            for pr, rate in rates
+            for d, label in zip(thresholds, labels)
         ]
         _emit(["flow", "d_th", "prob_analytic"], rows, cfg.run.output)
         return

@@ -869,6 +869,13 @@ class TestExitCodes:
         assert code == 2
         assert "invalid YAML" in err
 
+    def test_config_that_is_not_utf8(self, run, tmp_path):
+        path = tmp_path / "latin.yaml"
+        path.write_bytes(b"run:\n  seed: \xff\xfe1\n")
+        code, out, err = run(["delay", "--dth", "1:2:1", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8: byte 0xff at offset 13\n"
+
     def test_threads_flag_is_gone(self, run, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["outage", "--threads", "2"], config=ALPHA0_TEXT)

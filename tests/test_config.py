@@ -1,7 +1,13 @@
+import ast
 import math
+import random
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
+from dasqos import config
 from dasqos.config import (
     LINKED,
     RunParams,
@@ -448,3 +454,225 @@ class TestFormatting:
         cfg = parse_scenario(format_antenna_block(av))
         assert cfg.antennas == av
         assert cfg.antennas.radii == (0.5, 0.3)
+
+
+# --- libyaml and pure-Python composers -------------------------------------
+
+README_SCENARIO = """\
+flows:
+  - priority: 1
+    name: voice
+    arrival: {kind: poisson, rate: 0.2}
+    service: {kind: unit}
+  - priority: 2
+    name: data
+    arrival: {kind: poisson, rate: 0.6}
+    service: {kind: truncated_geometric, failure_prob: 0.1, max_attempts: 4}
+channel:
+  path_loss_exponent: 2.0
+  spectral_efficiency: 1.0
+geometry:
+  cluster_size: 7
+  spacing: 2.0
+  antennas: {count: 4, radius: 0.3}
+run: {seed: 7, samples: 10000, attempt_failure_prob: 0.1}
+"""
+
+
+def _cell(path_loss_exponent: float, antennas: dict) -> dict:
+    return {
+        "channel": {"path_loss_exponent": path_loss_exponent},
+        "geometry": {"cluster_size": 7, "spacing": 2.0, "antennas": antennas},
+    }
+
+
+def _benchmark_documents() -> list[str]:
+    """The four benchmark scenarios at seed 1, dumped as the benchmark writes them."""
+    unit = {"kind": "unit"}
+    sim = {
+        "flows": [
+            {"priority": 1, "name": "voice", "arrival": {"kind": "poisson", "rate": 0.2}, "service": unit},
+            {
+                "priority": 2,
+                "name": "data",
+                "arrival": {"kind": "poisson", "rate": 0.6},
+                "service": {"kind": "truncated_geometric", "failure_prob": 0.1, "max_attempts": 4},
+            },
+        ],
+        "run": {"seed": 1, "horizon": 500_000, "warmup": 10_000, "attempt_failure_prob": 0.1},
+    }
+    analytic = {
+        "flows": [
+            {"priority": 1, "name": "control", "arrival": {"kind": "poisson", "rate": 0.1}, "service": unit},
+            {
+                "priority": 2,
+                "name": "video",
+                "arrival": {
+                    "kind": "markov_fluid",
+                    "rate_a": 0.5,
+                    "rate_b": 0.1,
+                    "weight_a": 0.5,
+                    "weight_b": 0.5,
+                },
+                "service": {"kind": "truncated_geometric", "failure_prob": 0.1, "max_attempts": 3},
+            },
+            {
+                "priority": 3,
+                "name": "telemetry",
+                "arrival": {"kind": "renewal", "mean": 8.0, "variance": 40.0},
+                "service": unit,
+            },
+            {
+                "priority": 4,
+                "name": "bulk",
+                "arrival": {"kind": "poisson", "rate": 0.3},
+                "service": {"kind": "truncated_geometric", "failure_prob": 0.2, "max_attempts": 4},
+            },
+        ],
+    }
+    sweep = _cell(2.0, {"count": 4, "radius": 0.3})
+    sweep["run"] = {"seed": 1, "samples": 10_000}
+    optimize = _cell(4.0, {"radii": [0.0] * 4, "angles": [m * math.pi / 2.0 for m in range(4)]})
+    optimize["run"] = {"seed": 1, "samples": 5_000}
+    optimize["rm"] = {"mode": "full_polar", "max_iter": 70, "eval_samples": 5_000}
+    return [yaml.safe_dump(doc, sort_keys=False) for doc in (sim, analytic, sweep, optimize)]
+
+
+def _test_file_strings() -> list[str]:
+    """Every string literal in this file and tests/test_cli.py: each scenario text among them."""
+    here = Path(__file__).parent
+    return sorted(
+        {
+            node.value
+            for name in ("test_config.py", "test_cli.py")
+            for node in ast.walk(ast.parse((here / name).read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+    )
+
+
+# characters a mutant inserts: YAML indicators, line breaks and a tab, a bell,
+# a BOM, non-ASCII and astral characters, digits and letters
+MUTANT_ALPHABET = ":-[]{},#&*!|>'\"%@`? \n\r\t\x07\ufeff\u00e9\u2028\U0001f600019.eaz"
+
+
+def _mutants(texts: list[str], count: int, seed: int) -> list[str]:
+    """count texts, each one of texts with 1-3 characters deleted, inserted or replaced."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            op = rng.choice(("delete", "insert", "replace"))
+            new = rng.choice(MUTANT_ALPHABET + "".join(chars))
+            if op == "insert":
+                chars.insert(i, new)
+            elif i < len(chars):
+                chars[i : i + 1] = [new] if op == "replace" else []
+        out.append("".join(chars))
+    return out
+
+
+CRAFTED = [
+    README_SCENARIO.replace("\n", "\r\n"),
+    README_SCENARIO.replace("\n", "\r"),
+    "\ufeff" + README_SCENARIO,
+    "run:\r\n  seed: 1\r\n  bogus: 2\r\n",
+    "run: {seed: 1}  # caf\u00e9\nchannel: {\u00e9: 1}\n",
+    "run: {seed: \"\U0001f600\", samples: 9}\n",
+    "\U0001f600: 1\n",
+    "run: {samples: \U0001f600\U0001f600, seed: x}\n",
+    "run: &r {seed: 1}\nchannel: *r\n",
+    "base: &b {seed: 3}\nrun:\n  <<: *b\n",
+    "run:\n  <<: {seed: 3}\n",
+    "run: {seed: 1}\n---\nrun: {seed: 2}\n",
+    "run: {seed: 1}\n...\n",
+    "run: {seed: \x07}\n",
+    "run:\n  seed: 1\n   samples: 2\n",
+]
+
+
+# Inputs on which the two composers are known to differ. libyaml accepts a
+# tab after "key:" or in a plain scalar, and a "?" inside a plain scalar in a
+# flow collection, as YAML 1.2 does; it counts a U+FEFF past the first
+# character as a column and skips one at a line start; it locates an empty
+# value in a flow collection at the next ",", "}" or "]", and rejects "key:}".
+KNOWN_DIFFERENCES = re.compile(r"\t|\S\?|(?s:.)\ufeff|:[ \r\n]*[,}\]]")
+
+
+def _outcome(text: str):
+    """What parse_scenario makes of text: the config, or its error without libyaml's wording."""
+    try:
+        return parse_scenario(text)
+    except ConfigError as exc:
+        message = str(exc)
+        if message.startswith("<config>: invalid YAML:"):
+            return "<config>: invalid YAML:"
+        return message
+
+
+def _outcomes(monkeypatch, loader, texts: list[str]) -> list:
+    monkeypatch.setattr(config, "LOADER", loader)
+    return [_outcome(t) for t in texts]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+class TestComposers:
+    """parse_scenario gives the same result under libyaml's composer and the
+    pure-Python one, apart from the KNOWN_DIFFERENCES inputs and the body of
+    an invalid-YAML message."""
+
+    def assert_same(self, monkeypatch, texts: list[str]) -> list:
+        """The outcomes of the texts outside KNOWN_DIFFERENCES, checked equal under both composers."""
+        compared = [t for t in texts if not KNOWN_DIFFERENCES.search(t)]
+        fast = _outcomes(monkeypatch, yaml.CSafeLoader, compared)
+        slow = _outcomes(monkeypatch, yaml.SafeLoader, compared)
+        assert [(t, f, s) for t, f, s in zip(compared, fast, slow) if f != s] == []
+        return fast
+
+    def test_libyaml_is_the_default_when_present(self):
+        assert config.LOADER is yaml.CSafeLoader
+
+    def test_test_file_scenarios(self, monkeypatch):
+        results = self.assert_same(monkeypatch, _test_file_strings() + [FULL, README_SCENARIO] + CRAFTED)
+        assert sum(isinstance(r, ScenarioConfig) for r in results) >= 20
+
+    def test_benchmark_documents_parse(self, monkeypatch):
+        results = self.assert_same(monkeypatch, _benchmark_documents() + [README_SCENARIO])
+        assert len(results) == 5
+        assert all(isinstance(r, ScenarioConfig) for r in results)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutants(self, monkeypatch, seed):
+        texts = _mutants(_benchmark_documents() + [README_SCENARIO], 550, seed)
+        results = self.assert_same(monkeypatch, texts)
+        assert len(results) >= 500
+        # the corpus reaches past the composer: whole configs and located errors
+        assert any(isinstance(r, ScenarioConfig) for r in results)
+        assert any(isinstance(r, str) and "YAML" not in r for r in results)
+
+    @pytest.mark.parametrize(
+        "text, libyaml, pure_python",
+        [
+            (
+                "run: {seed: , samples: 9}\n",
+                "<config>:1:13: seed must be an integer, got ''",
+                "<config>:1:12: seed must be an integer, got ''",
+            ),
+            ("run: {seed:}\n", "<config>: invalid YAML:", "<config>:1:12: seed must be an integer, got ''"),
+            ("run: {seed: 7, samples?: 9}\n", "<config>:1:26: unknown key 'samples?' in run", "<config>: invalid YAML:"),
+            (
+                "run:\n  \ufeffbogus: 1\n",
+                "<config>:2:11: unknown key '\\ufeffbogus' in run",
+                "<config>:2:10: unknown key '\\ufeffbogus' in run",
+            ),
+        ],
+    )
+    def test_known_differences(self, monkeypatch, text, libyaml, pure_python):
+        assert KNOWN_DIFFERENCES.search(text)
+        assert _outcomes(monkeypatch, yaml.CSafeLoader, [text]) == [libyaml]
+        assert _outcomes(monkeypatch, yaml.SafeLoader, [text]) == [pure_python]
+
+    def test_tab_separator_is_accepted(self):
+        assert parse_scenario("run:\n  seed:\t7\n").run.seed == 7
