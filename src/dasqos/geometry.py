@@ -79,10 +79,13 @@ def antenna_polar(radii, angles) -> np.ndarray:
     """Normalized layouts, (..., 2, antennas) radii then angles, from (..., antennas).
 
     Angles are wrapped into [0, 2*pi) and each layout sorted stably by angle.
-    A radius outside [0, 1], a non-finite angle or a repeated wrapped angle
-    raise ConfigError. AntennaVector and the search's probes both come here.
+    Radii and angles of unequal shapes, a radius outside [0, 1], a
+    non-finite angle or a repeated wrapped angle raise ConfigError.
+    AntennaVector and the search's probes both come here.
     """
     radii, angles = np.asarray(radii, dtype=float), np.asarray(angles, dtype=float)
+    if radii.shape != angles.shape:
+        raise ConfigError(f"radii and angles must have equal shapes, got {radii.shape} and {angles.shape}")
     bad = ~((radii >= 0.0) & (radii <= 1.0))
     if bad.any():
         raise ConfigError(f"antenna radius must lie in [0, 1], got {radii[bad][0]}")
@@ -91,10 +94,13 @@ def antenna_polar(radii, angles) -> np.ndarray:
     wrapped = np.fmod(angles, TWO_PI)
     wrapped += np.where(wrapped < 0.0, TWO_PI, 0.0)  # + 0.0 also turns -0.0 into 0.0
     wrapped[wrapped == TWO_PI] = 0.0  # a hair below 0 rounds up to 2*pi, the same point as 0
+    # each layout's angle order, as flat indices into radii and wrapped
     order = np.argsort(wrapped, axis=-1, kind="stable")
-    polar = np.take_along_axis(np.stack([radii, wrapped], axis=-2), order[..., None, :], -1)
+    order += np.arange(wrapped.size).reshape(wrapped.shape)[..., :1]
+    polar = np.concatenate([radii.take(order), wrapped.take(order)], axis=-1)
+    polar = polar.reshape(wrapped.shape[:-1] + (2, wrapped.shape[-1]))
     ang = polar[..., 1, :]
-    same = ~(ang[..., :-1] < ang[..., 1:])
+    same = ang[..., :-1] >= ang[..., 1:]  # the angles are finite here
     if same.any():
         raise ConfigError(f"antenna angles must be distinct, got {ang[..., :-1][same][0]} twice")
     return polar

@@ -6,7 +6,10 @@ vector, differentiates the conditional outage with respect to the antenna
 parameters by finite differences, and takes a projected descent step with
 step size step_scale * n^(-step_exponent). The returned location is the
 Polyak average of the iterates, which smooths the noisy path. Probes and
-trace rows reach the kernel as polar arrays (geometry.antenna_polar).
+trace rows reach the kernel as polar arrays (geometry.antenna_polar): each
+gradient's probes as one-antenna layouts, one per probe and antenna, in one
+call; the trace rows in one call after the loop, their means and standard
+errors taken in one pass over the rows.
 
 radius_sweep is the deterministic cross-check: expected outage on a radius
 grid for a symmetric antenna circle, every radius scored on one batch of
@@ -14,6 +17,7 @@ users drawn once, so the argmin is not an artifact of sampling noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import AntennaVector, antenna_polar, sample_user_batch
-from .outage import CellScenario, OutageEstimate, layout_outage
+from .outage import CellScenario, layout_outage
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
 RADIUS_BOUNDS = (0.0, 1.0)  # radii are clamped to the unit cell after each step
@@ -120,8 +124,14 @@ def _score(
     """Expected outage and standard error of each layout at one height,
     all scored on one batch of samples users drawn from seed."""
     ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
-    ests = [OutageEstimate.of(v) for v in layout_outage(scenario.channel, polar, height, ux, uy)]
-    return tuple(e.value for e in ests), tuple(e.std_err for e in ests)
+    values = layout_outage(scenario.channel, polar, height, ux, uy)
+    mean = values.mean(axis=1)
+    # numpy's std(ddof=1) step by step, in place: no rows x samples temporary,
+    # and row by row the bits of OutageEstimate.of
+    values -= mean[:, None]
+    values *= values
+    std_err = np.sqrt(values.sum(axis=1) / (samples - 1)) / math.sqrt(samples)
+    return tuple(mean.tolist()), tuple(std_err.tolist())
 
 
 def _fd_gradient(
@@ -139,8 +149,11 @@ def _fd_gradient(
     important, breaks the mirror symmetry at radius 0: for an even
     symmetric circle, -delta and +delta describe the same antenna set, so a
     central difference there is identically zero and the loop would never
-    leave the center. The probes form one (2P, 2, antennas) array, scored
-    on the user vector in one call.
+    leave the center. The probes form one (2P, 2, antennas) array, and the
+    kernel scores it on the user vector in one call as 2P x antennas
+    one-antenna layouts, a single antenna pass. Each probe's outage is then
+    the product of its antennas' outages from 1.0 in the probe's own sorted
+    order, which is the kernel's product, bit for bit.
     """
     n_radii = params.size if cfg.mode == "radius_only" else init.count
     lo, hi = RADIUS_BOUNDS
@@ -155,7 +168,13 @@ def _fd_gradient(
     down[i[~at_lo], i[~at_lo]] -= delta
     widths = np.where(at_hi | at_lo, delta, 2.0 * delta)
     polar = _polar_from_params(probes, init, cfg.mode)
-    values = layout_outage(scenario.channel, polar, init.height, ux, uy)
+    # row m * 2P + r is antenna m of probe r, in r's sorted order
+    rows, _, count = polar.shape
+    single = polar.transpose(2, 0, 1).reshape(-1, 2, 1)
+    per_antenna = layout_outage(scenario.channel, single, init.height, ux, uy)
+    values = np.ones(rows)
+    for outages in per_antenna.reshape(count, rows):
+        values *= outages
     return (values[0::2] - values[1::2]) / widths
 
 

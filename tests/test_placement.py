@@ -348,10 +348,10 @@ class TestBatchedScoring:
 
     @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
     def test_trace_is_scored_in_one_call(self, mode):
-        # every iteration scores its 2P gradient probes in one kernel call;
-        # after the loop one call scores every trace row, and a row whose
-        # Polyak average did not move (row 2 repeats the start) scores as
-        # its predecessor
+        # every iteration scores its 2P gradient probes in one kernel call,
+        # as 2P x antennas one-antenna layouts; after the loop one call
+        # scores every trace row, and a row whose Polyak average did not
+        # move (row 2 repeats the start) scores as its predecessor
         scenario = cluster_scenario(4.0, 0.8)
         init = symmetric_circle(4, 0.2)
         cfg = RMConfig(mode=mode, max_iter=12, eval_samples=300, tolerance=1e-12)
@@ -364,7 +364,7 @@ class TestBatchedScoring:
         kernel = placement.layout_outage
         with mock.patch.object(placement, "layout_outage", counting):
             _, trace = rm_optimize(scenario, init, cfg, np.random.default_rng(3))
-        probes = 2 if mode == "radius_only" else 16
+        probes = (2 if mode == "radius_only" else 16) * init.count
         moved = [a != b for a, b in zip(trace.averages, trace.averages[1:])]
         assert moved[0] is False and sum(moved) >= 5
         assert len(trace) == cfg.max_iter
@@ -433,23 +433,38 @@ class TestBatchedScoring:
                 grad = self._check_gradient(scenario, params, init, cfg, users)
             assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
 
-    def test_gradient_angle_probe_wraps_and_reorders(self):
+    # a probe whose angle crosses 0 or 2*pi or a neighbour's angle sorts its
+    # antennas in another order than the base layout: (angles, antenna
+    # probed, direction, the probe's radii in its order)
+    REORDERING_PROBES = [
         # the first antenna sits 0.5 fd_step above angle 0: its lower probe
-        # wraps past 2*pi and sorts last, changing the order of the product
+        # wraps past 2*pi and sorts last
+        ((5e-5, 1.2, 2.9, 4.4), 0, -1, (0.6, 0.5, 0.7, 0.4)),
+        # the last sits 0.5 fd_step below 2*pi: its upper probe wraps past 0
+        # and sorts first
+        ((1.2, 2.9, 4.4, 2 * math.pi - 5e-5), 3, +1, (0.7, 0.4, 0.6, 0.5)),
+        # the middle two sit 0.5 fd_step apart: the second antenna's upper
+        # probe passes the third's angle (a swap of the first two factors
+        # would not change the product's bits)
+        ((1.2, 2.9, 2.9 + 5e-5, 4.4), 1, +1, (0.4, 0.5, 0.6, 0.7)),
+    ]
+
+    def test_gradient_angle_probe_wraps_and_reorders(self):
+        # each probe's outage must be the product in the probe's own order
         cfg = RMConfig(mode="full_polar", fd_step=1e-4)
-        init = AntennaVector((0.4, 0.6, 0.5, 0.7), (5e-5, 1.2, 2.9, 4.4))
-        params = np.array(list(init.radii) + list(init.angles))
-        down = params.copy()
-        down[4] -= cfg.fd_step
-        wrapped = _antennas_from_params(down, init, cfg.mode)
-        assert wrapped.angles[-1] > 2 * math.pi - cfg.fd_step
-        assert wrapped.radii == (0.6, 0.5, 0.7, 0.4)
-        for exponent, alpha in [(2.0, 1.0), (4.0, 0.5)]:
-            scenario = cluster_scenario(exponent, alpha)
-            rng = np.random.default_rng(int(exponent))
-            for _ in range(5):
-                users = sample_user_vector(scenario.layout, rng)
-                self._check_gradient(scenario, params, init, cfg, users)
+        for angles, moved, sign, order in self.REORDERING_PROBES:
+            init = AntennaVector((0.4, 0.6, 0.5, 0.7), angles)
+            params = np.array(list(init.radii) + list(init.angles))
+            probe = params.copy()
+            probe[init.count + moved] += sign * cfg.fd_step
+            assert init.radii == (0.4, 0.6, 0.5, 0.7)
+            assert _antennas_from_params(probe, init, cfg.mode).radii == order
+            for exponent, alpha in [(2.0, 1.0), (4.0, 0.5)]:
+                scenario = cluster_scenario(exponent, alpha)
+                rng = np.random.default_rng(int(exponent))
+                for _ in range(5):
+                    users = sample_user_vector(scenario.layout, rng)
+                    self._check_gradient(scenario, params, init, cfg, users)
 
     @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
     def test_gradient_random_points_match_scalar_loop(self, mode):
