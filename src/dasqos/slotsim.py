@@ -15,12 +15,17 @@ level uses whatever the levels below do, so level n is simulated on its
 own, as one FIFO queue on the slots that levels < n left free: a Lindley
 recursion for unit service, and for retries the same recursion over a
 lattice of the slots where a packet can end, with the per-packet rule run
-only where a busy period starts off that lattice. The per-attempt
-probability may be a plain number or the expected-outage output of the
-antenna engine; the simulator does not care where it came from.
+only where a busy period starts off that lattice. Such breaks are found
+per block of packets, by comparing each packet's start with the start of
+the failure run that holds its last slot. A unit packet holds one slot,
+so the slots a unit level leaves below are all but its start slots. The
+per-attempt probability may be a plain number or the expected-outage
+output of the antenna engine; the simulator does not care where it came
+from.
 
-The checks on it live under tests/: the per-slot and per-packet loops it
-replaced and the fit of its delay tails against the analysis.
+The checks on it live under tests/: the per-slot and per-packet loops and
+the per-offset break check it replaced, and the fit of its delay tails
+against the analysis.
 """
 from __future__ import annotations
 
@@ -172,6 +177,10 @@ def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np
     end, so the packet started on a lattice start ends at the next start
     minus one. Writes into rank the index of the last start at or before
     each idx; returns the buffer and the number of starts in it.
+
+    The first slot of the segment holding each slot is a running maximum
+    of one past each success, the form _rule_breaks also takes over a
+    block of packets.
     """
     dtype = idx.dtype
     cells, count, seg = np.empty(nfree + 1, dtype=dtype), 0, 0
@@ -180,18 +189,23 @@ def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np
     bounds = np.searchsorted(idx, edges)  # packets eligible in each block
     for b, lo, hi in zip(range(0, nfree, _BLOCK), bounds.tolist(), bounds[1:].tolist()):
         pos = np.arange(b, min(b + _BLOCK, nfree), dtype=dtype)
-        opened = np.where(fail[b : b + _BLOCK], 0, pos + 1)  # a success opens pos + 1
+        opened = pos + 1  # a success opens pos + 1
+        opened *= ~fail[b : b + _BLOCK]
         first = np.empty_like(pos)  # first slot of the segment holding pos
         first[0], first[1:] = seg, opened[:-1]
         np.maximum.accumulate(first, out=first)
         seg = max(int(first[-1]), int(opened[-1]))
-        np.subtract(pos, first, out=first)
-        on = np.remainder(first, limit, out=first) == 0
+        off = np.subtract(pos, first, out=first)
+        # off // limit * limit == off is off % limit == 0 for off >= 0;
+        # numpy divides by an integer scalar without a hardware divide
+        whole = np.floor_divide(off, limit, out=opened)
+        whole *= limit
+        on = whole == off
         if hi > lo:
             seen = np.cumsum(on, dtype=dtype)
             np.add(seen[idx[lo:hi] - b], count - 1, out=rank[lo:hi])
-        starts = pos[on]
-        cells[count : count + len(starts)] = starts
+        starts = np.flatnonzero(on)
+        cells[count : count + len(starts)] = starts + b
         count += len(starts)
     rank[bounds[-1] :] = count - 1  # eligible at nfree
     # the last cell ends at nfree - 1, or at the horizon if it holds no
@@ -212,11 +226,23 @@ def _fifo_breaks(idx: np.ndarray, start: np.ndarray, end: np.ndarray, last: int 
 
 def _rule_breaks(fail: np.ndarray, start: np.ndarray, end: np.ndarray, limit: int, nfree: int) -> np.ndarray:
     """Mask of the packets that do not stop at their first success or
-    limit-th failure (or at nfree, still in service at the horizon)."""
+    limit-th failure (or at nfree, still in service at the horizon).
+
+    start and end are nondecreasing, with start[0] <= end <= nfree. A
+    packet on [s, e] has a success in [s, e - 1] exactly when the failure
+    run holding e starts after s. Those run starts are taken once, over the
+    slots [start[0], end[-1]], as a running maximum of one past each
+    success; they are clamped at start[0], which changes no comparison, as
+    no packet starts before it. Exact for the schedule of any lattice, so
+    it also finds every break of a wrong one.
+    """
+    s0, last = int(start[0]), int(end[-1])
+    opened = np.arange(s0, last + 1, dtype=start.dtype)  # a success at x - 1 opens x
+    opened[1:] *= ~fail[s0:last]
+    runs = np.maximum.accumulate(opened, out=opened)
     span = end - start
-    bad = span >= limit
-    for t in range(limit - 1):  # a success before the end
-        bad |= (span > t) & ~fail[np.minimum(start + t, nfree - 1)]
+    bad = runs[end - s0] > start  # a success before the end
+    bad |= span >= limit
     bad |= fail[np.minimum(end, nfree - 1)] & (span != limit - 1) & (end != nfree)
     return bad
 
@@ -236,7 +262,9 @@ def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: i
     period that starts off the lattice, inside a failure run longer than
     what is left of its cell, breaks the per-packet rule; from each such
     packet the rule is run one packet at a time until the schedule meets
-    the lattice again.
+    the lattice again. The breaks are found per block of _BLOCK packets,
+    by _fifo_breaks and by _rule_breaks from the failure-run starts over
+    the block's slots.
     """
     start, end = np.empty_like(idx), np.empty_like(idx)
     if nfree == 0:
@@ -255,12 +283,13 @@ def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: i
         # ends at nfree - 1 or later, so the packet after it starts at or
         # past nfree once it follows the rule
         stop = min(int(np.searchsorted(r, count)), int(np.searchsorted(i, i.dtype.type(nfree))))
-        r, i = r[:stop], i[:stop]
-        s = start[c : c + stop]
-        np.maximum(cells[r], i, out=s)
-        e = np.subtract(cells[r + 1], 1, out=end[c : c + stop])
-        bad = _fifo_breaks(i, s, e, last) | _rule_breaks(fail, s, e, limit, nfree)
-        broken.extend((np.flatnonzero(bad) + c).tolist())
+        if stop:
+            r, i = r[:stop], i[:stop]
+            s = start[c : c + stop]
+            np.maximum(cells[r], i, out=s)
+            e = np.subtract(cells[r + 1], 1, out=end[c : c + stop])
+            bad = _fifo_breaks(i, s, e, last) | _rule_breaks(fail, s, e, limit, nfree)
+            broken.extend((np.flatnonzero(bad) + c).tolist())
         if stop < m:
             n = c + stop
             break
@@ -318,7 +347,10 @@ def _serve_level(flow, limit, e, idx, free, fail, cfg: SimConfig, last: bool):
         start, end = _serve_with_retries(idx, coins, limit, nfree)
     _check_schedule(idx, start, end, nfree)
     keep = None
-    if not last:  # drop each packet's run of slots
+    if not last and limit == 1:  # a unit packet holds its start slot only
+        keep = np.ones(nfree, dtype=bool)
+        keep[start] = False
+    elif not last:  # drop each packet's run of slots
         run = np.zeros(nfree + 1, dtype=np.int8)
         run[start] = 1
         run[np.minimum(end, nfree - 1) + 1] -= 1

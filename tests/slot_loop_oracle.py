@@ -10,6 +10,9 @@ as the oracle for `tests/test_slotsim.py`; run it only at small horizons.
 
 `serve_with_retries` is the per-packet loop that served a retrying level
 before the lattice pass replaced it, kept verbatim as that pass's oracle.
+`rule_breaks` is the per-offset check of that pass's schedule, one gather
+per attempt offset, kept verbatim as the oracle of the segment-start check
+that replaced it.
 """
 from __future__ import annotations
 
@@ -164,3 +167,14 @@ def serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: in
         starts[k], ends[k] = s, last
         k += 1
     return start[:k], end[:k]
+
+
+def rule_breaks(fail: np.ndarray, start: np.ndarray, end: np.ndarray, limit: int, nfree: int) -> np.ndarray:
+    """Mask of the packets that do not stop at their first success or
+    limit-th failure (or at nfree, still in service at the horizon)."""
+    span = end - start
+    bad = span >= limit
+    for t in range(limit - 1):  # a success before the end
+        bad |= (span > t) & ~fail[np.minimum(start + t, nfree - 1)]
+    bad |= fail[np.minimum(end, nfree - 1)] & (span != limit - 1) & (end != nfree)
+    return bad

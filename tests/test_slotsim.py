@@ -7,6 +7,7 @@ meaningful as statistics.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -352,6 +353,35 @@ def test_retry_schedule_repairs_a_wrong_lattice(limit, p, nfree, seed, arrivals,
         np.testing.assert_array_equal(g, w)
 
 
+@given(**LEVELS, arrivals=st.lists(st.integers(0, 80), max_size=40), wrong=st.none() | st.integers(1, 9))
+@settings(max_examples=500)
+# a packet still in service at the horizon ends at nfree
+@example(limit=4, p=1.0, nfree=6, seed=0, arrivals=[0, 0, 9], block=2, wrong=None)
+# coins S then fourteen F: the second block starts at 4, inside the failure
+# run that starts at 1
+@example(limit=3, p=0.9, nfree=20, seed=41, arrivals=[0, 2, 2, 2], block=2, wrong=None)
+@example(limit=3, p=0.9, nfree=20, seed=41, arrivals=[0, 2, 2, 2], block=2, wrong=2)
+def test_rule_breaks_match_the_per_offset_check(limit, p, nfree, seed, arrivals, block, wrong):
+    # the segment-start check against the per-offset one it replaced, on
+    # every block of a schedule served from a right or a wrong lattice
+    idx, fail_bytes = _level(p, nfree, seed, arrivals)
+    lattice, rule_breaks = slotsim._lattice, slotsim._rule_breaks
+
+    def any_lattice(fail, idx, limit, nfree, rank):
+        return lattice(fail, idx, wrong or limit, nfree, rank)
+
+    def checked(fail, start, end, limit, nfree):
+        got = rule_breaks(fail, start, end, limit, nfree)
+        want = slot_loop_oracle.rule_breaks(fail, start, end, limit, nfree)
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    with mock.patch.object(slotsim, "_lattice", any_lattice), mock.patch.object(
+        slotsim, "_rule_breaks", checked
+    ), mock.patch.object(slotsim, "_BLOCK", block):
+        slotsim._serve_with_retries(idx, fail_bytes, limit, nfree)
+
+
 @given(**LEVELS)
 def test_lattice_is_the_schedule_of_a_queue_never_empty(limit, p, nfree, seed, block):
     # every packet eligible at slot 0: one busy period from a lattice start
@@ -364,6 +394,21 @@ def test_lattice_is_the_schedule_of_a_queue_never_empty(limit, p, nfree, seed, b
     np.testing.assert_array_equal(cells[:count], start)
     np.testing.assert_array_equal(cells[1 : count + 1] - 1, end)
     assert not rank.any()
+
+
+def test_simulate_memory_stays_per_block():
+    # the README two-flow scenario at 5e5 slots peaks at ~9.6 MB, the
+    # per-level arrays of the horizon; an auxiliary array over the whole
+    # horizon (4e5 int32 free slots of the data level is 1.6 MB) breaks it
+    cfg = fig5_config(500_000, seed=1)
+    simulate(fig5_config(1_000, seed=1))  # the imports of a first call are ~0.8 MB more
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 class TestScheduleInvariants:

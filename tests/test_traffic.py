@@ -215,6 +215,16 @@ def test_sampling_deterministic_replay():
     np.testing.assert_array_equal(x, y)
 
 
+@pytest.mark.parametrize("rate", [0.2, 0.6, 1 / 8])
+def test_poisson_gaps_are_numpys_exponential_draws(rate):
+    # drawn as scaled standard exponentials: the same floats as
+    # rng.exponential(1 / rate), and the generator left in the same state
+    ours, numpys = np.random.default_rng(5), np.random.default_rng(5)
+    gaps = sample_interarrival(Poisson(rate), ours, 10_000)
+    np.testing.assert_array_equal(gaps, numpys.exponential(1.0 / rate, 10_000))
+    assert ours.standard_exponential() == numpys.standard_exponential()
+
+
 def test_generic_renewal_cannot_sample():
     with pytest.raises(ConfigError):
         sample_interarrival(GenericRenewal(2.0, 1.0), np.random.default_rng(0), 1)
