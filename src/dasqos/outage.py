@@ -85,10 +85,16 @@ class OutageEstimate:
     value: float
     std_err: float
 
-    @classmethod
-    def of(cls, values: np.ndarray) -> "OutageEstimate":
-        """Sample mean and its standard error over per-user-vector outages."""
-        return cls(float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
+
+def row_estimates(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean of each row of values (rows, samples) and its standard
+    error: numpy's std(ddof=1) / sqrt(samples) step by step, in place, so
+    no rows x samples temporary is made. values is overwritten."""
+    samples = values.shape[1]
+    mean = values.mean(axis=1)
+    values -= mean[:, None]
+    values *= values
+    return mean, np.sqrt(values.sum(axis=1) / (samples - 1)) / math.sqrt(samples)
 
 
 def layout_outage(
@@ -197,14 +203,15 @@ def expected_outage(
     ux, uy = sample_user_batch(scenario.layout, samples, rng)
     polar = np.array([[a.radii, a.angles]])
     if workers <= 1 or samples < 2 * workers:
-        values = layout_outage(scenario.channel, polar, a.height, ux, uy)[0]
+        values = layout_outage(scenario.channel, polar, a.height, ux, uy)
     else:
         # imported here, as at module level it would slow every CLI start-up
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                lambda xy: layout_outage(scenario.channel, polar, a.height, *xy)[0],
+                lambda xy: layout_outage(scenario.channel, polar, a.height, *xy),
                 zip(np.array_split(ux, workers), np.array_split(uy, workers)),
             )
-            values = np.concatenate(list(parts))
-    return OutageEstimate.of(values)
+            values = np.concatenate(list(parts), axis=1)
+    mean, std_err = row_estimates(values)
+    return OutageEstimate(float(mean[0]), float(std_err[0]))

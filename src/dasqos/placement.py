@@ -17,7 +17,6 @@ users drawn once, so the argmin is not an artifact of sampling noise.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import AntennaVector, antenna_polar, sample_user_batch
-from .outage import CellScenario, layout_outage
+from .outage import CellScenario, layout_outage, row_estimates
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
 RADIUS_BOUNDS = (0.0, 1.0)  # radii are clamped to the unit cell after each step
@@ -124,13 +123,7 @@ def _score(
     """Expected outage and standard error of each layout at one height,
     all scored on one batch of samples users drawn from seed."""
     ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
-    values = layout_outage(scenario.channel, polar, height, ux, uy)
-    mean = values.mean(axis=1)
-    # numpy's std(ddof=1) step by step, in place: no rows x samples temporary,
-    # and row by row the bits of OutageEstimate.of
-    values -= mean[:, None]
-    values *= values
-    std_err = np.sqrt(values.sum(axis=1) / (samples - 1)) / math.sqrt(samples)
+    mean, std_err = row_estimates(layout_outage(scenario.channel, polar, height, ux, uy))
     return tuple(mean.tolist()), tuple(std_err.tolist())
 
 

@@ -1,80 +1,36 @@
-"""The package's exports: a pinned list, each loaded from its submodule on
-first use."""
+"""The package exports no names: `import dasqos` binds its version and
+loads nothing else, and its modules import as dasqos.<module>."""
+import os
+import re
+import subprocess
 import sys
-
-import pytest
+from pathlib import Path
 
 import dasqos
 
-EXPORTS = [
-    "AntennaVector",
-    "CellScenario",
-    "ChannelParams",
-    "ClusterLayout",
-    "ConfigError",
-    "DasqosError",
-    "DeterministicUnit",
-    "FlowStats",
-    "GenericRenewal",
-    "MarkovFluidRenewal",
-    "NoRootError",
-    "OutageEstimate",
-    "Poisson",
-    "PrioritySystem",
-    "RMConfig",
-    "RMTrace",
-    "SimConfig",
-    "SimStats",
-    "StabilityError",
-    "SweepResult",
-    "TrafficFlow",
-    "TruncatedGeometric",
-    "UserVector",
-    "antenna_outage_closed_form",
-    "antenna_polar",
-    "arrival_energy",
-    "arrival_moments",
-    "arrival_rate",
-    "cluster_from_centers",
-    "conditional_system_outage",
-    "delay_decay_rate",
-    "delay_violation_probability",
-    "eval_energy",
-    "expected_outage",
-    "hex_cluster",
-    "layout_outage",
-    "packet_loss_probability",
-    "radius_sweep",
-    "rm_optimize",
-    "sample_interarrival",
-    "sample_user_batch",
-    "sample_user_vector",
-    "service_moments",
-    "simulate",
-    "solve_phi_star",
-    "step_sequence",
-    "symmetric_circle",
-    "user_positions",
+IMPORT_CHECK = """\
+import sys
+import dasqos
+assert not [m for m in sys.modules if m.startswith("dasqos.")], sorted(sys.modules)
+assert "numpy" not in sys.modules
+assert [k for k in vars(dasqos) if not k.startswith("_")] == [], vars(dasqos)
+assert dasqos.__version__ == sys.argv[1], dasqos.__version__
+from dasqos import cli, delay, geometry, outage, placement, slotsim
+assert [m.__name__ for m in (cli, delay, geometry, outage, placement, slotsim)] == [
+    "dasqos.cli", "dasqos.delay", "dasqos.geometry", "dasqos.outage", "dasqos.placement",
+    "dasqos.slotsim",
 ]
+assert not hasattr(dasqos, "numpy")  # the submodules' numpy is not the package's
+"""
 
 
-def test_exports_are_pinned_and_are_their_submodules_objects():
-    assert sorted(dasqos.__all__) == EXPORTS
-    for name in EXPORTS:
-        obj = getattr(dasqos, name)
-        home = sys.modules[obj.__module__]
-        assert home.__name__.startswith("dasqos."), name
-        assert getattr(home, name) is obj, name
-
-
-def test_star_import_binds_every_export():
-    namespace: dict = {}
-    exec("from dasqos import *", namespace)
-    assert sorted(k for k in namespace if k != "__builtins__") == EXPORTS
-
-
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'numpy'"):
-        dasqos.numpy  # noqa: B018
-    assert not hasattr(dasqos, "no_such_name")
-    assert set(EXPORTS) <= set(dir(dasqos))
+def test_import_loads_no_submodule_and_binds_only_the_version():
+    # run in a fresh interpreter: this one has loaded every submodule already
+    src = Path(dasqos.__file__).parents[1]
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"', pyproject, re.M).group(1)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK, version],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
