@@ -71,7 +71,9 @@ class RunParams:
     def __post_init__(self) -> None:
         if self.seed < 0:  # numpy seeds only non-negative integers
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # the texts SimConfig and expected_outage use, here checked at parse time
+        # the only checks on these values, run at parse time and again when main
+        # applies --seed/--samples: SimConfig, expected_outage and radius_sweep
+        # take them as given
         p = self.attempt_failure_prob
         if p not in (None, LINKED) and not 0.0 <= p <= 1.0:
             raise ConfigError(f"attempt failure probability must be in [0, 1], got {p}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, get_args
+from typing import Callable, Literal
 
 from .energy import arrival_energy, eval_energy, expm1
 from .errors import ConfigError, NoRootError, StabilityError
@@ -39,7 +39,8 @@ HigherPriorityMode = Literal["gaussian", "exact_poisson"]
 class PrioritySystem:
     """Flows sharing a server under preemptive-resume strict priority.
 
-    Priorities must be distinct; smaller numbers are served first.
+    flows is non-empty (the scenario parser rejects an empty list) and
+    priorities must be distinct; smaller numbers are served first.
     higher_priority_mode picks how flows above the tagged one enter its
     service energy: "gaussian" matches their slot-usage mean and variance,
     "exact_poisson" keeps the exact Poisson counting energy and therefore
@@ -50,15 +51,9 @@ class PrioritySystem:
     higher_priority_mode: HigherPriorityMode = "gaussian"
 
     def __post_init__(self) -> None:
-        if not self.flows:
-            raise ConfigError("a priority system needs at least one flow")
         priorities = [f.priority for f in self.flows]
         if len(set(priorities)) != len(priorities):
             raise ConfigError(f"duplicate priorities: {sorted(priorities)}")
-        if self.higher_priority_mode not in get_args(HigherPriorityMode):
-            raise ConfigError(
-                f"unknown higher_priority_mode {self.higher_priority_mode!r}"
-            )
         object.__setattr__(
             self, "flows", tuple(sorted(self.flows, key=lambda f: f.priority))
         )

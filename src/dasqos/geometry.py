@@ -78,14 +78,13 @@ def cluster_from_centers(centers, spacing: float | None = None) -> ClusterLayout
 def antenna_polar(radii, angles) -> np.ndarray:
     """Normalized layouts, (..., 2, antennas) radii then angles, from (..., antennas).
 
-    Angles are wrapped into [0, 2*pi) and each layout sorted stably by angle.
-    Radii and angles of unequal shapes, a radius outside [0, 1], a
-    non-finite angle or a repeated wrapped angle raise ConfigError.
-    AntennaVector and the search's probes both come here.
+    radii and angles have one shape: AntennaVector checks their lengths
+    first, and the search builds its probes that way. Angles are wrapped
+    into [0, 2*pi) and each layout sorted stably by angle. A radius outside
+    [0, 1], a non-finite angle or a repeated wrapped angle raise
+    ConfigError; the search's probes can trip each of them.
     """
     radii, angles = np.asarray(radii, dtype=float), np.asarray(angles, dtype=float)
-    if radii.shape != angles.shape:
-        raise ConfigError(f"radii and angles must have equal shapes, got {radii.shape} and {angles.shape}")
     bad = ~((radii >= 0.0) & (radii <= 1.0))
     if bad.any():
         raise ConfigError(f"antenna radius must lie in [0, 1], got {radii[bad][0]}")

@@ -196,9 +196,8 @@ def expected_outage(
     rng, never on the antenna layout, so calls sharing a seed share their
     user draws (common random numbers across layouts). workers > 1 splits
     the batch across threads; the values do not depend on the split.
+    samples >= 2, as config.RunParams checks it.
     """
-    if samples < 2:
-        raise ConfigError(f"need at least 2 samples, got {samples}")
     a = scenario.antennas
     ux, uy = sample_user_batch(scenario.layout, samples, rng)
     polar = np.array([[a.radii, a.angles]])

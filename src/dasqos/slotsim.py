@@ -49,7 +49,11 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile for the CCDF bands
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One replication of the system's flows (distinct priorities, sorted)."""
+    """One replication of the system's flows (distinct priorities, sorted).
+
+    attempt_failure_prob lies in [0, 1] and horizon > warmup >= 0, as
+    config.RunParams checks them; only the retry-model match is checked here.
+    """
 
     system: PrioritySystem
     attempt_failure_prob: float
@@ -58,15 +62,6 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.attempt_failure_prob <= 1.0:
-            raise ConfigError(
-                f"attempt failure probability must be in [0, 1], "
-                f"got {self.attempt_failure_prob}"
-            )
-        if not self.horizon > self.warmup >= 0:
-            raise ConfigError(
-                f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}"
-            )
         for f in self.system.flows:
             if (
                 isinstance(f.service, TruncatedGeometric)

@@ -6,6 +6,7 @@ the CLI in a fresh interpreter with numpy blocked, to see which modules
 start-up and analytic delay load.
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -20,7 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dasqos
-from dasqos import cli
+from dasqos import cli, placement
 from dasqos.cli import _emit, main
 from dasqos.config import format_float, parse_scenario
 from dasqos.delay import PrioritySystem, delay_violation_probability
@@ -387,6 +388,26 @@ class TestOptimize:
         assert trace.startswith("n,L1_bar,theta1_bar,e_outage_estimate\n")
         assert len(trace.splitlines()) == 2
         assert out.startswith("geometry:\n")
+
+    def test_divergence_warns_and_leaves_the_csv_alone(self, run, tmp_path, monkeypatch):
+        plain = tmp_path / "plain.csv"
+        code, _, err = run(["optimize", "--out", str(plain)], config=OPT_TEXT)
+        assert code == 0 and "warning" not in err
+        real = placement.rm_optimize
+
+        def diverging(*args):
+            final, trace = real(*args)
+            return final, dataclasses.replace(trace, diverged=True)
+
+        monkeypatch.setattr(placement, "rm_optimize", diverging)
+        flagged = tmp_path / "flagged.csv"
+        code, _, err = run(["optimize", "--out", str(flagged)], config=OPT_TEXT)
+        assert code == 0
+        assert err.splitlines()[0] == (
+            "warning: a radius stayed pinned at its bound under a nonzero "
+            "gradient; treat the result as divergent"
+        )
+        assert flagged.read_bytes() == plain.read_bytes()
 
 
 # Byte pins of a short criterion-6 search (full_polar from the centre,
@@ -790,11 +811,93 @@ class TestExitCodes:
                 ),
                 "error: {path}:6:10: user vector has 2 entries for 7 cells",
             ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("geometry:\n", "geometry:\n  spacing: 0\n"),
+                "error: {path}:5:3: center spacing must be > 0, got 0.0",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("geometry:\n", "geometry:\n  spacing: 0\n  centers: [[0.0, 0.0]]\n"),
+                "error: {path}:5:3: center spacing must be > 0, got 0.0",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("geometry:\n", "geometry:\n  centers: []\n"),
+                "error: {path}:5:3: cluster needs at least one cell",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("count: 4", "count: 0"),
+                "error: {path}:5:3: antenna count must be >= 1, got 0",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("{count: 4, radius: 0.3}", "{radii: [0.3, 0.3], angles: [0.0]}"),
+                "error: {path}:5:3: radii and angles must have equal length",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("geometry:\n", "geometry:\n  users: {radii: [0.5, 0.7], angles: [0.0]}\n"),
+                "error: {path}:5:3: user radii and angles must have equal length",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("on_probability: 0.0", "spectral_efficiency: 0"),
+                "error: {path}:2:3: spectral efficiency must be > 0, got 0.0",
+            ),
+            (
+                ["outage"],
+                ALPHA0_TEXT.replace("on_probability: 0.0", "on_probability: 1.5"),
+                "error: {path}:2:3: on probability must be in [0, 1], got 1.5",
+            ),
+            (
+                ["delay", "--dth", "0:2:1"],
+                FLOWS_TEXT.replace(
+                    "{kind: poisson, rate: 0.2}",
+                    "{kind: markov_fluid, rate_a: 1.0, rate_b: 0.1, weight_a: 1.5, weight_b: -0.5}",
+                ),
+                "error: {path}:2:5: markov-fluid branch weights must be >= 0",
+            ),
+            (
+                ["delay", "--dth", "0:2:1"],
+                FLOWS_TEXT.replace("{kind: poisson, rate: 0.2}", "{kind: renewal, mean: 5.0, variance: -1.0}"),
+                "error: {path}:2:5: renewal interval variance must be >= 0, got -1.0",
+            ),
+            (["delay", "--dth=-1,2"], FLOWS_TEXT, "error: delay bound must be >= 0, got -1.0"),
+            (
+                ["delay", "--dth", "0:2:1", "--simulate"],
+                FLOWS_TEXT.replace("attempt_failure_prob: 0.1, ", ""),
+                "error: run.attempt_failure_prob is required for simulation "
+                "(a number, or 'linked' to take it from expected outage)",
+            ),
+            (["sweep", "--samples", "1"], SWEEP_TEXT, "error: need at least 2 samples, got 1"),
         ],
-        ids=["attempt-failure-prob", "horizon-warmup", "samples", "users-count"],
+        ids=[
+            "attempt-failure-prob",
+            "horizon-warmup",
+            "samples",
+            "users-count",
+            "spacing",
+            "spacing-with-centers",
+            "no-centers",
+            "no-antennas",
+            "antenna-lengths",
+            "user-lengths",
+            "spectral-efficiency",
+            "on-probability",
+            "negative-weight",
+            "negative-variance",
+            "negative-dth",
+            "simulate-without-probability",
+            "samples-flag",
+        ],
     )
     def test_run_values_and_users_are_checked_at_parse(self, run, tmp_path, argv, config, first_line):
-        # the first three exited 0 on analytic delay, the last without a location
+        # each value is checked once, where it enters: the scenario's at parse,
+        # located; a flag's when main applies it. The functions downstream take
+        # them as given. The first three exited 0 on analytic delay, users-count
+        # without a location.
         out = tmp_path / "x.csv"
         code, stdout, err = run(argv + ["--out", str(out)], config=config)
         assert (code, stdout) == (2, "")

@@ -213,15 +213,6 @@ def test_antenna_polar_rejects_as_antenna_vector_does(radii, angles, message):
     assert str(batch.value) == str(scalar.value)
 
 
-def test_antenna_polar_rejects_unequal_shapes():
-    # one radius per angle: an extra, missing or rearranged radius is an
-    # error, not dropped or paired with another angle
-    angles = [(1.0, 2.0)] * 2
-    for radii in ((0.1, 0.2, 0.3), (0.1,), [(0.1, 0.2)] * 3, [(0.1, 0.2, 0.3, 0.4)]):
-        with pytest.raises(ConfigError, match="equal shapes"):
-            antenna_polar(radii, angles)
-
-
 def test_user_positions_shape():
     layout = hex_cluster(7)
     users = sample_user_vector(layout, np.random.default_rng(0))

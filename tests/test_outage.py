@@ -601,9 +601,3 @@ def test_expected_outage_scales_with_alpha():
     ]
     assert values[0] == 0.0
     assert all(a < b for a, b in zip(values, values[1:]))
-
-
-def test_expected_outage_validation():
-    scenario = seven_cell_scenario()
-    with pytest.raises(ConfigError):
-        expected_outage(scenario, 1, np.random.default_rng(0))

@@ -55,18 +55,6 @@ def fig5_stats() -> SimStats:
 
 
 class TestConfigValidation:
-    def test_failure_prob_range(self):
-        with pytest.raises(ConfigError):
-            SimConfig(PrioritySystem((voice_flow(),)), 1.5, 1000)
-        with pytest.raises(ConfigError):
-            SimConfig(PrioritySystem((voice_flow(),)), -0.1, 1000)
-
-    def test_horizon_must_exceed_warmup(self):
-        with pytest.raises(ConfigError):
-            SimConfig(PrioritySystem((voice_flow(),)), 0.0, 1000, warmup=1000)
-        with pytest.raises(ConfigError):
-            SimConfig(PrioritySystem((voice_flow(),)), 0.0, 1000, warmup=-1)
-
     def test_duplicate_priorities(self):
         with pytest.raises(ConfigError):
             SimConfig(PrioritySystem((voice_flow(), voice_flow(0.3))), 0.0, 1000)
