@@ -232,7 +232,9 @@ def _parameters(fn: Callable) -> dict[str, tuple[bool, Callable]]:
 def _build(fn: Callable, node: yaml.Node, what: str, fields: dict[str, yaml.Node] | None = None):
     """fn called with the mapping at node, one key per parameter.
 
-    fields is that mapping when the caller has already read it.
+    fields is that mapping when the caller has already read it. A value
+    that fn rejects is reported at node, the mapping that holds it; a value
+    that cannot be read at all, at the value itself.
     """
     if fields is None:
         fields = _mapping(node, what)
@@ -242,7 +244,8 @@ def _build(fn: Callable, node: yaml.Node, what: str, fields: dict[str, yaml.Node
     for name, (required, coerce) in params.items():
         if required or name in fields:
             kwargs[name] = coerce(_require(fields, name, node, what), name)
-    return fn(**kwargs)
+    with _located(node):
+        return fn(**kwargs)
 
 
 def _build_kind(table: dict[str, Callable], node: yaml.Node, what: str):
@@ -254,21 +257,18 @@ def _build_kind(table: dict[str, Callable], node: yaml.Node, what: str):
 
 @contextlib.contextmanager
 def _located(node: yaml.Node):
-    """Prefix a constructor's ConfigError, which has no location, with node's."""
+    """Prefix a ConfigError raised inside, which has no location, with node's.
+
+    The scopes never nest: each wraps one call that takes values already read.
+    """
     try:
         yield
     except ConfigError as exc:
-        if str(exc).startswith(f"{node.start_mark.name}:"):
-            raise
         raise _fail(node, str(exc)) from exc
 
 
 def _parse_flows(node: yaml.Node) -> tuple[TrafficFlow, ...]:
-    # each flow's constructor errors point at that flow's item
-    flows = []
-    for item in _sequence(node, "flows"):
-        with _located(item):
-            flows.append(_build(TrafficFlow, item, "flow"))
+    flows = [_build(TrafficFlow, item, "flow") for item in _sequence(node, "flows")]
     if not flows:
         raise _fail(node, "flows must not be empty")
     return tuple(flows)
@@ -300,11 +300,13 @@ def _parse_geometry(
             if len(pair) != 2:
                 raise _fail(item, "each center needs exactly [x, y]")
             centers.append((_float(pair[0], "x"), _float(pair[1], "y")))
-        layout = cluster_from_centers(centers, given.get("spacing"))
+        with _located(node):
+            layout = cluster_from_centers(centers, given.get("spacing"))
     else:
         if "cluster_size" in fields:
             given["size"] = _int(fields["cluster_size"], "cluster_size")
-        layout = hex_cluster(**given)
+        with _located(node):
+            layout = hex_cluster(**given)
     antennas = users = None
     if "antennas" in fields:
         ring = _mapping(fields["antennas"], "antennas")
@@ -322,9 +324,11 @@ def _parse_geometry(
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse and validate one scenario document.
 
-    Raises ConfigError with a source:line:column prefix for structural
-    problems; value-range problems re-raise the constructors' messages with
-    the section's location attached.
+    Raises ConfigError with a source:line:column prefix. A structural
+    problem points at the node at fault; a value that a constructor rejects
+    points at the mapping that holds it: the section for channel, run and
+    rm, the flow item, its arrival or service mapping, geometry.antennas,
+    geometry.users, or the geometry section for the cluster.
     """
     stream = io.StringIO(text)
     stream.name = source  # compose() stamps every mark with the stream name
@@ -341,21 +345,20 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     channel = layout = antennas = users = rm = None
     run = RunParams()
     for key, node in sections.items():
-        with _located(node):
-            if key == "flows":
-                flows = _parse_flows(node)
-            elif key == "channel":
-                from .outage import ChannelParams
+        if key == "flows":
+            flows = _parse_flows(node)
+        elif key == "channel":
+            from .outage import ChannelParams
 
-                channel = _build(ChannelParams, node, "channel")
-            elif key == "geometry":
-                layout, antennas, users = _parse_geometry(node)
-            elif key == "run":
-                run = _build(RunParams, node, "run")
-            elif key == "rm":
-                from .placement import RMConfig
+            channel = _build(ChannelParams, node, "channel")
+        elif key == "geometry":
+            layout, antennas, users = _parse_geometry(node)
+        elif key == "run":
+            run = _build(RunParams, node, "run")
+        elif key == "rm":
+            from .placement import RMConfig
 
-                rm = _build(RMConfig, node, "rm")
+            rm = _build(RMConfig, node, "rm")
     return ScenarioConfig(flows, channel, layout, antennas, users, run, rm)
 
 

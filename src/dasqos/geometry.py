@@ -29,6 +29,8 @@ class ClusterLayout:
     spacing: float | None = None
 
     def __post_init__(self) -> None:
+        if self.spacing is not None and self.spacing <= 0.0:
+            raise ConfigError(f"center spacing must be > 0, got {self.spacing}")
         if len(self.centers) < 1:
             raise ConfigError("cluster needs at least one cell")
         x0, y0 = self.centers[0]
@@ -49,8 +51,6 @@ def hex_cluster(size: int = 7, spacing: float = DEFAULT_SPACING) -> ClusterLayou
     Only size 1 (no interferers) and size 7 have a canonical hex layout;
     other sizes must come in through cluster_from_centers.
     """
-    if spacing <= 0.0:
-        raise ConfigError(f"center spacing must be > 0, got {spacing}")
     if size == 1:
         return ClusterLayout(((0.0, 0.0),), spacing)
     if size != 7:
@@ -70,8 +70,6 @@ def cluster_from_centers(centers, spacing: float | None = None) -> ClusterLayout
     spacing is a label carried along for reporting, not a constraint on the
     centers given here.
     """
-    if spacing is not None and spacing <= 0.0:
-        raise ConfigError(f"center spacing must be > 0, got {spacing}")
     return ClusterLayout(tuple((float(x), float(y)) for x, y in centers), spacing)
 
 

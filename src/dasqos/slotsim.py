@@ -37,7 +37,6 @@ import numpy as np
 from .delay import PrioritySystem
 from .errors import ConfigError
 from .traffic import (
-    DeterministicUnit,
     TrafficFlow,
     TruncatedGeometric,
     arrival_rate,
@@ -149,15 +148,6 @@ def _eligible_slots(flow: TrafficFlow, horizon: int, rng: np.random.Generator):
     # sorted and >= 0, so those are a prefix and truncation is the floor
     kept = all_times[: np.searchsorted(all_times, horizon - 1)]
     return kept.astype(np.int32 if horizon < 2**31 else np.int64) + 1
-
-
-def _retry_limit(flow: TrafficFlow) -> int:
-    if isinstance(flow.service, (TruncatedGeometric, DeterministicUnit)):
-        return getattr(flow.service, "max_attempts", 1)
-    raise ConfigError(
-        f"flow {flow.priority}: only unit and retrying service can be "
-        "simulated at slot level"
-    )
 
 
 _BLOCK = 1 << 14  # slots or packets per vector step; bounds the temporaries
@@ -374,7 +364,7 @@ def simulate(cfg: SimConfig) -> SimStats:
     """
     rng = np.random.default_rng(cfg.seed)
     flows = cfg.system.flows
-    limits = [_retry_limit(f) for f in flows]
+    limits = [f.service.max_attempts for f in flows]
     eligible = [_eligible_slots(f, cfg.horizon, rng) for f in flows]
     fail = rng.random(cfg.horizon) < cfg.attempt_failure_prob
     positions = list(eligible)  # among all slots, a level's positions are its slots

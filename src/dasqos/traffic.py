@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, ClassVar, Union
 
 from .errors import ConfigError
 
@@ -78,6 +78,8 @@ ArrivalModel = Union[Poisson, MarkovFluidRenewal, GenericRenewal]
 class DeterministicUnit:
     """One slot per packet, no retransmission; a failed attempt is a loss."""
 
+    max_attempts: ClassVar[int] = 1
+
 
 @dataclass(frozen=True)
 class TruncatedGeometric:
@@ -115,6 +117,8 @@ class TrafficFlow:
     def __post_init__(self) -> None:
         if self.priority < 1:
             raise ConfigError(f"priority must be >= 1, got {self.priority}")
+        if not isinstance(self.service, ServiceModel):
+            raise ConfigError(f"service must be unit or retrying, got {self.service!r}")
         try:  # the energies take the interval variance and the mean's cube
             mean, var = arrival_moments(self.arrival)
             fits = math.isfinite(var) and math.isfinite(mean**3)
@@ -160,7 +164,7 @@ def service_moments(model: ServiceModel) -> tuple[float, float]:
 
 def packet_loss_probability(failure_prob: float, max_attempts: int) -> float:
     """Probability a packet fails all of its max_attempts attempts, each
-    independently with failure_prob; max_attempts is 1 for unit service."""
+    independently with failure_prob; see DeterministicUnit.max_attempts for unit service."""
     return failure_prob**max_attempts
 
 

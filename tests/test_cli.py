@@ -11,6 +11,8 @@ import hashlib
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -592,6 +594,33 @@ def test_every_row_has_the_first_rows_cell_types(run, monkeypatch, argv, config)
         assert tuple(map(type, row)) == first
 
 
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_commands() -> list[list[str]]:
+    """README's command lines, each optional [flag] left out and then put in."""
+    argvs = []
+    for line in re.findall(r"^dasqos (.*)$", README, re.M):
+        argvs.append(shlex.split(re.sub(r"\[[^]]*\]", "", line)))
+        if "[" in line:
+            argvs.append(shlex.split(line.replace("[", "").replace("]", "")))
+    return argvs
+
+
+def test_readme_example_runs_as_documented(run, tmp_path, monkeypatch):
+    # the scenario block and the command lines, exactly as README gives them
+    monkeypatch.chdir(tmp_path)
+    scenario = re.search(r"```yaml\n# scenario.yaml\n(.*?)```", README, re.S).group(1)
+    (tmp_path / "scenario.yaml").write_text(scenario, encoding="utf-8")
+    argvs = _readme_commands()
+    assert [a[0] for a in argvs] == ["delay", "delay", "outage", "optimize", "sweep"]
+    assert "--simulate" in argvs[1]
+    for argv in argvs:
+        code, out, err = run(argv)
+        assert code == 0, (argv, err)
+        assert out
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -829,17 +858,17 @@ class TestExitCodes:
             (
                 ["outage"],
                 ALPHA0_TEXT.replace("count: 4", "count: 0"),
-                "error: {path}:5:3: antenna count must be >= 1, got 0",
+                "error: {path}:5:13: antenna count must be >= 1, got 0",
             ),
             (
                 ["outage"],
                 ALPHA0_TEXT.replace("{count: 4, radius: 0.3}", "{radii: [0.3, 0.3], angles: [0.0]}"),
-                "error: {path}:5:3: radii and angles must have equal length",
+                "error: {path}:5:13: radii and angles must have equal length",
             ),
             (
                 ["outage"],
                 ALPHA0_TEXT.replace("geometry:\n", "geometry:\n  users: {radii: [0.5, 0.7], angles: [0.0]}\n"),
-                "error: {path}:5:3: user radii and angles must have equal length",
+                "error: {path}:5:10: user radii and angles must have equal length",
             ),
             (
                 ["outage"],
@@ -857,12 +886,12 @@ class TestExitCodes:
                     "{kind: poisson, rate: 0.2}",
                     "{kind: markov_fluid, rate_a: 1.0, rate_b: 0.1, weight_a: 1.5, weight_b: -0.5}",
                 ),
-                "error: {path}:2:5: markov-fluid branch weights must be >= 0",
+                "error: {path}:3:14: markov-fluid branch weights must be >= 0",
             ),
             (
                 ["delay", "--dth", "0:2:1"],
                 FLOWS_TEXT.replace("{kind: poisson, rate: 0.2}", "{kind: renewal, mean: 5.0, variance: -1.0}"),
-                "error: {path}:2:5: renewal interval variance must be >= 0, got -1.0",
+                "error: {path}:3:14: renewal interval variance must be >= 0, got -1.0",
             ),
             (["delay", "--dth=-1,2"], FLOWS_TEXT, "error: delay bound must be >= 0, got -1.0"),
             (

@@ -355,12 +355,12 @@ class TestFieldErrors:
 
 class TestValueErrorsGetLocations:
     # range checks live in the model constructors; the parser re-raises
-    # their message with the section's position attached
+    # their message with the position of the mapping that holds the value
     def test_negative_poisson_rate(self):
         expect(
             "flows:\n- priority: 1\n  arrival:\n    kind: poisson\n"
             "    rate: -0.5\n  service:\n    kind: unit\n",
-            "<config>:2:3: poisson rate must be > 0, got -0.5",
+            "<config>:4:5: poisson rate must be > 0, got -0.5",
         )
 
     def test_bad_value_in_second_flow_points_at_that_flow(self):
@@ -376,6 +376,91 @@ class TestValueErrorsGetLocations:
             "channel:\n  path_loss_exponent: -2.0\n",
             "<config>:2:3: path loss exponent must be > 0, got -2.0",
         )
+
+
+BLOCK_SCENARIO = """\
+flows:
+  - priority: 1
+    name: voice
+    arrival:
+      kind: poisson
+      rate: 0.2
+    service:
+      kind: unit
+  - priority: 2
+    name: data
+    arrival:
+      kind: poisson
+      rate: 0.6
+    service:
+      kind: truncated_geometric
+      failure_prob: 0.1
+      max_attempts: 4
+channel:
+  path_loss_exponent: 2.0
+  spectral_efficiency: 1.0
+geometry:
+  cluster_size: 7
+  spacing: 2.0
+  antennas:
+    count: 4
+    radius: 0.3
+  users:
+    radii: [0.5, 0.7, 0.1, 0.2, 0.3, 0.4, 0.6]
+    angles: [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+run:
+  seed: 7
+  samples: 100
+rm:
+  max_iter: 50
+"""
+
+COUNT_ANTENNAS = "    count: 4\n    radius: 0.3\n"
+POLAR_ANTENNAS = "    radii: [0.3, 0.3]\n    angles: [0.0, 3.0]\n"
+
+
+def _mark(text: str, path: tuple) -> str:
+    """The line:col of the node at path (mapping keys, list indices) in text."""
+    node = yaml.compose(text, Loader=config.LOADER)
+    for step in path:
+        if isinstance(step, int):
+            node = node.value[step]
+        else:
+            node = next(v for k, v in node.value if k.value == step)
+    return f"{node.start_mark.line + 1}:{node.start_mark.column + 1}"
+
+
+class TestConstructorErrorsPointAtTheirMapping:
+    # one break per mapping of a block-style scenario; the error's line:col
+    # must be where the mapping that holds the broken value starts
+    def test_the_scenario_parses(self):
+        parse_scenario(BLOCK_SCENARIO)
+        parse_scenario(BLOCK_SCENARIO.replace(COUNT_ANTENNAS, POLAR_ANTENNAS))
+
+    @pytest.mark.parametrize(
+        "old, new, path, message",
+        [
+            ("path_loss_exponent: 2.0", "path_loss_exponent: -2.0", ("channel",),
+             "path loss exponent must be > 0, got -2.0"),
+            ("samples: 100", "samples: 1", ("run",), "need at least 2 samples, got 1"),
+            ("max_iter: 50", "max_iter: 0", ("rm",), "max_iter and convergence_window must be >= 1"),
+            ("priority: 1", "priority: 0", ("flows", 0), "priority must be >= 1, got 0"),
+            ("rate: 0.6", "rate: -0.6", ("flows", 1, "arrival"), "poisson rate must be > 0, got -0.6"),
+            ("failure_prob: 0.1", "failure_prob: 1.5", ("flows", 1, "service"),
+             "attempt failure probability must be in [0, 1], got 1.5"),
+            ("count: 4", "count: 0", ("geometry", "antennas"), "antenna count must be >= 1, got 0"),
+            (COUNT_ANTENNAS, POLAR_ANTENNAS.replace("3.0]", "3.0, 4.0]"),
+             ("geometry", "antennas"), "radii and angles must have equal length"),
+            ("radii: [0.5,", "radii: [1.5,", ("geometry", "users"), "user radius must lie in [0, 1], got 1.5"),
+            ("spacing: 2.0", "spacing: 0", ("geometry",), "center spacing must be > 0, got 0.0"),
+        ],
+        ids=["channel", "run", "rm", "flow", "arrival", "service", "antennas-count",
+             "antennas-polar", "users", "cluster"],
+    )
+    def test_error_points_at_the_mapping(self, old, new, path, message):
+        assert BLOCK_SCENARIO.count(old) == 1
+        text = BLOCK_SCENARIO.replace(old, new)
+        expect(text, f"<config>:{_mark(text, path)}: {message}")
 
 
 class TestRequireHelpers:
@@ -458,25 +543,12 @@ class TestFormatting:
 
 # --- libyaml and pure-Python composers -------------------------------------
 
-README_SCENARIO = """\
-flows:
-  - priority: 1
-    name: voice
-    arrival: {kind: poisson, rate: 0.2}
-    service: {kind: unit}
-  - priority: 2
-    name: data
-    arrival: {kind: poisson, rate: 0.6}
-    service: {kind: truncated_geometric, failure_prob: 0.1, max_attempts: 4}
-channel:
-  path_loss_exponent: 2.0
-  spectral_efficiency: 1.0
-geometry:
-  cluster_size: 7
-  spacing: 2.0
-  antennas: {count: 4, radius: 0.3}
-run: {seed: 7, samples: 10000, attempt_failure_prob: 0.1}
-"""
+# README's example scenario, read from its yaml block without the file-name comment
+README_SCENARIO = re.search(
+    r"```yaml\n# scenario.yaml\n(.*?)```",
+    (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"),
+    re.S,
+).group(1)
 
 
 def _cell(path_loss_exponent: float, antennas: dict) -> dict:

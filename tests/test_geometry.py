@@ -46,6 +46,28 @@ def test_hex_cluster_rejects_other_sizes():
         cluster_from_centers([(1, 0), (0, 0)])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s: ClusterLayout(((0.0, 0.0),), spacing=s),
+        lambda s: hex_cluster(7, s),
+        lambda s: hex_cluster(1, s),
+        lambda s: cluster_from_centers([(0, 0)], s),
+    ],
+    ids=["layout", "hex", "hex-single", "centers"],
+)
+@pytest.mark.parametrize("spacing", [0.0, -1.0])
+def test_spacing_checked_by_the_layout(make, spacing):
+    # ClusterLayout holds the one check, so both factories report it alike
+    with pytest.raises(ConfigError, match=rf"^center spacing must be > 0, got {spacing}$"):
+        make(spacing)
+
+
+def test_hex_size_checked_before_spacing():
+    with pytest.raises(ConfigError, match="no canonical hex layout for 5 cells"):
+        hex_cluster(5, 0.0)
+
+
 def test_distance_user_under_antenna():
     layout = hex_cluster(1)
     antennas = AntennaVector((0.5,), (0.0,), 0.05)

@@ -245,6 +245,11 @@ def test_validation():
         TrafficFlow(0, Poisson(1.0), DeterministicUnit())
 
 
+def test_unit_service_states_its_attempt_cap():
+    # the simulator reads every service model's max_attempts
+    assert DeterministicUnit.max_attempts == DeterministicUnit().max_attempts == 1
+
+
 @pytest.mark.parametrize(
     "arrival",
     [
