@@ -271,6 +271,10 @@ def _parse_flows(node: yaml.Node) -> tuple[TrafficFlow, ...]:
     flows = [_build(TrafficFlow, item, "flow") for item in _sequence(node, "flows")]
     if not flows:
         raise _fail(node, "flows must not be empty")
+    priorities = [f.priority for f in flows]
+    for k, item in enumerate(node.value):
+        if priorities[k] in priorities[:k]:
+            raise _fail(item, f"duplicate priorities: {sorted(priorities)}")
     return tuple(flows)
 
 

@@ -39,8 +39,9 @@ HigherPriorityMode = Literal["gaussian", "exact_poisson"]
 class PrioritySystem:
     """Flows sharing a server under preemptive-resume strict priority.
 
-    flows is non-empty (the scenario parser rejects an empty list) and
-    priorities must be distinct; smaller numbers are served first.
+    flows is non-empty and their priorities are distinct (the scenario
+    parser rejects an empty list and a repeated priority); smaller numbers
+    are served first.
     higher_priority_mode picks how flows above the tagged one enter its
     service energy: "gaussian" matches their slot-usage mean and variance,
     "exact_poisson" keeps the exact Poisson counting energy and therefore
@@ -51,9 +52,6 @@ class PrioritySystem:
     higher_priority_mode: HigherPriorityMode = "gaussian"
 
     def __post_init__(self) -> None:
-        priorities = [f.priority for f in self.flows]
-        if len(set(priorities)) != len(priorities):
-            raise ConfigError(f"duplicate priorities: {sorted(priorities)}")
         object.__setattr__(
             self, "flows", tuple(sorted(self.flows, key=lambda f: f.priority))
         )

@@ -15,13 +15,13 @@ level uses whatever the levels below do, so level n is simulated on its
 own, as one FIFO queue on the slots that levels < n left free: a Lindley
 recursion for unit service, and for retries the same recursion over a
 lattice of the slots where a packet can end, with the per-packet rule run
-only where a busy period starts off that lattice. Such breaks are found
-per block of packets, by comparing each packet's start with the start of
-the failure run that holds its last slot. A unit packet holds one slot,
-so the slots a unit level leaves below are all but its start slots. The
-per-attempt probability may be a plain number or the expected-outage
-output of the antenna engine; the simulator does not care where it came
-from.
+only where a busy period starts off that lattice. A lattice cell holds a
+success only at its last slot, so no packet served in one succeeds early;
+a break shows in each packet's end and span alone, with no pass over the
+slots. A unit packet holds one slot, so the slots a unit level leaves
+below are all but its start slots. The per-attempt probability may be a
+plain number or the expected-outage output of the antenna engine; the
+simulator does not care where it came from.
 
 The checks on it live under tests/: the per-slot and per-packet loops and
 the per-offset break check it replaced, and the fit of its delay tails
@@ -156,16 +156,18 @@ _BLOCK = 1 << 14  # slots or packets per vector step; bounds the temporaries
 def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np.ndarray):
     """The lattice starts in order, then the end of the last cell plus one.
 
-    A segment of free slots starts at 0 and after each success; its
-    lattice starts are its first slot and every limit-th slot after it.
-    The cell from one start to the next holds at most one success, at its
-    end, so the packet started on a lattice start ends at the next start
-    minus one. Writes into rank the index of the last start at or before
-    each idx; returns the buffer and the number of starts in it.
+    A segment of free slots starts at 0 and one past each success, for
+    any limit; its lattice starts are its first slot and every limit-th
+    slot after it. Cells are cut only inside a segment, so the invariant
+    _rule_breaks rests on holds: each cell [cells[j], cells[j+1] - 1]
+    holds a success only at its last slot, and the last cell, cut short
+    by the horizon, holds none. So the packet started on a lattice start
+    ends at the next start minus one. Writes into rank the index of the
+    last start at or before each idx; returns the buffer and the number
+    of starts in it.
 
     The first slot of the segment holding each slot is a running maximum
-    of one past each success, the form _rule_breaks also takes over a
-    block of packets.
+    of one past each success.
     """
     dtype = idx.dtype
     cells, count, seg = np.empty(nfree + 1, dtype=dtype), 0, 0
@@ -200,34 +202,20 @@ def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np
     return cells, count
 
 
-def _fifo_breaks(idx: np.ndarray, start: np.ndarray, end: np.ndarray, last: int = -1) -> np.ndarray:
-    """Mask of the packets whose start is not max(idx_k, end_{k-1} + 1);
-    last is the end of the packet before the first."""
-    ready = np.empty_like(end)
-    ready[:1] = last + 1
-    np.add(end[:-1], 1, out=ready[1:])
-    return np.maximum(ready, idx[: len(start)], out=ready) != start
-
-
 def _rule_breaks(fail: np.ndarray, start: np.ndarray, end: np.ndarray, limit: int, nfree: int) -> np.ndarray:
     """Mask of the packets that do not stop at their first success or
     limit-th failure (or at nfree, still in service at the horizon).
 
-    start and end are nondecreasing, with start[0] <= end <= nfree. A
-    packet on [s, e] has a success in [s, e - 1] exactly when the failure
-    run holding e starts after s. Those run starts are taken once, over the
-    slots [start[0], end[-1]], as a running maximum of one past each
-    success; they are clamped at start[0], which changes no comparison, as
-    no packet starts before it. Exact for the schedule of any lattice, so
-    it also finds every break of a wrong one.
+    Each packet [s, e] lies inside one lattice cell, which holds a success
+    only at its last slot (see _lattice), so none succeeds before e. It
+    breaks the rule only by running past limit attempts, which only a
+    lattice built for a larger cap allows, or by ending on a failure that
+    is not its limit-th attempt and is not at the horizon: a busy period
+    that starts inside a failure run. Exact for the schedule of any
+    lattice, so it also finds every break of a wrong one.
     """
-    s0, last = int(start[0]), int(end[-1])
-    opened = np.arange(s0, last + 1, dtype=start.dtype)  # a success at x - 1 opens x
-    opened[1:] *= ~fail[s0:last]
-    runs = np.maximum.accumulate(opened, out=opened)
     span = end - start
-    bad = runs[end - s0] > start  # a success before the end
-    bad |= span >= limit
+    bad = span >= limit
     bad |= fail[np.minimum(end, nfree - 1)] & (span != limit - 1) & (end != nfree)
     return bad
 
@@ -247,16 +235,16 @@ def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: i
     period that starts off the lattice, inside a failure run longer than
     what is left of its cell, breaks the per-packet rule; from each such
     packet the rule is run one packet at a time until the schedule meets
-    the lattice again. The breaks are found per block of _BLOCK packets,
-    by _fifo_breaks and by _rule_breaks from the failure-run starts over
-    the block's slots.
+    the lattice again. The recursion gives each packet the FIFO start
+    max(idx_k, end_{k-1} + 1) inside its cell, so _rule_breaks finds the
+    breaks per block of _BLOCK packets from each packet's end and span.
     """
     start, end = np.empty_like(idx), np.empty_like(idx)
     if nfree == 0:
         return start[:0], end[:0]
     fail = np.frombuffer(fail_bytes, dtype=bool)
     cells, count = _lattice(fail, idx, limit, nfree, start)
-    n, broken, top, last = len(idx), [], 0, -1  # top = r_{k-1} - (k-1)
+    n, broken, top = len(idx), [], 0  # top = r_{k-1} - (k-1)
     for c in range(0, len(idx), _BLOCK):
         i = idx[c : c + _BLOCK]
         m, k = len(i), np.arange(c, c + len(i))
@@ -273,12 +261,11 @@ def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: i
             s = start[c : c + stop]
             np.maximum(cells[r], i, out=s)
             e = np.subtract(cells[r + 1], 1, out=end[c : c + stop])
-            bad = _fifo_breaks(i, s, e, last) | _rule_breaks(fail, s, e, limit, nfree)
-            broken.extend((np.flatnonzero(bad) + c).tolist())
+            broken.extend((np.flatnonzero(_rule_breaks(fail, s, e, limit, nfree)) + c).tolist())
         if stop < m:
             n = c + stop
             break
-        top, last = int(r[-1] - k[-1]), int(e[-1])
+        top = int(r[-1] - k[-1])
 
     find, ids, starts, ends = fail_bytes.find, memoryview(idx), memoryview(start), memoryview(end)
     done = 0  # packets before done follow the rule
@@ -310,17 +297,20 @@ def _check_schedule(idx: np.ndarray, start: np.ndarray, end: np.ndarray, nfree: 
         start[0] < 0 or start[-1] >= nfree or np.any(end < start) or np.any(start[1:] <= end[:-1])
     ):
         raise AssertionError("priority violated: a slot was used twice or was not free")
-    if np.any(_fifo_breaks(idx, start, end)):
+    ready = np.empty_like(end)  # end_{k-1} + 1, and 0 before the first
+    ready[:1] = 0
+    np.add(end[:-1], 1, out=ready[1:])
+    if np.any(np.maximum(ready, idx[: len(start)], out=ready) != start):
         raise AssertionError("FIFO order or work conservation violated")
 
 
-def _serve_level(flow, limit, e, idx, free, fail, cfg: SimConfig, last: bool):
+def _serve_level(flow, e, idx, free, fail, cfg: SimConfig, last: bool):
     """Serve one level as a FIFO queue on the slots the levels above left
     free (None: all). idx, start and end are positions among them; idx_k
     is that of the first free slot at or after e_k (nfree if none). Returns
     the level's FlowStats and the mask of the free slots it leaves below
     (None if last)."""
-    horizon, warmup = cfg.horizon, cfg.warmup
+    horizon, warmup, limit = cfg.horizon, cfg.warmup, flow.service.max_attempts
     nfree = horizon if free is None else len(free)
     if limit == 1:  # Lindley recursion as a running maximum
         k = np.arange(len(idx), dtype=idx.dtype)
@@ -364,15 +354,14 @@ def simulate(cfg: SimConfig) -> SimStats:
     """
     rng = np.random.default_rng(cfg.seed)
     flows = cfg.system.flows
-    limits = [f.service.max_attempts for f in flows]
     eligible = [_eligible_slots(f, cfg.horizon, rng) for f in flows]
     fail = rng.random(cfg.horizon) < cfg.attempt_failure_prob
     positions = list(eligible)  # among all slots, a level's positions are its slots
     free, flow_stats = None, []
-    for f, limit in zip(flows, limits):
+    for f in flows:
         # popped, so a level's eligibility slots go once it is served
         e = eligible.pop(0)
-        stats, keep = _serve_level(f, limit, e, positions.pop(0), free, fail, cfg, not eligible)
+        stats, keep = _serve_level(f, e, positions.pop(0), free, fail, cfg, not eligible)
         flow_stats.append(stats)
         if keep is not None:
             # the free slots kept before each position: its position below

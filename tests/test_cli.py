@@ -521,6 +521,30 @@ def test_delay_bytes_are_pinned(run, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == PIN_SIMULATE_SHA256
 
 
+# A unit flow over a retrying one at p = 0.9 and L = 4 (load 0.79): long
+# failure runs start many busy periods off the lattice, so the per-packet
+# repair serves thousands of packets, over more than two blocks of the data
+# level. The pin was taken from the break test that scanned every slot for an
+# early success.
+HIGH_P_TEXT = """\
+flows:
+  - priority: 1
+    arrival: {kind: poisson, rate: 0.1}
+    service: {kind: unit}
+  - priority: 2
+    arrival: {kind: poisson, rate: 0.2}
+    service: {kind: truncated_geometric, failure_prob: 0.9, max_attempts: 4}
+run: {attempt_failure_prob: 0.9, horizon: 200000, warmup: 2000, seed: 1}
+"""
+PIN_SIMULATE_HIGH_P_SHA256 = "f1cb2411b283ec34b05264d22db08fd3c8223eb70aad91960bc8fe82de4b29e2"
+
+
+def test_retry_repairs_bytes_are_pinned(run):
+    code, out, err = run(["delay", "--dth", "0:40:1", "--simulate"], config=HIGH_P_TEXT)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PIN_SIMULATE_HIGH_P_SHA256
+
+
 # The cell kinds a command writes, the float edges among them. A drawn
 # table gives each column one kind, as every command does (see
 # test_every_row_has_the_first_rows_cell_types).
@@ -980,6 +1004,25 @@ class TestExitCodes:
     def test_negative_seed_flag(self, run, argv, config):
         code, out, err = run(argv + ["--seed", "-1"], config=config)
         assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["outage"], ALPHA0_TEXT),
+            (["sweep", "--radii", "0.2"], SWEEP_TEXT),
+            (["optimize"], OPT_TEXT),
+            (["delay", "--dth", "1:2:1"], ""),
+        ],
+        ids=["outage", "sweep", "optimize", "delay"],
+    )
+    def test_duplicate_priority_is_checked_at_parse(self, run, tmp_path, argv, config):
+        # checked once, where flows enter, so every command that reads the
+        # scenario rejects it at the flow that repeats a priority
+        flows = FLOWS_TEXT.replace("priority: 2", "priority: 1").split("run:")[0]
+        code, stdout, err = run(argv, config=flows + config)
+        assert (code, stdout) == (2, "")
+        path = tmp_path / "scenario.yaml"
+        assert err == f"error: {path}:5:5: duplicate priorities: [1, 1]\n"
 
     def test_unknown_priority(self, run):
         code, _, err = run(

@@ -274,6 +274,14 @@ class TestFieldErrors:
     def test_empty_flows_list(self):
         expect("flows: []\n", "<config>:1:8: flows must not be empty")
 
+    def test_duplicate_priorities(self):
+        # at the flow that repeats a priority; the message lists them all
+        flow = "- priority: {}\n  arrival: {{kind: poisson, rate: 0.1}}\n  service: {{kind: unit}}\n"
+        expect(
+            "flows:\n" + "".join(flow.format(p) for p in (2, 1, 2)),
+            "<config>:8:3: duplicate priorities: [1, 2, 2]",
+        )
+
     def test_unknown_arrival_kind(self):
         expect(
             "flows:\n- priority: 1\n  arrival: {kind: laplace, rate: 1.0}\n"

@@ -55,10 +55,6 @@ def fig5_stats() -> SimStats:
 
 
 class TestConfigValidation:
-    def test_duplicate_priorities(self):
-        with pytest.raises(ConfigError):
-            SimConfig(PrioritySystem((voice_flow(), voice_flow(0.3))), 0.0, 1000)
-
     def test_retry_model_must_match_channel(self):
         # the retry chain and the failure coins describe the same channel
         with pytest.raises(ConfigError):
@@ -384,8 +380,23 @@ def test_lattice_is_the_schedule_of_a_queue_never_empty(limit, p, nfree, seed, b
     assert not rank.any()
 
 
+@given(**{**LEVELS, "limit": st.integers(1, 9)})
+def test_lattice_cells_succeed_only_at_their_last_slot(limit, p, nfree, seed, block):
+    # the invariant _rule_breaks rests on, for any cap: a segment restarts
+    # one past every success, so a cell [cells[j], cells[j+1] - 1] holds a
+    # success only at its last slot, and a last cell that ends at nfree, cut
+    # short by the horizon, holds none
+    idx, fail_bytes = _level(p, nfree, seed, [])
+    fail = np.frombuffer(fail_bytes, bool)
+    with mock.patch.object(slotsim, "_BLOCK", block):
+        cells, count = slotsim._lattice(fail, idx, limit, nfree, np.empty_like(idx))
+    assert cells[0] == 0
+    for j in range(count):
+        assert fail[cells[j] : cells[j + 1] - 1].all()
+
+
 def test_simulate_memory_stays_per_block():
-    # the README two-flow scenario at 5e5 slots peaks at ~9.6 MB, the
+    # the README two-flow scenario at 5e5 slots peaks at ~9.5 MB, the
     # per-level arrays of the horizon; an auxiliary array over the whole
     # horizon (4e5 int32 free slots of the data level is 1.6 MB) breaks it
     cfg = fig5_config(500_000, seed=1)
