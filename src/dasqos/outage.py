@@ -13,9 +13,14 @@ Interference in Large Wireless Networks, 2009):
 
     P(SIR >= K) = prod_i [1 - alpha * a0 / (q_i + a0)],  q_i = rate_i / K.
 
-Evaluated in log space it is exact for every alpha in [0, 1], including
-coincident interferer distances, and keeps small outages accurate to their
-last digits. The system is in outage only when every antenna fails;
+The outage 1 - prod_i (1 - t_i), with t_i = alpha * a0 / (q_i + a0) the
+outage interferer i would cause alone, is the chance of a union of
+independent events of chances t_i, so it is accumulated one interferer at
+a time as fail <- fail + t_i * (1 - fail). That holds for every alpha in
+[0, 1] and coincident interferer distances, needs no log or exp, and adds
+only non-negative terms, so small outages keep their last digits: an
+exact-rational test under tests/ bounds the error at n + 4 ulps for n
+interferers. The system is in outage only when every antenna fails;
 antenna outages are treated as independent, so the system outage is the
 per-antenna product. layout_outage holds the only copy of this arithmetic:
 it scores antenna layouts of one mast height, given as one polar array, on
@@ -28,7 +33,8 @@ time (at least one), so every array step runs along a block of users and
 its temporaries stay about one block in size: a large batch takes one
 layout per step, one user vector all its layouts in one step.
 The checks on it live under tests/: the scalar product form it replaced,
-the paper's partial-fraction expansion and a fading Monte Carlo.
+the log-space form the recurrence replaced, the paper's partial-fraction
+expansion, exact rational arithmetic and a fading Monte Carlo.
 """
 from __future__ import annotations
 
@@ -110,15 +116,17 @@ def layout_outage(
     in its own (angle-sorted) order.
 
     Each block of users is copied to (cells, block) once; the layouts are
-    taken max(1, _BLOCK // block) at a time, an antenna's rates and product
-    form computed in place on (step, cells, block), and the interferers'
-    log factors summed in cell order, as the scalar product form under
-    tests/ sums them, so the two agree bit for bit whatever the step. A
-    power of 1 and a division by K = 1 are skipped and a power of 2
-    squares, for the same bits. _BLOCK is 6144 users, the fastest of 2048,
-    3072, 4096 and 6144 on the search's trace and the radius sweep; one
-    layout on 1e5 users of 7 cells peaks at 2.9 MB, 0.8 MB of it the output.
-    A layout with one antenna takes one antenna pass, so the search scores
+    taken max(1, _BLOCK // block) at a time, and an antenna's rates and
+    product form are computed in place on (step, cells, block). The
+    interferers' outages t_i are joined in cell order into the first
+    interferer's row, with one row of dy as the temporary, as the scalar
+    product form under tests/ joins them, so the two agree bit for bit
+    whatever the step. One cell has no interferer and scores 0. A power of
+    1 and a division by K = 1 are skipped and a power of 2 squares, for the
+    same bits. _BLOCK is 6144 users, the fastest of 2048, 3072, 4096 and
+    6144 on the search's trace and the radius sweep; one layout on 1e5
+    users of 7 cells peaks at 2.9 MB, 0.8 MB of it the output. A layout
+    with one antenna takes one antenna pass, so the search scores
     its probes' antennas as one-antenna layouts and multiplies them itself.
     """
     # per-layout values broadcast over a block's cells and users; antenna
@@ -129,6 +137,8 @@ def layout_outage(
     k, alpha = channel.sir_threshold, channel.on_probability
     power = channel.path_loss_exponent / 2.0
     cells = ux.shape[-1]
+    if cells == 1:  # no interferer, so no antenna ever fails
+        return np.zeros((len(polar),) + ux.shape[:-1])
     x, y = ux.reshape(-1, cells), uy.reshape(-1, cells)
     out = np.ones((len(polar), x.shape[0]))
     for b in range(0, x.shape[0], _BLOCK):
@@ -139,8 +149,8 @@ def layout_outage(
             product = out[layouts, b : b + _BLOCK]
             rates = np.empty((len(product),) + xb.shape)  # (step, cells, block)
             dy = np.empty_like(rates)
-            a0, q = rates[:, :1], rates[:, 1:]
-            interferers = [rates[:, i] for i in range(1, cells)]
+            # q's first row keeps the union of the interferers' outages
+            a0, q, fail, tmp = rates[:, :1], rates[:, 1:], rates[:, 1], dy[:, 0]
             for m in range(len(ax)):
                 np.square(np.subtract(xb, ax[m, layouts], out=rates), out=rates)
                 rates += np.square(np.subtract(yb, ay[m, layouts], out=dy), out=dy)
@@ -152,11 +162,10 @@ def layout_outage(
                 if k != 1.0:
                     q /= k
                 q += a0
-                np.log1p(np.divide(-alpha * a0, q, out=q), out=q)
-                log_clear = np.zeros(product.shape)
-                for term in interferers:
-                    log_clear += term
-                product *= 0.0 - np.expm1(log_clear)
+                np.divide(alpha * a0, q, out=q)  # t_i, interferer i's outage were it alone
+                for i in range(2, cells):  # fail = 1 - prod(1 - t_i), in cell order
+                    fail += np.multiply(np.subtract(1.0, fail, out=tmp), rates[:, i], out=tmp)
+                product *= fail
     return out.reshape(out.shape[:1] + ux.shape[:-1])
 
 

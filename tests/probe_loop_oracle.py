@@ -4,9 +4,11 @@ the fading Monte Carlo that checks the product form.
 antenna_user_distance is the plain 3-D distance of one antenna-user link,
 an independent oracle for the kernel's link rates d^exponent.
 
-product_form_outage is the scalar product form, summed in log space in
-interferer order as the kernel sums it; antenna_outage_closed_form feeds it
-one antenna's link rates, and the kernel must reproduce it bit for bit.
+product_form_outage is the scalar product form, the union of the
+interferers' outages joined one at a time in interferer order as the kernel
+joins them; antenna_outage_closed_form feeds it one antenna's link rates,
+and the kernel must reproduce it bit for bit. log_space_outage is the form
+it replaced, the log factors summed and exponentiated, kept to check it.
 antenna_outage_mc draws the fading itself on the same link rates, so it
 shares no arithmetic with the library.
 
@@ -73,9 +75,22 @@ def product_form_outage(a0, q, alpha: float) -> np.ndarray:
     """P(SIR < K) for signal rates a0, shape (...), and interferer poles
     q = rate / K, shape (..., n): 1 - prod_i [1 - alpha * a0 / (q_i + a0)].
 
-    The log factors are summed in interferer order, as layout_outage sums
-    them. With no interferers (n = 0) the outage is 0.
+    Each interferer's outage t_i = alpha * a0 / (q_i + a0) joins the union
+    in interferer order, fail + t_i * (1 - fail), as layout_outage joins
+    them; from fail = 0 the first step gives t_1 exactly. With no
+    interferers (n = 0) the outage is +0.
     """
+    a0, q = np.asarray(a0, dtype=float), np.asarray(q, dtype=float)
+    fail = np.zeros(np.broadcast_shapes(a0.shape, q.shape[:-1]))
+    for i in range(q.shape[-1]):
+        fail += alpha * a0 / (q[..., i] + a0) * (1.0 - fail)
+    return fail
+
+
+def log_space_outage(a0, q, alpha: float) -> np.ndarray:
+    """product_form_outage as layout_outage computed it before the union
+    recurrence: the log factors log1p(-t_i) summed in interferer order,
+    then 1 - exp of the sum."""
     a0, q = np.asarray(a0, dtype=float), np.asarray(q, dtype=float)
     log_clear = np.zeros(np.broadcast_shapes(a0.shape, q.shape[:-1]))
     for i in range(q.shape[-1]):

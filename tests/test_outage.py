@@ -3,10 +3,11 @@
 The two-interferer case has a hand-derivable answer, general geometries
 get a fading Monte-Carlo oracle at every on-probability, repeated poles get
 an Erlang-transform oracle, separated poles get the paper's partial-fraction
-expansion, and tiny outages get an exact rational product. The Monte
-Carlo, the link rates it draws on and the scalar product form are kept
-under tests/ (probe_loop_oracle), so none of them shares arithmetic with
-the kernel.
+expansion, and tiny outages get an exact rational product. The scalar
+union recurrence and the log-space form it replaced are both held to the
+recurrence's rounding bound against exact rationals. The Monte Carlo, the
+link rates it draws on and both scalar forms are kept under tests/
+(probe_loop_oracle); the kernel must match the recurrence bit for bit.
 """
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -215,6 +216,46 @@ def test_tiny_outage_matches_exact_fraction_product():
         for alpha in (1e-12, 1e-6, 1.0):
             got, exact = _under_antenna_outage(exponent, alpha)
             assert got == pytest.approx(exact, rel=1e-12), (exponent, alpha)
+
+
+# Rounding count of the union recurrence, u = 2^-53: t_1 = alpha * a0 /
+# (q_1 + a0) takes three roundings (product, sum, quotient), so it is within
+# 3u of exact. A later interferer adds t_i * (1 - fail), within 5u (t_i's
+# three roundings, the difference's and the product's); fail's own error
+# reaches the sum scaled by 1 - t_i, so before its rounding the sum is off
+# by a weighted mean of the two, at most the larger, and the sum's rounding
+# adds u. So n interferers stay within (n + 4)u, to first order; Higham's
+# gamma_{n+4} = (n + 4)u / (1 - (n + 4)u) holds the higher-order terms. A
+# relative error of (n + 4)u is at most n + 4 ulps. alpha >= 1e-6 keeps
+# every t_i clear of subnormals, where no relative bound holds.
+@pytest.mark.parametrize(
+    "form", [product_form_outage, probe_loop_oracle.log_space_outage], ids=["union", "log-space"]
+)
+@given(
+    a0=st.floats(1e-3, 1e3),
+    decades=st.lists(
+        st.one_of(st.floats(-2.0, 12.0), st.sampled_from([0.0, 3.0])), min_size=1, max_size=12
+    ),
+    alpha=st.floats(1e-6, 1.0),
+)
+@example(a0=1.0, decades=[12.0], alpha=1e-6)  # outage 1e-18
+@example(a0=7.0, decades=[-2.0] * 12, alpha=1.0)  # outage 1 - 1e-24
+@example(a0=0.3, decades=[0.0] * 12, alpha=0.5)  # twelve interferers at the target's rate
+@example(a0=2.0, decades=[1.0, 1.0, 5.0], alpha=0.0)  # no outage, +0
+@settings(max_examples=300)
+def test_outage_within_rounding_bound_of_exact(form, a0, decades, alpha):
+    # the log-space form the recurrence replaced meets the same bound
+    q = [a0 * 10.0**d for d in decades]
+    clear = Fraction(1)
+    for qi in q:
+        clear *= 1 - Fraction(alpha) * Fraction(a0) / (Fraction(qi) + Fraction(a0))
+    exact = 1 - clear
+    got = float(form(a0, np.array(q), alpha))
+    if exact == 0:  # alpha = 0: no interferer ever transmits
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        return
+    ku = Fraction(len(q) + 4, 2**53)
+    assert abs(Fraction(got) - exact) <= ku / (1 - ku) * exact
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
