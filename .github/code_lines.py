@@ -5,12 +5,17 @@ comment-only lines and the lines of module, class and function docstrings
 (found through ast) do not count. A line a multi-line token spans counts
 once. Run from the repository root:
 
-    python .github/code_lines.py [package-dir]
+    python .github/code_lines.py [--base REF] [package-dir]
 
 It prints one "count path" line per module and then the total; it sets no
-bound.
+bound. With --base it prints "count base change path": each module's count
+here, at the git ref REF, and the difference (a module missing on one side
+counts 0 there).
 """
+import argparse
 import ast
+import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -36,25 +41,41 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    with tokenize.open(path) as fh:
-        source = fh.read()
+def code_lines(source: bytes, name: str = "<source>") -> int:
     lines: set[int] = set()
-    with path.open("rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type not in SKIPPED:
-                lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source, str(path))))
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in SKIPPED:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source, name)))
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/dasqos")
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d} {path}")
-    print(f"{total:6d} total")
+    parser = argparse.ArgumentParser(description="count the package's code lines")
+    parser.add_argument("root", nargs="?", default="src/dasqos", help="package directory")
+    parser.add_argument("--base", metavar="REF", help="git ref to compare with")
+    args = parser.parse_args(argv[1:])
+    root = Path(args.root)
+    counts = {p.as_posix(): code_lines(p.read_bytes(), str(p)) for p in root.glob("*.py")}
+    if args.base is None:
+        for path in sorted(counts):
+            print(f"{counts[path]:6d} {path}")
+        print(f"{sum(counts.values()):6d} total")
+        return 0
+    listed = git("ls-tree", "--name-only", args.base, "--", f"{root.as_posix()}/").decode()
+    base = {
+        path: code_lines(git("show", f"{args.base}:./{path}"), path)
+        for path in listed.splitlines()
+        if path.endswith(".py")
+    }
+    for path in sorted(counts.keys() | base.keys()):
+        n, b = counts.get(path, 0), base.get(path, 0)
+        print(f"{n:6d} {b:6d} {n - b:+6d} {path}")
+    n, b = sum(counts.values()), sum(base.values())
+    print(f"{n:6d} {b:6d} {n - b:+6d} total")
     return 0
 
 

@@ -176,8 +176,8 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     for d in thresholds:
         if d < 0.0:
             raise ConfigError(f"delay bound must be >= 0, got {d}")
-    # one root solve per flow; exp(-rate * d) is exactly what
-    # delay_violation_probability returns for each threshold
+    # one root solve per flow, and exp(-rate * d), the analytic tail
+    # P(delay > d), for each threshold
     rates = [(pr, delay_decay_rate(system, pr)) for pr in priorities]
 
     if not args.simulate:

@@ -186,15 +186,6 @@ def solve_phi_star(system: PrioritySystem, priority: int) -> float:
     return root
 
 
-def delay_violation_probability(
-    system: PrioritySystem, priority: int, delay_bound: float
-) -> float:
-    """P(queueing delay of the tagged flow exceeds delay_bound slots)."""
-    if delay_bound < 0.0:
-        raise ConfigError(f"delay bound must be >= 0, got {delay_bound}")
-    return math.exp(-delay_decay_rate(system, priority) * delay_bound)
-
-
 def delay_decay_rate(system: PrioritySystem, priority: int) -> float:
     """Arrival energy at phi*: the per-slot exponential decay of the delay tail."""
     index = system.flow_index(priority)

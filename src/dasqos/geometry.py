@@ -178,11 +178,22 @@ def sample_user_batch(
 
     Returns (x, y), each of shape (samples, cells). One rng draw pattern per
     call: radii first, then angles, matching sample_user_vector per row.
+    The coordinates are built in place in the draws and in x, with no other
+    batch-sized temporary; products and sums commute, so they equal
+    center + ell * cos(theta) bit for bit.
     """
-    centers = layout.center_array()
-    ell = np.sqrt(rng.random((samples, layout.size)))
-    theta = rng.random((samples, layout.size)) * TWO_PI
-    return centers[:, 0] + ell * np.cos(theta), centers[:, 1] + ell * np.sin(theta)
+    cx, cy = layout.center_array().T
+    ell = rng.random((samples, layout.size))
+    np.sqrt(ell, out=ell)
+    theta = rng.random((samples, layout.size))
+    theta *= TWO_PI
+    x = np.cos(theta)
+    x *= ell
+    x += cx
+    y = np.sin(theta, out=theta)
+    y *= ell
+    y += cy
+    return x, y
 
 
 def user_positions(layout: ClusterLayout, users: UserVector) -> np.ndarray:

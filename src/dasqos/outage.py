@@ -117,22 +117,30 @@ def layout_outage(
 
     Each block of users is copied to (cells, block) once; the layouts are
     taken max(1, _BLOCK // block) at a time, and an antenna's rates and
-    product form are computed in place on (step, cells, block). The
-    interferers' outages t_i are joined in cell order into the first
-    interferer's row, with one row of dy as the temporary, as the scalar
-    product form under tests/ joins them, so the two agree bit for bit
-    whatever the step. One cell has no interferer and scores 0. A power of
-    1 and a division by K = 1 are skipped and a power of 2 squares, for the
-    same bits. _BLOCK is 6144 users, the fastest of 2048, 3072, 4096 and
-    6144 on the search's trace and the radius sweep; one layout on 1e5
-    users of 7 cells peaks at 2.9 MB, 0.8 MB of it the output. A layout
-    with one antenna takes one antenna pass, so the search scores
-    its probes' antennas as one-antenna layouts and multiplies them itself.
+    product form are computed in place on (step, cells, block). One buffer
+    of each kind serves the whole call, sliced for a short last block or
+    step. The interferers' outages t_i are joined in cell order into the
+    first interferer's row, with one row of dy as the temporary, as the
+    scalar product form under tests/ joins them, so the two agree bit for
+    bit whatever the step. One cell has no interferer and scores 0. Passes
+    whose result is already known are skipped, for the same bits: a power
+    of 1, a division by K = 1 and the product alpha * a0 at alpha = 1, and
+    a power of 2 squares; an antenna at the point of the one before it, in
+    every layout of the step (all antennas at the centre), multiplies in
+    the outage row it still holds. _BLOCK is 6144 users, the fastest of
+    2048, 3072, 4096 and 6144 on the search's trace and the radius sweep;
+    one layout on 1e5 users of 7 cells peaks at 2.24 MB, 0.8 MB of it the
+    output. A layout with one antenna takes one antenna pass, so the
+    search scores its probes' antennas as one-antenna layouts and
+    multiplies them itself.
     """
-    # per-layout values broadcast over a block's cells and users; antenna
-    # positions indexed antenna first
-    ax = (polar[:, 0] * np.cos(polar[:, 1])).T[..., None, None]
-    ay = (polar[:, 0] * np.sin(polar[:, 1])).T[..., None, None]
+    # antenna positions indexed antenna first, (antennas, layouts)
+    ax = (polar[:, 0] * np.cos(polar[:, 1])).T
+    ay = (polar[:, 0] * np.sin(polar[:, 1])).T
+    # antenna m at antenna m - 1's point in a layout: the same rates, the same
+    # outage (a signed zero squares away)
+    repeats = (ax[1:] == ax[:-1]) & (ay[1:] == ay[:-1])
+    ax, ay = ax[..., None, None], ay[..., None, None]  # broadcast over cells and users
     h2 = height * height
     k, alpha = channel.sir_threshold, channel.on_probability
     power = channel.path_loss_exponent / 2.0
@@ -141,30 +149,44 @@ def layout_outage(
         return np.zeros((len(polar),) + ux.shape[:-1])
     x, y = ux.reshape(-1, cells), uy.reshape(-1, cells)
     out = np.ones((len(polar), x.shape[0]))
+    # one buffer of each kind per call, sized for the first block, the widest
+    # (a short last block takes more layouts per step, but no more values)
+    width = min(_BLOCK, x.shape[0]) or 1  # an empty batch runs no block
+    xbuf, ybuf = np.empty(cells * width), np.empty(cells * width)
+    rbuf = np.empty(min(max(1, _BLOCK // width), len(polar)) * cells * width)
+    dbuf = np.empty_like(rbuf)
     for b in range(0, x.shape[0], _BLOCK):
-        xb, yb = x[b : b + _BLOCK].T.copy(), y[b : b + _BLOCK].T.copy()
-        step = max(1, _BLOCK // xb.shape[1])  # layouts per step, temporaries ~ one block
+        users = slice(b, b + _BLOCK)
+        size = min(_BLOCK, x.shape[0] - b)
+        xb = xbuf[: cells * size].reshape(cells, size)
+        yb = ybuf[: cells * size].reshape(cells, size)
+        xb[...], yb[...] = x[users].T, y[users].T
+        step = max(1, _BLOCK // size)  # layouts per step, temporaries ~ one block
         for s in range(0, len(polar), step):
             layouts = slice(s, s + step)
-            product = out[layouts, b : b + _BLOCK]
-            rates = np.empty((len(product),) + xb.shape)  # (step, cells, block)
-            dy = np.empty_like(rates)
+            product = out[layouts, users]
+            shape = (len(product), cells, size)
+            rates = rbuf[: product.size * cells].reshape(shape)
+            dy = dbuf[: product.size * cells].reshape(shape)
             # q's first row keeps the union of the interferers' outages
             a0, q, fail, tmp = rates[:, :1], rates[:, 1:], rates[:, 1], dy[:, 0]
+            held = [False, *repeats[:, layouts].all(axis=1).tolist()]
             for m in range(len(ax)):
-                np.square(np.subtract(xb, ax[m, layouts], out=rates), out=rates)
-                rates += np.square(np.subtract(yb, ay[m, layouts], out=dy), out=dy)
-                rates += h2
-                if power == 2.0:
-                    np.square(rates, out=rates)
-                elif power != 1.0:
-                    rates **= power
-                if k != 1.0:
-                    q /= k
-                q += a0
-                np.divide(alpha * a0, q, out=q)  # t_i, interferer i's outage were it alone
-                for i in range(2, cells):  # fail = 1 - prod(1 - t_i), in cell order
-                    fail += np.multiply(np.subtract(1.0, fail, out=tmp), rates[:, i], out=tmp)
+                if not held[m]:  # else every layout of the step repeats antenna m - 1
+                    np.square(np.subtract(xb, ax[m, layouts], out=rates), out=rates)
+                    rates += np.square(np.subtract(yb, ay[m, layouts], out=dy), out=dy)
+                    rates += h2
+                    if power == 2.0:
+                        np.square(rates, out=rates)
+                    elif power != 1.0:
+                        rates **= power
+                    if k != 1.0:
+                        q /= k
+                    q += a0
+                    # t_i, interferer i's outage were it alone
+                    np.divide(a0 if alpha == 1.0 else alpha * a0, q, out=q)
+                    for i in range(2, cells):  # fail = 1 - prod(1 - t_i), in cell order
+                        fail += np.multiply(np.subtract(1.0, fail, out=tmp), rates[:, i], out=tmp)
                 product *= fail
     return out.reshape(out.shape[:1] + ux.shape[:-1])
 

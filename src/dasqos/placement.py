@@ -28,6 +28,9 @@ from .outage import CellScenario, layout_outage, row_estimates
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
 RADIUS_BOUNDS = (0.0, 1.0)  # radii are clamped to the unit cell after each step
+# outage values _score holds at once (4 MB): a 70 x 5,000 search trace and a
+# 19 x 10,000 radius sweep each take one slice
+_SCORE_VALUES = 2**19
 
 RMMode = Literal["radius_only", "full_polar"]
 
@@ -117,9 +120,19 @@ def _score(
     scenario: CellScenario, polar: np.ndarray, height: float, samples: int, seed: int
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Expected outage and standard error of each layout at one height,
-    all scored on one batch of samples users drawn from seed."""
+    all scored on one batch of samples users drawn from seed. The layouts
+    are scored max(1, _SCORE_VALUES // samples) at a time, so the values
+    held at once stay under a fixed budget however many rows and samples;
+    each row's values and estimates do not depend on the slicing."""
     ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
-    mean, std_err = row_estimates(layout_outage(scenario.channel, polar, height, ux, uy))
+    rows = max(1, _SCORE_VALUES // samples)
+    mean, std_err = np.concatenate(
+        [
+            row_estimates(layout_outage(scenario.channel, polar[s : s + rows], height, ux, uy))
+            for s in range(0, len(polar), rows)
+        ],
+        axis=1,
+    )
     return tuple(mean.tolist()), tuple(std_err.tolist())
 
 

@@ -2,8 +2,9 @@
 
 service_pgf is the slot-count generating function E[z^y]; an exact
 discrete-time priority-queue oracle for the delay curves would take it as
-input. four_flow_delay tabulates the violation probability of every flow
-at one delay bound.
+input. delay_violation_probability is the analytic tail P(delay > d) of
+one flow, the probability `dasqos delay` writes, and four_flow_delay
+tabulates it for every flow at one delay bound.
 
 ExactBinomial is the exact energy of per-slot Bernoulli arrivals, which
 the analysis never builds; binomial_energy_gap measures how far the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dasqos.delay import PrioritySystem, delay_violation_probability
+from dasqos.delay import PrioritySystem, delay_decay_rate
 from dasqos.energy import eval_energy, expm1
 from dasqos.errors import ConfigError
 from dasqos.slotsim import FlowStats, SimConfig, SimStats, simulate
@@ -47,6 +48,15 @@ def service_pgf(model: ServiceModel, z: float) -> float:
                 return (1.0 - p) * z * (L - 1) + tail
             return (1.0 - p) * z * (1.0 - zp ** (L - 1)) / (1.0 - zp) + tail
     raise TypeError(f"unknown service model {model!r}")
+
+
+def delay_violation_probability(
+    system: PrioritySystem, priority: int, delay_bound: float
+) -> float:
+    """P(queueing delay of the tagged flow exceeds delay_bound >= 0 slots),
+    exp(-rate * delay_bound) from one root solve per call; cli.cmd_delay
+    computes the same from one solve per flow, and checks the bound."""
+    return math.exp(-delay_decay_rate(system, priority) * delay_bound)
 
 
 def four_flow_delay(

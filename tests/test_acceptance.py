@@ -15,13 +15,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from analysis_helpers import binomial_energy_gap, compare_with_analysis
+from analysis_helpers import binomial_energy_gap, compare_with_analysis, delay_violation_probability
 from conftest import record_criterion
-from dasqos.delay import (
-    PrioritySystem,
-    delay_decay_rate,
-    delay_violation_probability,
-)
+from dasqos.delay import PrioritySystem, delay_decay_rate
 from dasqos.geometry import (
     AntennaVector,
     cluster_from_centers,

@@ -26,10 +26,11 @@ import dasqos
 from dasqos import cli, placement
 from dasqos.cli import _emit, main
 from dasqos.config import format_float, parse_scenario
-from dasqos.delay import PrioritySystem, delay_violation_probability
+from dasqos.delay import PrioritySystem
 from dasqos.geometry import symmetric_circle
 from dasqos.outage import CellScenario
 from dasqos.traffic import DeterministicUnit, Poisson, TrafficFlow, TruncatedGeometric
+from analysis_helpers import delay_violation_probability
 from emit_oracle import emit_text
 from probe_loop_oracle import antenna_outage_closed_form
 

@@ -292,3 +292,17 @@ def test_batch_matches_vector_protocol():
     pos = user_positions(layout, users)
     np.testing.assert_allclose(x[0], pos[:, 0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(y[0], pos[:, 1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 10_000])
+def test_batch_equals_out_of_place_formula(samples):
+    # the in-place build equals center + ell * cos(theta) from the same
+    # draws, radii first, bit for bit
+    layout = hex_cluster(7, 2.0)
+    x, y = sample_user_batch(layout, samples, np.random.default_rng(17))
+    rng = np.random.default_rng(17)
+    ell = np.sqrt(rng.random((samples, 7)))
+    theta = rng.random((samples, 7)) * (2.0 * math.pi)
+    centers = layout.center_array()
+    assert x.tobytes() == (centers[:, 0] + ell * np.cos(theta)).tobytes()
+    assert y.tobytes() == (centers[:, 1] + ell * np.sin(theta)).tobytes()

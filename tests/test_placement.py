@@ -6,6 +6,7 @@ sized from repeated runs at other seeds before freezing.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -16,6 +17,7 @@ from dasqos import placement
 from dasqos.errors import ConfigError
 from dasqos.geometry import (
     AntennaVector,
+    antenna_polar,
     hex_cluster,
     sample_user_vector,
     symmetric_circle,
@@ -382,6 +384,32 @@ class TestBatchedScoring:
                 np.random.default_rng(eval_seed),
             )
             assert (value, se) == (est.value, est.std_err)
+
+    @pytest.mark.parametrize("budget", [1, 700, 2 * 700, 5 * 700 - 1])
+    def test_sliced_scoring_equals_one_slice(self, budget):
+        # one row per slice, two rows, four: each row's mean and standard
+        # error are the ones a single slice gives, bit for bit
+        scenario = cluster_scenario(3.5, 0.6)
+        grid = tuple(i * 0.1 for i in range(9))
+        whole = radius_sweep(scenario, grid, 700, np.random.default_rng(13))
+        with mock.patch.object(placement, "_SCORE_VALUES", budget):
+            sliced = radius_sweep(scenario, grid, 700, np.random.default_rng(13))
+        assert sliced == whole
+
+    def test_scoring_memory_stays_under_budget(self):
+        # 400 layouts on 5,000 users: all the values at once are 16 MB, and
+        # slices of 2**19 values peak at 5,856,707 bytes; the bound is that
+        # plus 10%
+        scenario = cluster_scenario(4.0)
+        rng = np.random.default_rng(2)
+        polar = antenna_polar(rng.random((400, 4)), rng.random((400, 4)) * 6.0)
+        tracemalloc.start()
+        try:
+            placement._score(scenario, polar, 0.05, 5000, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.45e6
 
     @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
     def test_search_leaves_rng_stream_in_place(self, mode):

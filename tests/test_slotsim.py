@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slot_loop_oracle
-from analysis_helpers import compare_with_analysis, mean_delay
+from analysis_helpers import compare_with_analysis, delay_violation_probability, mean_delay
 from dasqos import slotsim
-from dasqos.delay import PrioritySystem, delay_violation_probability
+from dasqos.delay import PrioritySystem
 from dasqos.errors import ConfigError
 from dasqos.slotsim import FlowStats, SimConfig, SimStats, simulate
 from dasqos.traffic import (
