@@ -40,7 +40,7 @@ from .delay import PrioritySystem, delay_decay_rate
 from .errors import ConfigError, DasqosError, NoRootError, StabilityError
 
 if TYPE_CHECKING:
-    from .outage import CellScenario, OutageEstimate
+    from .outage import CellScenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,28 +134,22 @@ def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
         raise ConfigError(f"{out}: {exc.strerror}") from exc
 
 
-def _expected_outage(cfg: ScenarioConfig) -> OutageEstimate:
-    """E(outage) of the configured cell at run.samples users drawn from run.seed."""
+def _cell(cfg: ScenarioConfig):
+    """The configured CellScenario and a numpy generator seeded from run.seed."""
     import numpy as np
 
-    from .outage import CellScenario, expected_outage
+    from .outage import CellScenario
 
-    return expected_outage(
-        CellScenario(*cfg.require_cell()),
-        cfg.run.samples,
-        np.random.default_rng(cfg.run.seed),
-    )
+    return CellScenario(*cfg.require_cell()), np.random.default_rng(cfg.run.seed)
 
 
 def _failure_prob(cfg: ScenarioConfig) -> float:
-    p = cfg.run.attempt_failure_prob
-    if p is None:
-        raise ConfigError(
-            "run.attempt_failure_prob is required for simulation "
-            "(a number, or 'linked' to take it from expected outage)"
-        )
+    p = cfg.run.attempt_failure_prob  # not None: cmd_delay checked it
     if p == LINKED:
-        est = _expected_outage(cfg)
+        from .outage import expected_outage
+
+        scenario, rng = _cell(cfg)
+        est = expected_outage(scenario, cfg.run.samples, rng)
         print(
             f"linked attempt failure probability = {format_float(est.value)} "
             f"(se {format_float(est.std_err)})",
@@ -176,6 +170,15 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     for d in thresholds:
         if d < 0.0:
             raise ConfigError(f"delay bound must be >= 0, got {d}")
+    if args.simulate:  # the flag's and the key's faults exit 2, even on a load >= 1
+        int_thresholds = [int(d) for d in thresholds]
+        if any(i != d for i, d in zip(int_thresholds, thresholds)):
+            raise ConfigError("--simulate needs integer d_th values")
+        if cfg.run.attempt_failure_prob is None:
+            raise ConfigError(
+                "run.attempt_failure_prob is required for simulation "
+                "(a number, or 'linked' to take it from expected outage)"
+            )
     # one root solve per flow, and exp(-rate * d), the analytic tail
     # P(delay > d), for each threshold
     rates = [(pr, delay_decay_rate(system, pr)) for pr in priorities]
@@ -192,9 +195,6 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
         _emit(["flow", "d_th", "prob_analytic"], rows, cfg.run.output)
         return
 
-    int_thresholds = [int(d) for d in thresholds]
-    if any(i != d for i, d in zip(int_thresholds, thresholds)):
-        raise ConfigError("--simulate needs integer d_th values")
     from .slotsim import SimConfig, simulate
 
     sim_cfg = SimConfig(
@@ -237,9 +237,9 @@ def _outage_row(scenario: CellScenario, samples: int, radius, value, std_err) ->
 
 
 def cmd_outage(args, cfg: ScenarioConfig) -> None:
-    from .outage import CellScenario, antenna_outage_closed_form, conditional_system_outage
+    from .outage import antenna_outage_closed_form, conditional_system_outage, expected_outage
 
-    scenario = CellScenario(*cfg.require_cell())
+    scenario, rng = _cell(cfg)
     if cfg.users is not None:
         rows: list[tuple] = [
             (str(m), antenna_outage_closed_form(scenario, cfg.users, m))
@@ -248,7 +248,7 @@ def cmd_outage(args, cfg: ScenarioConfig) -> None:
         rows.append(("system", conditional_system_outage(scenario, cfg.users)))
         _emit(["antenna", "outage"], rows, cfg.run.output)
         return
-    est = _expected_outage(cfg)
+    est = expected_outage(scenario, cfg.run.samples, rng)
     row = _outage_row(
         scenario, cfg.run.samples, scenario.antennas.radii[0], est.value, est.std_err
     )
@@ -256,15 +256,11 @@ def cmd_outage(args, cfg: ScenarioConfig) -> None:
 
 
 def cmd_optimize(args, cfg: ScenarioConfig) -> None:
-    import numpy as np
-
-    from .outage import CellScenario
     from .placement import RMConfig, rm_optimize
 
-    scenario = CellScenario(*cfg.require_cell())
+    scenario, rng = _cell(cfg)
     antennas = scenario.antennas
     rm_cfg = cfg.rm if cfg.rm is not None else RMConfig()
-    rng = np.random.default_rng(cfg.run.seed)
     final, trace = rm_optimize(scenario, antennas, rm_cfg, rng)
 
     m = antennas.count
@@ -292,21 +288,13 @@ def cmd_optimize(args, cfg: ScenarioConfig) -> None:
 
 
 def cmd_sweep(args, cfg: ScenarioConfig) -> None:
-    import numpy as np
-
-    from .outage import CellScenario
     from .placement import radius_sweep
 
-    scenario = CellScenario(*cfg.require_cell())
-    grid = _parse_grid(args.radii)
+    scenario, rng = _cell(cfg)
     samples = cfg.run.samples
-    result = radius_sweep(
-        scenario,
-        grid,
-        samples,
-        np.random.default_rng(cfg.run.seed),
-    )
-    best = int(np.argmin(result.outage))  # the first minimum, so one row even if radii repeat
+    result = radius_sweep(scenario, _parse_grid(args.radii), samples, rng)
+    # the first minimum, so one row even if radii repeat
+    best = result.outage.index(min(result.outage))
     rows = [
         (*_outage_row(scenario, samples, r, value, se), int(i == best))
         for i, (r, value, se) in enumerate(zip(result.radii, result.outage, result.std_err))

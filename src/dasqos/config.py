@@ -281,13 +281,7 @@ def _parse_flows(node: yaml.Node) -> tuple[TrafficFlow, ...]:
 def _parse_geometry(
     node: yaml.Node,
 ) -> tuple[ClusterLayout, AntennaVector | None, UserVector | None]:
-    from .geometry import (
-        AntennaVector,
-        UserVector,
-        cluster_from_centers,
-        hex_cluster,
-        symmetric_circle,
-    )
+    from .geometry import AntennaVector, ClusterLayout, UserVector, hex_cluster, symmetric_circle
 
     fields = _mapping(node, "geometry")
     _reject_unknown(
@@ -305,7 +299,7 @@ def _parse_geometry(
                 raise _fail(item, "each center needs exactly [x, y]")
             centers.append((_float(pair[0], "x"), _float(pair[1], "y")))
         with _located(node):
-            layout = cluster_from_centers(centers, given.get("spacing"))
+            layout = ClusterLayout(tuple(centers), given.get("spacing"))
     else:
         if "cluster_size" in fields:
             given["size"] = _int(fields["cluster_size"], "cluster_size")
@@ -318,7 +312,7 @@ def _parse_geometry(
         antennas = _build(make, fields["antennas"], "antennas", ring)
     if "users" in fields:
         users = _build(UserVector, fields["users"], "users")
-        if users.count != layout.size:  # one user per cell, as user_positions needs
+        if users.count != layout.size:  # one user per cell, as user_coordinates needs
             raise _fail(
                 fields["users"], f"user vector has {users.count} entries for {layout.size} cells"
             )

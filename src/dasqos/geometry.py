@@ -49,7 +49,7 @@ def hex_cluster(size: int = 7, spacing: float = DEFAULT_SPACING) -> ClusterLayou
     """Target cell plus a ring of six co-channel neighbors at angles k*pi/3.
 
     Only size 1 (no interferers) and size 7 have a canonical hex layout;
-    other sizes must come in through cluster_from_centers.
+    other sizes must come in as explicit ClusterLayout centers.
     """
     if size == 1:
         return ClusterLayout(((0.0, 0.0),), spacing)
@@ -62,15 +62,6 @@ def hex_cluster(size: int = 7, spacing: float = DEFAULT_SPACING) -> ClusterLayou
         ang = k * math.pi / 3.0
         centers.append((spacing * math.cos(ang), spacing * math.sin(ang)))
     return ClusterLayout(tuple(centers), spacing)
-
-
-def cluster_from_centers(centers, spacing: float | None = None) -> ClusterLayout:
-    """Cluster with arbitrary interferer-cell centers (target first, at origin).
-
-    spacing is a label carried along for reporting, not a constraint on the
-    centers given here.
-    """
-    return ClusterLayout(tuple((float(x), float(y)) for x, y in centers), spacing)
 
 
 def antenna_polar(radii, angles) -> np.ndarray:
@@ -163,30 +154,30 @@ class UserVector:
         return len(self.radii)
 
 
-def sample_user_vector(layout: ClusterLayout, rng: np.random.Generator) -> UserVector:
-    """Draw one user uniformly over each cell disk (radius sqrt(U))."""
-    n = layout.size
-    radii = tuple(float(r) for r in np.sqrt(rng.random(n)))
-    angles = tuple(float(a) for a in rng.random(n) * TWO_PI)
-    return UserVector(radii, angles)
-
-
-def sample_user_batch(
+def _draw(
     layout: ClusterLayout, samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian user coordinates for many independent user vectors.
-
-    Returns (x, y), each of shape (samples, cells). One rng draw pattern per
-    call: radii first, then angles, matching sample_user_vector per row.
-    The coordinates are built in place in the draws and in x, with no other
-    batch-sized temporary; products and sums commute, so they equal
-    center + ell * cos(theta) bit for bit.
-    """
-    cx, cy = layout.center_array().T
+    """The one user draw rule: (samples, cells) radii sqrt(U), then angles
+    2*pi*U, each cell's user uniform over its disk."""
     ell = rng.random((samples, layout.size))
     np.sqrt(ell, out=ell)
     theta = rng.random((samples, layout.size))
     theta *= TWO_PI
+    return ell, theta
+
+
+def user_coordinates(
+    layout: ClusterLayout, ell: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian (x, y) of users at polar offsets (ell, theta) from their cell
+    centers, the cell on the last axis: (cells,) for one user vector,
+    (samples, cells) for a batch.
+
+    Built in place, with no other temporary of their size: y is written
+    into theta, which the call overwrites. Products and sums commute, so
+    the result equals center + ell * cos(theta) bit for bit.
+    """
+    cx, cy = layout.center_array().T
     x = np.cos(theta)
     x *= ell
     x += cx
@@ -196,14 +187,15 @@ def sample_user_batch(
     return x, y
 
 
-def user_positions(layout: ClusterLayout, users: UserVector) -> np.ndarray:
-    """Planar (cells, 2) Cartesian positions of one user vector."""
-    if users.count != layout.size:
-        raise ConfigError(
-            f"user vector has {users.count} entries for {layout.size} cells"
-        )
-    centers = layout.center_array()
-    r = np.asarray(users.radii)
-    a = np.asarray(users.angles)
-    return centers + np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
+def sample_user_vector(layout: ClusterLayout, rng: np.random.Generator) -> UserVector:
+    """Draw one user uniformly over each cell disk: a one-row sample_user_batch."""
+    ell, theta = _draw(layout, 1, rng)
+    return UserVector(tuple(ell[0].tolist()), tuple(theta[0].tolist()))
 
+
+def sample_user_batch(
+    layout: ClusterLayout, samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian user coordinates (x, y), each (samples, cells), for many
+    independent user vectors drawn by one _draw call."""
+    return user_coordinates(layout, *_draw(layout, samples, rng))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import AntennaVector, ClusterLayout, UserVector, sample_user_batch, user_positions
+from .geometry import AntennaVector, ClusterLayout, UserVector, sample_user_batch, user_coordinates
 
 _BLOCK = 6144  # users per cell-major step; bounds the kernel's temporaries
 
@@ -191,6 +191,14 @@ def layout_outage(
     return out.reshape(out.shape[:1] + ux.shape[:-1])
 
 
+def _pinned_outage(scenario: CellScenario, users: UserVector, antennas=slice(None)) -> float:
+    """layout_outage of the scenario's antennas[antennas] on one pinned user vector."""
+    a = scenario.antennas
+    ux, uy = user_coordinates(scenario.layout, np.array(users.radii), np.array(users.angles))
+    polar = np.array([[a.radii, a.angles]])[..., antennas]
+    return float(layout_outage(scenario.channel, polar, a.height, ux, uy)[0])
+
+
 def antenna_outage_closed_form(
     scenario: CellScenario, users: UserVector, antenna: int
 ) -> float:
@@ -200,18 +208,12 @@ def antenna_outage_closed_form(
         raise ConfigError(
             f"antenna index {antenna} out of range [0, {scenario.antennas.count})"
         )
-    a = scenario.antennas
-    upos = user_positions(scenario.layout, users)
-    one = np.array([[a.radii, a.angles]])[..., antenna : antenna + 1]
-    return float(layout_outage(scenario.channel, one, a.height, upos[:, 0], upos[:, 1])[0])
+    return _pinned_outage(scenario, users, slice(antenna, antenna + 1))
 
 
 def conditional_system_outage(scenario: CellScenario, users: UserVector) -> float:
     """System outage for a fixed user vector: the product over antennas."""
-    a = scenario.antennas
-    upos = user_positions(scenario.layout, users)
-    polar = np.array([[a.radii, a.angles]])
-    return float(layout_outage(scenario.channel, polar, a.height, upos[:, 0], upos[:, 1])[0])
+    return _pinned_outage(scenario, users)
 
 
 def expected_outage(

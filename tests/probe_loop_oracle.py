@@ -27,10 +27,19 @@ from dataclasses import replace
 import numpy as np
 
 from dasqos.errors import ConfigError
-from dasqos.geometry import AntennaVector, ClusterLayout, UserVector, user_positions
+from dasqos.geometry import AntennaVector, ClusterLayout, UserVector
 from dasqos import placement
 from dasqos.outage import CellScenario
 from dasqos.placement import RMConfig
+
+
+def user_positions(layout: ClusterLayout, users: UserVector) -> np.ndarray:
+    """Planar (cells, 2) Cartesian positions of one user vector, built out
+    of place: the reference for geometry.user_coordinates."""
+    centers = layout.center_array()
+    r = np.asarray(users.radii)
+    a = np.asarray(users.angles)
+    return centers + np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
 
 
 def antenna_positions(antennas: AntennaVector) -> np.ndarray:

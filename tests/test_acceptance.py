@@ -20,7 +20,7 @@ from conftest import record_criterion
 from dasqos.delay import PrioritySystem, delay_decay_rate
 from dasqos.geometry import (
     AntennaVector,
-    cluster_from_centers,
+    ClusterLayout,
     hex_cluster,
     sample_user_vector,
     symmetric_circle,
@@ -89,7 +89,7 @@ def test_criterion_2_outage_oracles():
                 (float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
                 for _ in range(n_cells - 1)
             ]
-            layout = cluster_from_centers(centers)
+            layout = ClusterLayout(tuple(centers))
         count = int(rng.integers(1, 5))
         radii = tuple(float(rng.uniform(0.0, 0.9)) for _ in range(count))
         angles = tuple(

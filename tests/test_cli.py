@@ -687,6 +687,26 @@ class TestExitCodes:
         assert err.startswith("numerical failure:")
         assert "load 1.2" in err
 
+    @pytest.mark.parametrize(
+        "dth, run_keys, message",
+        [
+            ("0:3:0.5", "attempt_failure_prob: 0.1, ", "--simulate needs integer d_th values"),
+            ("0:3:1", "", "run.attempt_failure_prob is required for simulation"),
+        ],
+        ids=["fractional-dth", "no-failure-prob"],
+    )
+    def test_simulate_inputs_are_checked_before_the_root_solves(self, run, dth, run_keys, message):
+        # at load 1.311 every root solve fails; the flag's or the key's fault
+        # is still a configuration error, reported before any solve
+        config = FLOWS_TEXT.replace("rate: 0.6", "rate: 1.0").replace(
+            "attempt_failure_prob: 0.1, ", run_keys
+        )
+        code, stdout, err = run(["delay", "--dth", dth, "--simulate"], config=config)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {message}")
+        code, _, err = run(["delay", "--dth", "0:3:1"], config=config)
+        assert code == 3 and "load 1.311 >= 1" in err
+
     def test_missing_flows_section(self, run):
         code, _, err = run(
             ["delay", "--dth", "1:2:1"],

@@ -21,8 +21,8 @@ from dasqos.errors import ConfigError
 from dasqos.geometry import (
     AntennaVector,
     DEFAULT_HEIGHT,
+    ClusterLayout,
     UserVector,
-    cluster_from_centers,
     hex_cluster,
     symmetric_circle,
 )
@@ -148,7 +148,7 @@ class TestFullScenario:
 
     def test_explicit_centers(self):
         cfg = parse_scenario("geometry:\n  centers: [[0.0, 0.0], [2.0, 0.0]]\n")
-        assert cfg.layout == cluster_from_centers([(0.0, 0.0), (2.0, 0.0)])
+        assert cfg.layout == ClusterLayout(((0.0, 0.0), (2.0, 0.0)))
         assert cfg.layout.spacing is None
 
     def test_arrival_kinds(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from dasqos.errors import ConfigError
@@ -10,15 +12,15 @@ from dasqos.geometry import (
     ClusterLayout,
     TWO_PI,
     UserVector,
+    _draw,
     antenna_polar,
-    cluster_from_centers,
     hex_cluster,
     sample_user_batch,
     sample_user_vector,
     symmetric_circle,
-    user_positions,
+    user_coordinates,
 )
-from probe_loop_oracle import antenna_user_distance
+from probe_loop_oracle import antenna_user_distance, user_positions
 
 
 def test_hex_cluster_layout():
@@ -40,10 +42,10 @@ def test_hex_cluster_single_cell():
 def test_hex_cluster_rejects_other_sizes():
     with pytest.raises(ConfigError):
         hex_cluster(3)
-    layout = cluster_from_centers([(0, 0), (1.5, 0.2), (-1, 1)])
+    layout = ClusterLayout(((0, 0), (1.5, 0.2), (-1, 1)))
     assert layout.size == 3
     with pytest.raises(ConfigError):
-        cluster_from_centers([(1, 0), (0, 0)])
+        ClusterLayout(((1, 0), (0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -52,7 +54,7 @@ def test_hex_cluster_rejects_other_sizes():
         lambda s: ClusterLayout(((0.0, 0.0),), spacing=s),
         lambda s: hex_cluster(7, s),
         lambda s: hex_cluster(1, s),
-        lambda s: cluster_from_centers([(0, 0)], s),
+        lambda s: ClusterLayout(((0, 0), (1.5, 0.2)), s),
     ],
     ids=["layout", "hex", "hex-single", "centers"],
 )
@@ -111,8 +113,8 @@ def test_distance_rotation_invariant():
     c, s = math.cos(rot), math.sin(rot)
     base_centers = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.7)]
     turned_centers = [(c * x - s * y, s * x + c * y) for x, y in base_centers]
-    base = cluster_from_centers(base_centers)
-    turned = cluster_from_centers(turned_centers)
+    base = ClusterLayout(tuple(base_centers))
+    turned = ClusterLayout(tuple(turned_centers))
     antennas = AntennaVector((0.3, 0.6), (0.5, 2.5), 0.05)
     antennas_t = AntennaVector((0.3, 0.6), (0.5 + rot, 2.5 + rot), 0.05)
     users = UserVector((0.2, 0.9, 0.4), (1.0, 4.0, 0.3))
@@ -240,8 +242,6 @@ def test_user_positions_shape():
     users = sample_user_vector(layout, np.random.default_rng(0))
     pos = user_positions(layout, users)
     assert pos.shape == (7, 2)
-    with pytest.raises(ConfigError):
-        user_positions(layout, UserVector((0.1,), (0.0,)))
 
 
 def test_sampling_moments():
@@ -306,3 +306,43 @@ def test_batch_equals_out_of_place_formula(samples):
     centers = layout.center_array()
     assert x.tobytes() == (centers[:, 0] + ell * np.cos(theta)).tobytes()
     assert y.tobytes() == (centers[:, 1] + ell * np.sin(theta)).tobytes()
+
+
+def test_user_vector_is_the_draw_rules_first_row():
+    # one draw rule: the vector is row 0 of a one-row _draw, and it leaves the
+    # generator where a one-row batch leaves it
+    layout = hex_cluster(7, 2.0)
+    for seed in range(50):
+        vector_rng, draw_rng, batch_rng = (np.random.default_rng(seed) for _ in range(3))
+        users = sample_user_vector(layout, vector_rng)
+        ell, theta = _draw(layout, 1, draw_rng)
+        assert users == UserVector(tuple(ell[0].tolist()), tuple(theta[0].tolist()))
+        sample_user_batch(layout, 1, batch_rng)
+        assert vector_rng.bit_generator.state == batch_rng.bit_generator.state
+        assert vector_rng.bit_generator.state == draw_rng.bit_generator.state
+
+
+PINNED_LAYOUTS = {
+    1: hex_cluster(1),
+    2: ClusterLayout(((0.0, 0.0), (1.7, -0.3))),
+    7: hex_cluster(7, 2.0),
+}
+
+
+@given(st.sampled_from(sorted(PINNED_LAYOUTS)), st.data())
+def test_pinned_coordinates_equal_the_out_of_place_reference(cells, data):
+    # the in-place rule that drawn users take serves pinned users too, bit for
+    # bit equal to center + ell * cos(theta); theta is overwritten with y
+    layout = PINNED_LAYOUTS[cells]
+    vector = st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells)
+    radii = data.draw(vector)
+    angles = data.draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=cells, max_size=cells)
+    )
+    users = UserVector(tuple(radii), tuple(angles))
+    theta = np.array(users.angles)
+    x, y = user_coordinates(layout, np.array(users.radii), theta)
+    reference = user_positions(layout, users)
+    assert x.tobytes() == reference[:, 0].tobytes()
+    assert y.tobytes() == reference[:, 1].tobytes()
+    assert theta.tobytes() == y.tobytes()

@@ -25,13 +25,12 @@ from dasqos import outage
 from dasqos.errors import ConfigError
 from dasqos.geometry import (
     AntennaVector,
+    ClusterLayout,
     UserVector,
-    cluster_from_centers,
     hex_cluster,
     sample_user_batch,
     sample_user_vector,
     symmetric_circle,
-    user_positions,
 )
 from dasqos.outage import (
     CellScenario,
@@ -43,11 +42,11 @@ from dasqos.outage import (
 )
 from partial_fraction_oracle import outage_expansion
 import probe_loop_oracle
-from probe_loop_oracle import _link_rates, antenna_outage_mc, product_form_outage
+from probe_loop_oracle import _link_rates, antenna_outage_mc, product_form_outage, user_positions
 
 
 def two_cell_scenario(exponent=4.0, efficiency=1.0, alpha=1.0, spacing=2.0):
-    layout = cluster_from_centers([(0.0, 0.0), (spacing, 0.0)])
+    layout = ClusterLayout(((0.0, 0.0), (spacing, 0.0)))
     channel = ChannelParams(exponent, efficiency, alpha)
     antennas = AntennaVector((0.0,), (0.0,), 0.05)
     return CellScenario(layout, antennas, channel)
@@ -167,10 +166,10 @@ def test_kernel_matches_partial_fractions_on_separated_poles():
         if rng.random() < 0.5:
             layout = hex_cluster(7, 2.0)
         else:
-            layout = cluster_from_centers([(0.0, 0.0)] + [
+            layout = ClusterLayout(tuple([(0.0, 0.0)] + [
                 (float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
                 for _ in range(int(rng.integers(1, 6)))
-            ])
+            ]))
         antennas = AntennaVector(
             (float(rng.uniform(0.0, 0.9)),), (float(rng.uniform(0, 2 * math.pi)),), 0.05
         )
@@ -262,7 +261,7 @@ def test_outage_within_rounding_bound_of_exact(form, a0, decades, alpha):
 def test_near_coincident_poles_match_mc(alpha):
     # interferers on the x-axis facing the origin: distances 1.5 and
     # 1.5 - 5e-8, a relative rate gap ~1.3e-7 that wrecks partial fractions
-    layout = cluster_from_centers([(0.0, 0.0), (2.0, 0.0), (-2.0, 0.0)])
+    layout = ClusterLayout(((0.0, 0.0), (2.0, 0.0), (-2.0, 0.0)))
     antennas = AntennaVector((0.0,), (0.0,), 0.05)
     scenario = CellScenario(layout, antennas, ChannelParams(4.0, 1.0, alpha))
     eps = 1e-7
@@ -290,7 +289,7 @@ def test_closed_form_matches_mc_random_geometries():
                 (float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
                 for _ in range(cells - 1)
             ]
-            layout = cluster_from_centers(centers)
+            layout = ClusterLayout(tuple(centers))
         scenario = CellScenario(
             layout,
             symmetric_circle(3, float(rng.uniform(0.1, 0.9)), float(rng.uniform(0, 2))),
@@ -340,8 +339,6 @@ def test_outage_monotone_in_spectral_efficiency():
 
 def test_moving_antenna_toward_user_helps():
     # single antenna so the angle sort cannot reshuffle identities
-    from dasqos.geometry import user_positions
-
     layout = hex_cluster(7, 2.0)
     channel = ChannelParams(2.0, 1.0)
     rng = np.random.default_rng(31)
@@ -489,12 +486,12 @@ def test_kernel_matches_scalar_loop_bitwise(alpha):
 
 
 # target, the six neighbours at spacing 2, and six more on the next ring
-THIRTEEN_CELLS = cluster_from_centers(
+THIRTEEN_CELLS = ClusterLayout(tuple(
     [(0.0, 0.0)]
     + [(2.0 * math.cos(k * math.pi / 3), 2.0 * math.sin(k * math.pi / 3)) for k in range(6)]
     + [(3.5 * math.cos((k + 0.5) * math.pi / 3), 3.5 * math.sin((k + 0.5) * math.pi / 3))
        for k in range(6)]
-)
+))
 CLUSTERS = {"one": hex_cluster(1), "hex": hex_cluster(7, 2.0), "thirteen": THIRTEEN_CELLS}
 
 

@@ -21,7 +21,6 @@ from dasqos.geometry import (
     hex_cluster,
     sample_user_vector,
     symmetric_circle,
-    user_positions,
 )
 from dasqos.outage import CellScenario, ChannelParams, expected_outage
 from dasqos.placement import (
@@ -422,7 +421,7 @@ class TestBatchedScoring:
 
     @staticmethod
     def _check_gradient(scenario, params, init, cfg, users):
-        upos = user_positions(scenario.layout, users)
+        upos = probe_loop_oracle.user_positions(scenario.layout, users)
         grad = _fd_gradient(scenario, params, init, cfg, upos[:, 0], upos[:, 1])
         reference = probe_loop_oracle.fd_gradient(scenario, params, init, cfg, users)
         assert grad.tobytes() == reference.tobytes()
