@@ -38,6 +38,7 @@ from .config import (
 )
 from .delay import PrioritySystem, delay_decay_rate
 from .errors import ConfigError, DasqosError, NoRootError, StabilityError
+from .traffic import GenericRenewal, TruncatedGeometric
 
 if TYPE_CHECKING:
     from .outage import CellScenario
@@ -143,7 +144,9 @@ def _cell(cfg: ScenarioConfig):
     return CellScenario(*cfg.require_cell()), np.random.default_rng(cfg.run.seed)
 
 
-def _failure_prob(cfg: ScenarioConfig) -> float:
+def _failure_prob(cfg: ScenarioConfig, system: PrioritySystem) -> float:
+    """run.attempt_failure_prob as a number (linked: E(outage), reported on
+    stderr), checked against the retry model of every retrying flow."""
     p = cfg.run.attempt_failure_prob  # not None: cmd_delay checked it
     if p == LINKED:
         from .outage import expected_outage
@@ -155,22 +158,27 @@ def _failure_prob(cfg: ScenarioConfig) -> float:
             f"(se {format_float(est.std_err)})",
             file=sys.stderr,
         )
-        return est.value
-    return float(p)
+        p = est.value
+    p = float(p)
+    for f in system.flows:
+        if isinstance(f.service, TruncatedGeometric) and f.service.failure_prob != p:
+            raise ConfigError(
+                "per-attempt failure probability must match the retry "
+                f"model of flow {f.priority} ({f.service.failure_prob} != {p})"
+            )
+    return p
 
 
 def cmd_delay(args, cfg: ScenarioConfig) -> None:
     system = PrioritySystem(cfg.require_flows(), cfg.run.higher_priority_mode)
     thresholds = _parse_grid(args.dth)
-    if args.flow is not None:
-        priorities = [args.flow]
-    else:
-        priorities = [f.priority for f in system.flows]
 
+    # every input fault exits 2 here, before the first root solve, so even on
+    # a load >= 1; the unknown --flow before the linked E(outage) is spent
     for d in thresholds:
         if d < 0.0:
             raise ConfigError(f"delay bound must be >= 0, got {d}")
-    if args.simulate:  # the flag's and the key's faults exit 2, even on a load >= 1
+    if args.simulate:
         int_thresholds = [int(d) for d in thresholds]
         if any(i != d for i, d in zip(int_thresholds, thresholds)):
             raise ConfigError("--simulate needs integer d_th values")
@@ -179,8 +187,20 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
                 "run.attempt_failure_prob is required for simulation "
                 "(a number, or 'linked' to take it from expected outage)"
             )
+    # the requested flows' places in the system, whose order simulate keeps
+    if args.flow is None:
+        indices = range(len(system.flows))
+    else:
+        indices = [system.flow_index(args.flow)]
+    system.check_higher_flows(max(indices))
+    if args.simulate:
+        failure_prob = _failure_prob(cfg, system)
+        if any(isinstance(f.arrival, GenericRenewal) for f in system.flows):
+            raise ConfigError("generic renewal arrivals have no sampling distribution")
+
     # one root solve per flow, and exp(-rate * d), the analytic tail
     # P(delay > d), for each threshold
+    priorities = [system.flows[i].priority for i in indices]
     rates = [(pr, delay_decay_rate(system, pr)) for pr in priorities]
 
     if not args.simulate:
@@ -197,20 +217,13 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
 
     from .slotsim import SimConfig, simulate
 
-    sim_cfg = SimConfig(
-        system,
-        _failure_prob(cfg),
-        cfg.run.horizon,
-        cfg.run.warmup,
-        cfg.run.seed,
-    )
-    stats = simulate(sim_cfg)
+    run = cfg.run
+    stats = simulate(SimConfig(system, failure_prob, run.horizon, run.warmup, run.seed))
     if system.effective_load() >= 1.0:
         print("warning: offered load >= 1, queues are unstable", file=sys.stderr)
     rows = []
-    for pr, rate in rates:
-        table = stats.flow(pr).ccdf_table(int_thresholds)
-        for d, p_hat, lo, hi in table:
+    for i, (pr, rate) in zip(indices, rates):
+        for d, p_hat, lo, hi in stats.flows[i].ccdf_table(int_thresholds):
             rows.append((pr, d, p_hat, lo, hi, math.exp(-rate * d)))
     _emit(
         ["flow", "d_th", "prob_sim", "ci_low", "ci_high", "prob_analytic"],

@@ -45,7 +45,8 @@ class PrioritySystem:
     higher_priority_mode picks how flows above the tagged one enter its
     service energy: "gaussian" matches their slot-usage mean and variance,
     "exact_poisson" keeps the exact Poisson counting energy and therefore
-    requires those flows to be Poisson with single-attempt service.
+    requires those flows to be Poisson with single-attempt service, which
+    check_higher_flows checks.
     """
 
     flows: tuple[TrafficFlow, ...]
@@ -61,6 +62,17 @@ class PrioritySystem:
             if f.priority == priority:
                 return i
         raise ConfigError(f"no flow with priority {priority}")
+
+    def check_higher_flows(self, index: int) -> None:
+        """Raise unless the mode can take every flow above flows[index]."""
+        if self.higher_priority_mode == "exact_poisson" and any(
+            not isinstance(f.arrival, Poisson) or service_moments(f.service) != (1.0, 0.0)
+            for f in self.flows[:index]
+        ):
+            raise ConfigError(
+                "exact_poisson mode needs Poisson arrivals and "
+                "single-attempt service on every higher-priority flow"
+            )
 
     def effective_load(self, upto: int | None = None) -> float:
         """Sum of packet-rate * mean-attempts over flows, optionally truncated.
@@ -96,23 +108,19 @@ def service_energy(system: PrioritySystem, index: int) -> Callable[[float], floa
     the positive rate at which withheld slots cost the tagged flow packets.
     Every such term is positive, so priority load above the flow always
     shrinks its decay exponent. The moments of every flow are taken once
-    here, not on each evaluation.
+    here, not on each evaluation. In exact_poisson mode the higher flows are
+    taken as system.check_higher_flows(index) accepts them.
     """
     mu_y, var_y = service_moments(system.flows[index].service)
     scale = 2.0 * mu_y**3
     exact = system.higher_priority_mode == "exact_poisson"
     terms = []
     for other in system.flows[:index]:
-        mu_x, var_x = arrival_moments(other.arrival)
-        mu_s, var_s = service_moments(other.service)
         if exact:
-            if not isinstance(other.arrival, Poisson) or (mu_s, var_s) != (1.0, 0.0):
-                raise ConfigError(
-                    "exact_poisson mode needs Poisson arrivals and "
-                    "single-attempt service on every higher-priority flow"
-                )
             terms.append(arrival_rate(other.arrival))
         else:
+            mu_x, var_x = arrival_moments(other.arrival)
+            mu_s, var_s = service_moments(other.service)
             # slot usage per unit time: mean mu_s/mu_x, variance by renewal CLT;
             # mu_s^2 var_x alone can overflow, so it is then divided first
             var = mu_s * mu_s * var_x / mu_x**3

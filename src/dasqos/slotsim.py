@@ -35,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay import PrioritySystem
-from .errors import ConfigError
-from .traffic import (
-    TrafficFlow,
-    TruncatedGeometric,
-    arrival_rate,
-    sample_interarrival,
-)
+from .traffic import TrafficFlow, arrival_rate, sample_interarrival
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile for the CCDF bands
 
@@ -51,7 +45,9 @@ class SimConfig:
     """One replication of the system's flows (distinct priorities, sorted).
 
     attempt_failure_prob lies in [0, 1] and horizon > warmup >= 0, as
-    config.RunParams checks them; only the retry-model match is checked here.
+    config.RunParams checks them. The delay command checks that every
+    retrying flow's failure_prob is attempt_failure_prob and that every
+    flow's arrivals can be sampled.
     """
 
     system: PrioritySystem
@@ -59,18 +55,6 @@ class SimConfig:
     horizon: int
     warmup: int = 0
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        for f in self.system.flows:
-            if (
-                isinstance(f.service, TruncatedGeometric)
-                and f.service.failure_prob != self.attempt_failure_prob
-            ):
-                raise ConfigError(
-                    "per-attempt failure probability must match the retry "
-                    f"model of flow {f.priority} "
-                    f"({f.service.failure_prob} != {self.attempt_failure_prob})"
-                )
 
 
 @dataclass(frozen=True)
@@ -115,13 +99,9 @@ class FlowStats:
 
 @dataclass(frozen=True)
 class SimStats:
-    flows: tuple[FlowStats, ...]
+    """One FlowStats per flow, in the order of the system's flows."""
 
-    def flow(self, priority: int) -> FlowStats:
-        for fs in self.flows:
-            if fs.priority == priority:
-                return fs
-        raise ConfigError(f"no flow with priority {priority}")
+    flows: tuple[FlowStats, ...]
 
 
 def _eligible_slots(flow: TrafficFlow, horizon: int, rng: np.random.Generator):

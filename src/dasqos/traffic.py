@@ -169,7 +169,7 @@ def packet_loss_probability(failure_prob: float, max_attempts: int) -> float:
 
 
 def sample_interarrival(model: ArrivalModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw size inter-arrival intervals."""
+    """Draw size inter-arrival intervals of a Poisson or markov-fluid model."""
     import numpy as np  # here, so the analysis imports without numpy
 
     match model:
@@ -182,6 +182,4 @@ def sample_interarrival(model: ArrivalModel, rng: np.random.Generator, size: int
         case MarkovFluidRenewal(rate_a=la, rate_b=lb, weight_a=wa):
             pick_a = rng.random(size) < wa
             return rng.exponential(np.where(pick_a, 1.0 / la, 1.0 / lb))
-        case GenericRenewal():
-            raise ConfigError("generic renewal arrivals have no sampling distribution")
-    raise TypeError(f"unknown arrival model {model!r}")
+    raise TypeError(f"arrival model {model!r} cannot be sampled")

@@ -157,7 +157,7 @@ def compare_with_analysis(
     """
     if stats is None:
         stats = simulate(cfg)
-    fs = stats.flow(priority)
+    fs = stats.flows[cfg.system.flow_index(priority)]
     kept: list[int] = []
     dropped: list[int] = []
     emp: list[float] = []

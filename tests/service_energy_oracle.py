@@ -3,7 +3,8 @@
 priority_service_energy here recomputes every moment of the tagged flow and
 of each higher-priority flow on each evaluation. delay.service_energy takes
 them once per solve; its function must return the same bits at every phi,
-and raise the same ConfigError for a flow that exact_poisson mode rejects.
+and PrioritySystem.check_higher_flows must raise the same ConfigError for a
+flow that exact_poisson mode rejects.
 """
 from __future__ import annotations
 

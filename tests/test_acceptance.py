@@ -398,7 +398,7 @@ def test_criterion_8_simulated_loss_law():
         flows = (TrafficFlow(1, Poisson(0.6), TruncatedGeometric(p, attempts)),)
         cfg = SimConfig(PrioritySystem(flows), p, 10_000_000, 10_000, seed=seed)
         stats = simulate(cfg)
-        flow = stats.flow(1)
+        flow = stats.flows[0]
         target = packet_loss_probability(p, attempts)
         se = math.sqrt(target * (1.0 - target) / flow.departures)
         deviations.append((flow.loss_rate - target) / se)

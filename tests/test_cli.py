@@ -634,6 +634,20 @@ def _readme_commands() -> list[list[str]]:
     return argvs
 
 
+# sha256 of each README command's stdout and stderr; optimize runs the
+# default radius_only search, which no other pin covers
+README_PINS = [
+    ("4439a40c753ab6e4813d8458823ce9e437688ea202cd6ee9b177825e882c0601", ""),
+    ("dc4c1fb679aab3d75c7eabab2db39a8a515dda30ea40afda744e40a1e70a616c", ""),
+    ("a28b669851dcfe2ca810a2374f0de931385bb2a4426973e09e8ab3dd614b4da7", ""),
+    (
+        "f8183b9fb995e941fed3de3953492cc20cd030816cc52b7f90c2b736a4a1f0b2",
+        "4286eecd575d5c74ad9438c621c922c4d71ef2ffedbd19318a1129ad9618ccf7",
+    ),
+    ("cbc98e7142e056a1e763a7579dc133bb42fb136518248973cd60dd882e5384db", ""),
+]
+
+
 def test_readme_example_runs_as_documented(run, tmp_path, monkeypatch):
     # the scenario block and the command lines, exactly as README gives them
     monkeypatch.chdir(tmp_path)
@@ -642,10 +656,11 @@ def test_readme_example_runs_as_documented(run, tmp_path, monkeypatch):
     argvs = _readme_commands()
     assert [a[0] for a in argvs] == ["delay", "delay", "outage", "optimize", "sweep"]
     assert "--simulate" in argvs[1]
-    for argv in argvs:
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest() if text else ""
+    for argv, pins in zip(argvs, README_PINS):
         code, out, err = run(argv)
         assert code == 0, (argv, err)
-        assert out
+        assert (sha(out), sha(err)) == pins, argv
 
 
 @pytest.mark.parametrize(
@@ -706,6 +721,58 @@ class TestExitCodes:
         assert err.startswith(f"error: {message}")
         code, _, err = run(["delay", "--dth", "0:3:1"], config=config)
         assert code == 3 and "load 1.311 >= 1" in err
+
+    @pytest.mark.parametrize("data_rate, load", [("0.6", 0.867), ("1.0", 1.311)], ids=["stable", "unstable"])
+    @pytest.mark.parametrize(
+        "simulate, edits, message",
+        [
+            (
+                True,
+                [("attempt_failure_prob: 0.1", "attempt_failure_prob: 0.2")],
+                "per-attempt failure probability must match the retry model of flow 2 (0.1 != 0.2)",
+            ),
+            (
+                True,
+                [("attempt_failure_prob: 0.1", "attempt_failure_prob: linked")],
+                "this command needs sections: geometry, geometry.antennas, channel",
+            ),
+            (
+                True,
+                [("{kind: poisson, rate: 0.2}", "{kind: renewal, mean: 5.0, variance: 25.0}")],
+                "generic renewal arrivals have no sampling distribution",
+            ),
+            (
+                False,
+                [
+                    ("{kind: poisson, rate: 0.2}", "{kind: renewal, mean: 5.0, variance: 25.0}"),
+                    ("run: {", "run: {higher_priority_mode: exact_poisson, "),
+                ],
+                "exact_poisson mode needs Poisson arrivals and "
+                "single-attempt service on every higher-priority flow",
+            ),
+        ],
+        ids=["retry-model-mismatch", "linked-without-cell", "renewal-simulated", "exact-poisson-higher-flow"],
+    )
+    def test_delay_faults_exit_before_the_root_solves(
+        self, run, tmp_path, monkeypatch, data_rate, load, simulate, edits, message
+    ):
+        # cmd_delay judges every input before its first root solve, so each
+        # fault exits 2 even where every solve would fail on a load >= 1
+        def delay_decay_rate(system, priority):
+            raise AssertionError("a root solve ran before the input was judged")
+
+        monkeypatch.setattr(cli, "delay_decay_rate", delay_decay_rate)
+        config = FLOWS_TEXT.replace("rate: 0.6", f"rate: {data_rate}")
+        for old, new in edits:
+            assert old in config
+            config = config.replace(old, new)
+        out = tmp_path / "x.csv"
+        argv = ["delay", "--dth", "0:3:1", "--out", str(out)] + ["--simulate"] * simulate
+        code, stdout, err = run(argv, config=config)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+        flows = parse_scenario(config).flows
+        assert PrioritySystem(flows).effective_load() == pytest.approx(load, abs=1e-3)
 
     def test_missing_flows_section(self, run):
         code, _, err = run(

@@ -100,8 +100,11 @@ def test_exact_poisson_mode_rejects_wrong_flows():
         ),
         higher_priority_mode="exact_poisson",
     )
-    with pytest.raises(ConfigError):
-        service_energy(bad, 1)
+    with pytest.raises(ConfigError, match="exact_poisson mode needs Poisson arrivals"):
+        bad.check_higher_flows(1)
+    # the top flow has none above it, and gaussian mode takes any flow
+    bad.check_higher_flows(0)
+    PrioritySystem(bad.flows).check_higher_flows(1)
 
 
 POISSON_UNIT = st.tuples(st.floats(0.01, 2.0).map(Poisson), st.just(DeterministicUnit()))
@@ -205,17 +208,19 @@ def _exact_gaussian_energy(system, index, phi) -> Fraction:
 @given(system=_systems(st.one_of(ANY_FLOW, WIDE_FLOW)), phis=PHIS)
 @example(system=HUGE_VARIANCE, phis=[0.0, 5.12e-39, 1e-30, 1.0])
 def test_service_energy_matches_per_call_oracle(system, phis):
-    # same bits at every phi, or the same ConfigError, for every flow, as long
-    # as the oracle's usage variances are finite; where one overflows but the
-    # exact variances fit, the energy is finite wherever its exact value fits
+    # same bits at every phi for every flow, as long as the oracle's usage
+    # variances are finite; where one overflows but the exact variances fit,
+    # the energy is finite wherever its exact value fits. Where the oracle
+    # rejects a higher flow, the system's check raises the same ConfigError.
     for index in range(len(system.flows)):
         try:
             want = [per_call_service_energy(system, index, phi).hex() for phi in phis]
         except ConfigError as exc:
             with pytest.raises(ConfigError) as got:
-                service_energy(system, index)
+                system.check_higher_flows(index)
             assert str(got.value) == str(exc)
             continue
+        system.check_higher_flows(index)
         energy = service_energy(system, index)
         variances = _usage_variances(system, index)
         if all(math.isfinite(oracle) for oracle, _ in variances):
@@ -396,7 +401,7 @@ def test_light_tagged_flow_pins_and_simulated_slopes():
     assert delay_violation_probability(_under_half_load(0.01), 2, 6) == pytest.approx(0.7161, rel=1e-3)
     slopes = []
     for rate in (0.01, 0.2):
-        fs = simulate(SimConfig(_under_half_load(rate), 0.0, 2_000_000, seed=1)).flow(2)
+        fs = simulate(SimConfig(_under_half_load(rate), 0.0, 2_000_000, seed=1)).flows[1]
         d = np.arange(4, 13)
         slopes.append(-np.polyfit(d, np.log([fs.ccdf(int(x)) for x in d]), 1)[0])
     assert slopes[0] > slopes[1]

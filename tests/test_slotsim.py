@@ -55,11 +55,6 @@ def fig5_stats() -> SimStats:
 
 
 class TestConfigValidation:
-    def test_retry_model_must_match_channel(self):
-        # the retry chain and the failure coins describe the same channel
-        with pytest.raises(ConfigError):
-            SimConfig(PrioritySystem((data_flow(p=0.1),)), 0.2, 1000)
-
     def test_effective_load(self):
         cfg = fig5_config(1000, seed=0)
         # 0.2 * 1 + 0.6 * (1 - 0.1^4) / 0.9
@@ -81,7 +76,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         a = simulate(fig5_config(100_000, seed=5))
         c = simulate(fig5_config(100_000, seed=6))
-        assert a.flow(2).delay_counts != c.flow(2).delay_counts
+        assert a.flows[1].delay_counts != c.flows[1].delay_counts
 
 
 class TestBookkeeping:
@@ -94,13 +89,13 @@ class TestBookkeeping:
             assert mean_delay(fs) >= 1.0  # sojourn counts the service slot
 
     def test_ccdf_nonincreasing_from_one(self, fig5_stats):
-        fs = fig5_stats.flow(2)
+        fs = fig5_stats.flows[1]
         assert fs.ccdf(0) == 1.0
         values = [fs.ccdf(d) for d in range(0, 40)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_ccdf_table_rows(self, fig5_stats):
-        fs = fig5_stats.flow(1)
+        fs = fig5_stats.flows[0]
         rows = fs.ccdf_table(range(0, 5))
         assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
         for d, p_hat, lo, hi in rows:
@@ -117,7 +112,7 @@ class TestQuietAndBoundary:
         # rate 1e-9 puts the first arrival around slot 1e9
         flow = TrafficFlow(1, Poisson(1e-9), DeterministicUnit())
         stats = simulate(SimConfig(PrioritySystem((flow,)), 0.0, 10_000, seed=1))
-        fs = stats.flow(1)
+        fs = stats.flows[0]
         assert fs.arrived == 0
         assert fs.served == 0
         assert fs.lost == 0
@@ -129,9 +124,8 @@ class TestQuietAndBoundary:
 class TestLossLaw:
     def test_loss_rates_match_closed_form(self, fig5_stats):
         # unit-service voice loses each failed attempt; data needs four
-        for priority, attempts in ((1, 1), (2, 4)):
+        for fs, attempts in zip(fig5_stats.flows, (1, 4)):
             want = packet_loss_probability(0.1, attempts)
-            fs = fig5_stats.flow(priority)
             se = math.sqrt(want * (1.0 - want) / fs.departures)
             assert abs(fs.loss_rate - want) <= 4.0 * se
 
@@ -139,7 +133,7 @@ class TestLossLaw:
         # one attempt per packet, so the loss is p itself; the sojourn
         # counts the departure slot, so no delay is 0
         flow = TrafficFlow(1, Poisson(0.5), DeterministicUnit())
-        fs = simulate(SimConfig(PrioritySystem((flow,)), 0.2, 200_000, seed=1)).flow(1)
+        fs = simulate(SimConfig(PrioritySystem((flow,)), 0.2, 200_000, seed=1)).flows[0]
         want = packet_loss_probability(0.2, 1)
         assert abs(fs.loss_rate - want) <= 4.0 * math.sqrt(want * (1.0 - want) / fs.departures)
         assert fs.delay_counts[0] == 0
@@ -147,7 +141,7 @@ class TestLossLaw:
     def test_perfect_channel_loses_nothing(self):
         flow = TrafficFlow(1, Poisson(0.5), DeterministicUnit())
         stats = simulate(SimConfig(PrioritySystem((flow,)), 0.0, 50_000, seed=2))
-        assert stats.flow(1).lost == 0
+        assert stats.flows[0].lost == 0
 
 
 class TestAnalysisFit:
@@ -213,8 +207,8 @@ class TestTrendUnderLoad:
             loads[rate] = system.effective_load()
         assert loads[0.2] < 1.0
         assert not loads[0.4] < 1.0  # 0.4 + 0.6667 load crosses 1
-        low = curves[0.2].flow(2)
-        high = curves[0.4].flow(2)
+        low = curves[0.2].flows[1]
+        high = curves[0.4].flows[1]
         for d in range(1, 7):
             assert high.ccdf(d) > low.ccdf(d)
 

@@ -225,11 +225,6 @@ def test_poisson_gaps_are_numpys_exponential_draws(rate):
     assert ours.standard_exponential() == numpys.standard_exponential()
 
 
-def test_generic_renewal_cannot_sample():
-    with pytest.raises(ConfigError):
-        sample_interarrival(GenericRenewal(2.0, 1.0), np.random.default_rng(0), 1)
-
-
 def test_validation():
     with pytest.raises(ConfigError):
         Poisson(0.0)
