@@ -174,7 +174,8 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     thresholds = _parse_grid(args.dth)
 
     # every input fault exits 2 here, before the first root solve, so even on
-    # a load >= 1; the unknown --flow before the linked E(outage) is spent
+    # a load >= 1; the unknown --flow and a renewal flow under --simulate
+    # before the linked E(outage) is spent
     for d in thresholds:
         if d < 0.0:
             raise ConfigError(f"delay bound must be >= 0, got {d}")
@@ -194,9 +195,9 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
         indices = [system.flow_index(args.flow)]
     system.check_higher_flows(max(indices))
     if args.simulate:
-        failure_prob = _failure_prob(cfg, system)
         if any(isinstance(f.arrival, GenericRenewal) for f in system.flows):
             raise ConfigError("generic renewal arrivals have no sampling distribution")
+        failure_prob = _failure_prob(cfg, system)
 
     # one root solve per flow, and exp(-rate * d), the analytic tail
     # P(delay > d), for each threshold

@@ -22,16 +22,18 @@ only non-negative terms, so small outages keep their last digits: an
 exact-rational test under tests/ bounds the error at n + 4 ulps for n
 interferers. The system is in outage only when every antenna fails;
 antenna outages are treated as independent, so the system outage is the
-per-antenna product. layout_outage holds the only copy of this arithmetic:
-it scores antenna layouts of one mast height, given as one polar array, on
-users that are already drawn, and one antenna's outage, the conditional
-and expected system outage, the radius sweep, the search's trace rows and
-its gradient probes all go through it.
-It walks the users in blocks of _BLOCK, each copied cell-major once, and
-steps through the layouts inside each block, _BLOCK // block of them at a
-time (at least one), so every array step runs along a block of users and
-its temporaries stay about one block in size: a large batch takes one
-layout per step, one user vector all its layouts in one step.
+per-antenna product. layout_outage holds the only copy of this arithmetic,
+in its helper _antenna_outage: it scores antenna layouts of one mast
+height, given as one polar array, on users that are already drawn, and
+one antenna's outage, the conditional and expected system outage, the
+radius sweep, the search's trace rows and its gradient probes all go
+through it.
+One user vector is scored in one pass over every (antenna, layout) pair.
+A batch is walked in blocks of _BLOCK users, each copied cell-major once,
+stepping through the layouts inside each block, _BLOCK // block of them
+at a time (at least one), so every array step runs along a block of users
+and its temporaries stay about one block in size. Both paths compute an
+antenna's outage with _antenna_outage.
 The checks on it live under tests/: the scalar product form it replaced,
 the log-space form the recurrence replaced, the paper's partial-fraction
 expansion, exact rational arithmetic and a fading Monte Carlo.
@@ -103,6 +105,58 @@ def row_estimates(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(values.sum(axis=1) / (samples - 1)) / math.sqrt(samples)
 
 
+def _staggered(*sizes: int) -> list[np.ndarray]:
+    """Float buffers of the given lengths, cut from one allocation so that
+    the k-th starts k quarter pages (1024 bytes) past a page boundary.
+    Buffers at one page offset, as separate allocations of whole pages
+    land, make a kernel step's loads alias its stores (4K aliasing);
+    staggered, the radius sweep and the search's trace ran 5-8% faster in
+    one process, and the kernel's speed no longer depends on where the
+    heap puts its buffers."""
+    raw = np.empty(sum(sizes) + 512 * (len(sizes) + 1))  # 512 floats a page
+    origin = at = (-raw.ctypes.data % 4096) // 8
+    buffers = []
+    for k, n in enumerate(sizes):
+        at += (128 * k - (at - origin)) % 512
+        buffers.append(raw[at : at + n])
+        at += n
+    return buffers
+
+
+def _antenna_outage(xu, yu, ax, ay, height, channel, rates, dy):
+    """Outage of an antenna at (ax, ay) for users at (xu, yu), in place.
+
+    The coordinates broadcast to rates' shape (..., cells, users), cells on
+    the second-to-last axis, target cell first; dy is a buffer of that
+    shape. The rates and the interferers' outages t_i are computed in place
+    in rates, and the t_i joined in cell order into the first interferer's
+    row with one row of dy as the temporary, as the scalar product form
+    under tests/ joins them, so the two agree bit for bit. Passes whose
+    result is already known are skipped, for the same bits: a power of 1, a
+    division by K = 1 and the product alpha * a0 at alpha = 1, and a power
+    of 2 squares. Returns that row, (..., users), a view of rates.
+    """
+    k, alpha = channel.sir_threshold, channel.on_probability
+    power = channel.path_loss_exponent / 2.0
+    np.square(np.subtract(xu, ax, out=rates), out=rates)
+    rates += np.square(np.subtract(yu, ay, out=dy), out=dy)
+    rates += height * height
+    if power == 2.0:
+        np.square(rates, out=rates)
+    elif power != 1.0:
+        rates **= power
+    # q's first row keeps the union of the interferers' outages
+    a0, q, fail, tmp = rates[..., :1, :], rates[..., 1:, :], rates[..., 1, :], dy[..., 0, :]
+    if k != 1.0:
+        q /= k
+    q += a0
+    # t_i, interferer i's outage were it alone
+    np.divide(a0 if alpha == 1.0 else alpha * a0, q, out=q)
+    for i in range(2, rates.shape[-2]):  # fail = 1 - prod(1 - t_i), in cell order
+        fail += np.multiply(np.subtract(1.0, fail, out=tmp), rates[..., i, :], out=tmp)
+    return fail
+
+
 def layout_outage(
     channel: ChannelParams, polar: np.ndarray, height: float, ux: np.ndarray, uy: np.ndarray
 ) -> np.ndarray:
@@ -113,48 +167,51 @@ def layout_outage(
     the cell on the last axis, target cell first: shape (cells,) for one
     user vector, (samples, cells) for a batch. The result has shape
     (layouts, *ux.shape[:-1]); each layout multiplies its antenna outages
-    in its own (angle-sorted) order.
+    in its own (angle-sorted) order. One cell has no interferer and scores
+    0.
 
-    Each block of users is copied to (cells, block) once; the layouts are
-    taken max(1, _BLOCK // block) at a time, and an antenna's rates and
-    product form are computed in place on (step, cells, block). One buffer
-    of each kind serves the whole call, sliced for a short last block or
-    step. The interferers' outages t_i are joined in cell order into the
-    first interferer's row, with one row of dy as the temporary, as the
-    scalar product form under tests/ joins them, so the two agree bit for
-    bit whatever the step. One cell has no interferer and scores 0. Passes
-    whose result is already known are skipped, for the same bits: a power
-    of 1, a division by K = 1 and the product alpha * a0 at alpha = 1, and
-    a power of 2 squares; an antenna at the point of the one before it, in
-    every layout of the step (all antennas at the centre), multiplies in
-    the outage row it still holds. _BLOCK is 6144 users, the fastest of
-    2048, 3072, 4096 and 6144 on the search's trace and the radius sweep;
-    one layout on 1e5 users of 7 cells peaks at 2.24 MB, 0.8 MB of it the
-    output. A layout with one antenna takes one antenna pass, so the
-    search scores its probes' antennas as one-antenna layouts and
-    multiplies them itself.
+    One user vector (the search's gradient probes, a pinned user vector)
+    is scored in one pass: every (antenna, layout) pair on an (antennas,
+    layouts, cells, 1) array, then each layout's antennas multiplied in
+    order. A batch walks the users in blocks of _BLOCK, each copied to
+    (cells, block) once, and takes the layouts max(1, _BLOCK // block) at
+    a time, so every array step runs along a block of users and its
+    temporaries stay about one block in size; an antenna's outage is
+    computed in place on (step, cells, block). One buffer of each kind
+    serves the whole batch, sliced for a short last block or step. An
+    antenna at the point of the one before it, in every layout of the step
+    (all antennas at the centre), multiplies in the outage row it still
+    holds. Both paths compute an antenna's outage with _antenna_outage, so
+    they agree bit for bit. _BLOCK is 6144 users, the fastest of 2048,
+    3072, 4096 and 6144 on the search's trace and the radius sweep; 8192
+    and 12288 won no consistent margin over it. One layout on 1e5 users of
+    7 cells peaks at 2.26 MB, 0.8 MB of it the output.
     """
     # antenna positions indexed antenna first, (antennas, layouts)
     ax = (polar[:, 0] * np.cos(polar[:, 1])).T
     ay = (polar[:, 0] * np.sin(polar[:, 1])).T
+    cells = ux.shape[-1]
+    if cells == 1:  # no interferer, so no antenna ever fails
+        return np.zeros((len(polar),) + ux.shape[:-1])
+    if ux.ndim == 1:
+        rates = np.empty(ax.shape + (cells, 1))
+        fail = _antenna_outage(
+            ux[:, None], uy[:, None], ax[..., None, None], ay[..., None, None], height, channel,
+            rates, np.empty_like(rates),
+        )
+        # reduced along its outer axis one antenna row at a time, in order
+        return np.multiply.reduce(fail[..., 0], axis=0)
     # antenna m at antenna m - 1's point in a layout: the same rates, the same
     # outage (a signed zero squares away)
     repeats = (ax[1:] == ax[:-1]) & (ay[1:] == ay[:-1])
     ax, ay = ax[..., None, None], ay[..., None, None]  # broadcast over cells and users
-    h2 = height * height
-    k, alpha = channel.sir_threshold, channel.on_probability
-    power = channel.path_loss_exponent / 2.0
-    cells = ux.shape[-1]
-    if cells == 1:  # no interferer, so no antenna ever fails
-        return np.zeros((len(polar),) + ux.shape[:-1])
     x, y = ux.reshape(-1, cells), uy.reshape(-1, cells)
     out = np.ones((len(polar), x.shape[0]))
     # one buffer of each kind per call, sized for the first block, the widest
     # (a short last block takes more layouts per step, but no more values)
     width = min(_BLOCK, x.shape[0]) or 1  # an empty batch runs no block
-    xbuf, ybuf = np.empty(cells * width), np.empty(cells * width)
-    rbuf = np.empty(min(max(1, _BLOCK // width), len(polar)) * cells * width)
-    dbuf = np.empty_like(rbuf)
+    step_values = min(max(1, _BLOCK // width), len(polar)) * cells * width
+    xbuf, ybuf, rbuf, dbuf = _staggered(cells * width, cells * width, step_values, step_values)
     for b in range(0, x.shape[0], _BLOCK):
         users = slice(b, b + _BLOCK)
         size = min(_BLOCK, x.shape[0] - b)
@@ -168,25 +225,10 @@ def layout_outage(
             shape = (len(product), cells, size)
             rates = rbuf[: product.size * cells].reshape(shape)
             dy = dbuf[: product.size * cells].reshape(shape)
-            # q's first row keeps the union of the interferers' outages
-            a0, q, fail, tmp = rates[:, :1], rates[:, 1:], rates[:, 1], dy[:, 0]
             held = [False, *repeats[:, layouts].all(axis=1).tolist()]
             for m in range(len(ax)):
                 if not held[m]:  # else every layout of the step repeats antenna m - 1
-                    np.square(np.subtract(xb, ax[m, layouts], out=rates), out=rates)
-                    rates += np.square(np.subtract(yb, ay[m, layouts], out=dy), out=dy)
-                    rates += h2
-                    if power == 2.0:
-                        np.square(rates, out=rates)
-                    elif power != 1.0:
-                        rates **= power
-                    if k != 1.0:
-                        q /= k
-                    q += a0
-                    # t_i, interferer i's outage were it alone
-                    np.divide(a0 if alpha == 1.0 else alpha * a0, q, out=q)
-                    for i in range(2, cells):  # fail = 1 - prod(1 - t_i), in cell order
-                        fail += np.multiply(np.subtract(1.0, fail, out=tmp), rates[:, i], out=tmp)
+                    fail = _antenna_outage(xb, yb, ax[m, layouts], ay[m, layouts], height, channel, rates, dy)
                 product *= fail
     return out.reshape(out.shape[:1] + ux.shape[:-1])
 

@@ -7,9 +7,9 @@ parameters by finite differences, and takes a projected descent step with
 step size step_scale * n^(-step_exponent). The returned location is the
 Polyak average of the iterates, which smooths the noisy path. Probes and
 trace rows reach the kernel as polar arrays (geometry.antenna_polar): each
-gradient's probes as one-antenna layouts, one per probe and antenna, in one
-call; the trace rows in one call after the loop, their means and standard
-errors taken in one pass over the rows.
+gradient's probe layouts in one call on its user vector, the kernel's
+one-user pass; the trace rows in one call after the loop, their means and
+standard errors taken in one pass over the rows.
 
 radius_sweep is the deterministic cross-check: expected outage on a radius
 grid for a symmetric antenna circle, every radius scored on one batch of
@@ -112,8 +112,10 @@ def _polar_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> np
 
 
 def _antennas_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> AntennaVector:
-    radii, angles = _polar_from_params(params[None], init, mode)[0].tolist()
-    return AntennaVector(tuple(radii), tuple(angles), init.height)
+    """The layout of one parameter row; AntennaVector normalizes it."""
+    if mode == "radius_only":
+        return AntennaVector((params[0],) * init.count, init.angles, init.height)
+    return AntennaVector(tuple(params[: init.count]), tuple(params[init.count :]), init.height)
 
 
 def _score(
@@ -151,11 +153,8 @@ def _fd_gradient(
     important, breaks the mirror symmetry at radius 0: for an even
     symmetric circle, -delta and +delta describe the same antenna set, so a
     central difference there is identically zero and the loop would never
-    leave the center. The probes form one (2P, 2, antennas) array, and the
-    kernel scores it on the user vector in one call as 2P x antennas
-    one-antenna layouts, a single antenna pass. Each probe's outage is then
-    the product of its antennas' outages from 1.0 in the probe's own sorted
-    order, which is the kernel's product, bit for bit.
+    leave the center. The probes form one (2P, 2, antennas) array of
+    layouts, which the kernel scores on the user vector in one call.
     """
     n_radii = params.size if cfg.mode == "radius_only" else init.count
     lo, hi = RADIUS_BOUNDS
@@ -170,13 +169,7 @@ def _fd_gradient(
     down[i[~at_lo], i[~at_lo]] -= delta
     widths = np.where(at_hi | at_lo, delta, 2.0 * delta)
     polar = _polar_from_params(probes, init, cfg.mode)
-    # row m * 2P + r is antenna m of probe r, in r's sorted order
-    rows, _, count = polar.shape
-    single = polar.transpose(2, 0, 1).reshape(-1, 2, 1)
-    per_antenna = layout_outage(scenario.channel, single, init.height, ux, uy)
-    values = np.ones(rows)
-    for outages in per_antenna.reshape(count, rows):
-        values *= outages
+    values = layout_outage(scenario.channel, polar, init.height, ux, uy)
     return (values[0::2] - values[1::2]) / widths
 
 
@@ -200,40 +193,44 @@ def rm_optimize(
     # drawn from a seed of its own, the evaluation batch leaves rng's stream alone
     eval_seed = int(rng.integers(2**63))
 
-    average = params.copy()
-    iterates: list[tuple[float, ...]] = []
-    averages: list[tuple[float, ...]] = []
-    converged = False
+    # row n - 1 holds iteration n's iterate and average; the last step's
+    # update goes to row max_iter, which no trace row shows
+    iterates = np.empty((cfg.max_iter + 1, params.size))
+    averages = np.empty_like(iterates)
+    iterates[0] = averages[0] = params
+    params, average = iterates[0], averages[0]
+    lo, hi = RADIUS_BOUNDS
+    rows, converged = cfg.max_iter, False
     pinned_streak = np.zeros(n_radii, dtype=int)
 
     for n in range(1, cfg.max_iter + 1):
-        iterates.append(tuple(map(float, params)))
-        averages.append(tuple(map(float, average)))
-
         if n > cfg.convergence_window:
             moved = np.max(np.abs(average - averages[n - 1 - cfg.convergence_window]))
             if moved < cfg.tolerance:
-                converged = True
+                rows, converged = n, True
                 break
 
         ux, uy = sample_user_batch(scenario.layout, 1, rng)
         grad = _fd_gradient(scenario, params, init, cfg, ux[0], uy[0])
 
         proposal = params - step_sequence(n, cfg.step_scale, cfg.step_exponent) * grad
-        new = proposal.copy()
-        new[:n_radii] = np.clip(new[:n_radii], *RADIUS_BOUNDS)
-        pushing = (np.abs(proposal[:n_radii] - new[:n_radii]) > cfg.fd_step) & (
+        new = iterates[n]
+        new[:] = proposal
+        radii = new[:n_radii]
+        np.minimum(np.maximum(radii, lo, out=radii), hi, out=radii)
+        pushing = (np.abs(proposal[:n_radii] - radii) > cfg.fd_step) & (
             np.abs(grad[:n_radii]) > GRADIENT_FLOOR
         )
         pinned_streak = np.where(pushing, pinned_streak + 1, 0)
 
-        average = average + (params - average) / n
-        params = new
+        np.add(average, (params - average) / n, out=averages[n])
+        params, average = new, averages[n]
 
     diverged = bool(np.any(pinned_streak >= cfg.convergence_window))
-    polar = _polar_from_params(np.array(averages), init, cfg.mode)
+    polar = _polar_from_params(averages[:rows], init, cfg.mode)
     outage, outage_se = _score(scenario, polar, init.height, cfg.eval_samples, eval_seed)
-    trace = RMTrace(tuple(iterates), tuple(averages), outage, outage_se, converged, diverged)
+    iterates, averages = (tuple(map(tuple, a[:rows].tolist())) for a in (iterates, averages))
+    trace = RMTrace(iterates, averages, outage, outage_se, converged, diverged)
     return _antennas_from_params(average, init, cfg.mode), trace
 
 

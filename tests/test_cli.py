@@ -23,7 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dasqos
-from dasqos import cli, placement
+from dasqos import cli, outage, placement
 from dasqos.cli import _emit, main
 from dasqos.config import format_float, parse_scenario
 from dasqos.delay import PrioritySystem
@@ -76,6 +76,9 @@ flows:
     service: {kind: truncated_geometric, failure_prob: 0.1, max_attempts: 4}
 run: {attempt_failure_prob: 0.1, horizon: 30000, warmup: 2000, seed: 5}
 """
+
+# the sections a linked p needs, for FLOWS_TEXT's run line to follow
+LINKED_CELL = "channel: {path_loss_exponent: 2.0}\ngeometry:\n  antennas: {count: 4, radius: 0.3}\n"
 
 THREE_ANTENNA_TEXT = """\
 channel:
@@ -742,6 +745,15 @@ class TestExitCodes:
                 "generic renewal arrivals have no sampling distribution",
             ),
             (
+                True,
+                [
+                    ("{kind: poisson, rate: 0.2}", "{kind: renewal, mean: 5.0, variance: 25.0}"),
+                    ("attempt_failure_prob: 0.1", "attempt_failure_prob: linked"),
+                    ("run: {", LINKED_CELL + "run: {"),
+                ],
+                "generic renewal arrivals have no sampling distribution",
+            ),
+            (
                 False,
                 [
                     ("{kind: poisson, rate: 0.2}", "{kind: renewal, mean: 5.0, variance: 25.0}"),
@@ -751,17 +763,28 @@ class TestExitCodes:
                 "single-attempt service on every higher-priority flow",
             ),
         ],
-        ids=["retry-model-mismatch", "linked-without-cell", "renewal-simulated", "exact-poisson-higher-flow"],
+        ids=[
+            "retry-model-mismatch",
+            "linked-without-cell",
+            "renewal-simulated",
+            "renewal-simulated-linked",
+            "exact-poisson-higher-flow",
+        ],
     )
     def test_delay_faults_exit_before_the_root_solves(
         self, run, tmp_path, monkeypatch, data_rate, load, simulate, edits, message
     ):
         # cmd_delay judges every input before its first root solve, so each
-        # fault exits 2 even where every solve would fail on a load >= 1
+        # fault exits 2 even where every solve would fail on a load >= 1, and
+        # before a linked p spends its E(outage)
         def delay_decay_rate(system, priority):
             raise AssertionError("a root solve ran before the input was judged")
 
+        def expected_outage(*args, **kwargs):
+            raise AssertionError("the linked E(outage) was spent before the input was judged")
+
         monkeypatch.setattr(cli, "delay_decay_rate", delay_decay_rate)
+        monkeypatch.setattr(outage, "expected_outage", expected_outage)
         config = FLOWS_TEXT.replace("rate: 0.6", f"rate: {data_rate}")
         for old, new in edits:
             assert old in config

@@ -27,6 +27,7 @@ from dasqos.geometry import (
     AntennaVector,
     ClusterLayout,
     UserVector,
+    antenna_polar,
     hex_cluster,
     sample_user_batch,
     sample_user_vector,
@@ -587,6 +588,39 @@ def test_kernel_matches_probe_loop_on_repeated_antennas(alpha, block, layouts):
     assert alone.tobytes() == want[:, 0].copy().tobytes()
 
 
+# the one-user pass against the batch path on the same user as a batch of
+# one: every layout's first `centred` antennas sit at the centre, so sorted
+# by angle they may or may not neighbour each other; a batch _BLOCK of 1
+# steps one layout at a time and skips more repeats than one of _BLOCK
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_layouts=st.integers(1, 9),
+    n_antennas=st.integers(1, 5),
+    centred=st.integers(0, 5),
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    exponent=st.sampled_from([2.0, 3.7, 4.0]),
+    efficiency=st.one_of(st.just(1.0), st.floats(0.05, 6.0)),
+    cluster=st.sampled_from(["one", "hex"]),
+    block=st.sampled_from([1, outage._BLOCK]),
+)
+@settings(max_examples=200)
+def test_one_user_pass_equals_a_batch_of_one(
+    seed, n_layouts, n_antennas, centred, alpha, exponent, efficiency, cluster, block
+):
+    channel = ChannelParams(exponent, efficiency, alpha)
+    rng = np.random.default_rng(seed)
+    height = float(rng.uniform(0.01, 0.5))
+    radii = rng.random((n_layouts, n_antennas))
+    radii[:, :centred] = 0.0
+    polar = antenna_polar(radii, rng.random((n_layouts, n_antennas)) * 2 * math.pi)
+    ux, uy = sample_user_batch(CLUSTERS[cluster], 1, rng)
+    one = layout_outage(channel, polar, height, ux[0], uy[0])
+    with mock.patch.object(outage, "_BLOCK", block):
+        batch = layout_outage(channel, polar, height, ux, uy)
+    assert one.shape == (n_layouts,)
+    assert one.tobytes() == batch[:, 0].copy().tobytes()
+
+
 # 10 users in blocks of _BLOCK: a full block steps one layout at a time, a
 # partial last block of r users _BLOCK // r, so 4 steps 1 then 2 (the last
 # of 9 layouts alone), 8 steps 1 then 4, 9 steps 1 then all 9, 30 steps 3
@@ -616,11 +650,24 @@ def test_antenna_index_out_of_range_rejected(antenna):
         antenna_outage_closed_form(scenario, users, antenna)
 
 
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (7, 7, 49, 49), (43008, 43008, 43008, 43008), (511, 513, 1, 4096)])
+def test_staggered_buffers_sit_a_quarter_page_apart(sizes):
+    # each buffer starts 1024 bytes further past a page boundary than the one
+    # before, and none overlaps the next
+    buffers = outage._staggered(*sizes)
+    assert [len(b) for b in buffers] == list(sizes)
+    starts = [b.ctypes.data for b in buffers]
+    assert [a % 4096 for a in starts] == [1024 * k for k in range(len(sizes))]
+    assert all(a + 8 * n <= b for a, n, b in zip(starts, sizes, starts[1:]))
+    assert all(b.base is buffers[0].base for b in buffers)
+
+
 def test_kernel_memory_stays_per_block():
     # 1e5 users x 7 cells: the output is 0.8 MB, one whole-batch
     # temporary 5.6 MB; the blocks keep the rest cache-sized. One buffer
-    # pair per call for the block's users and one for the rates peaks at
-    # 2,237,315 bytes; the bound is that plus 10%
+    # pair per call for the block's users and one for the rates, cut from
+    # one allocation, peaks at 2,257,291 bytes; the bound is 2,237,315 (the
+    # peak before the cut's 20 kB of page padding) plus 10%
     layout = hex_cluster(7, 2.0)
     ux, uy = sample_user_batch(layout, 100_000, np.random.default_rng(3))
     tracemalloc.start()

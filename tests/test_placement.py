@@ -332,8 +332,8 @@ class TestBatchedScoring:
 
     @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
     def test_trace_is_scored_in_one_call(self, mode):
-        # every iteration scores its 2P gradient probes in one kernel call,
-        # as 2P x antennas one-antenna layouts; after the loop one call
+        # every iteration scores its 2P gradient probe layouts in one kernel
+        # call on its one user vector; after the loop one call
         # scores every trace row, and a row whose Polyak average did not
         # move (row 2 repeats the start) scores as its predecessor
         scenario = cluster_scenario(4.0, 0.8)
@@ -348,7 +348,7 @@ class TestBatchedScoring:
         kernel = placement.layout_outage
         with mock.patch.object(placement, "layout_outage", counting):
             _, trace = rm_optimize(scenario, init, cfg, np.random.default_rng(3))
-        probes = (2 if mode == "radius_only" else 16) * init.count
+        probes = 2 if mode == "radius_only" else 16
         moved = [a != b for a, b in zip(trace.averages, trace.averages[1:])]
         assert moved[0] is False and sum(moved) >= 5
         assert len(trace) == cfg.max_iter
