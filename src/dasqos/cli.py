@@ -277,14 +277,9 @@ def cmd_optimize(args, cfg: ScenarioConfig) -> None:
     rm_cfg = cfg.rm if cfg.rm is not None else RMConfig()
     final, trace = rm_optimize(scenario, antennas, rm_cfg, rng)
 
+    # each row is a whole layout, the first antenna's radius at 0, its angle at m
     m = antennas.count
-    rows = []
-    for i, avg in enumerate(trace.averages):
-        if rm_cfg.mode == "radius_only":
-            radius, angle = avg[0], antennas.angles[0]
-        else:
-            radius, angle = avg[0], avg[m]
-        rows.append((i + 1, radius, angle, trace.outage[i]))
+    rows = [(i + 1, avg[0], avg[m], e) for i, (avg, e) in enumerate(zip(trace.averages, trace.outage))]
     _emit(["n", "L1_bar", "theta1_bar", "e_outage_estimate"], rows, cfg.run.output)
 
     if trace.diverged:

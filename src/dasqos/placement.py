@@ -2,14 +2,21 @@
 
 The objective is the expected system outage over random user placement.
 rm_optimize runs a Robbins-Monro loop: each iteration draws one user
-vector, differentiates the conditional outage with respect to the antenna
-parameters by finite differences, and takes a projected descent step with
-step size step_scale * n^(-step_exponent). The returned location is the
-Polyak average of the iterates, which smooths the noisy path. Probes and
-trace rows reach the kernel as polar arrays (geometry.antenna_polar): each
-gradient's probe layouts in one call on its user vector, the kernel's
-one-user pass; the trace rows in one call after the loop, their means and
-standard errors taken in one pass over the rows.
+vector, differentiates the conditional outage along each of the search's
+layout steps by finite differences, and takes a projected descent step
+with step size step_scale * n^(-step_exponent). The returned location is
+the Polyak average of the iterates, which smooths the noisy path.
+
+The search moves one layout, its M radii then its M angles, in both
+modes. rm.mode picks only the steps it moves along, one row of layout
+per parameter, and its start (_search_space): every radius and every
+angle on its own for full_polar; for radius_only, one step that moves
+every radius together, from every radius tied to the first. A gradient
+over the parameters enters the layout as gradient @ rows. Probes and
+trace rows reach the kernel as polar arrays (geometry.antenna_polar):
+each gradient's probe layouts in one call on its user vector, the
+kernel's one-user pass; the trace rows in one call after the loop, their
+means and standard errors taken in one pass over the rows.
 
 radius_sweep is the deterministic cross-check: expected outage on a radius
 grid for a symmetric antenna circle, every radius scored on one batch of
@@ -28,6 +35,9 @@ from .outage import CellScenario, layout_outage, row_estimates
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
 RADIUS_BOUNDS = (0.0, 1.0)  # radii are clamped to the unit cell after each step
+# the largest fd_step, half the radius range: a probe that would push a radius
+# past one bound then has room on the other side
+MAX_FD_STEP = 0.5
 # outage values _score holds at once (4 MB): a 70 x 5,000 search trace and a
 # 19 x 10,000 radius sweep each take one slice
 _SCORE_VALUES = 2**19
@@ -39,12 +49,13 @@ RMMode = Literal["radius_only", "full_polar"]
 class RMConfig:
     """Knobs for the Robbins-Monro loop.
 
-    mode "radius_only" moves one shared radius and keeps the initial angles;
-    "full_polar" moves every radius and angle. Steps are
-    step_scale * n^(-step_exponent); the gradient is a finite difference
-    with half-width fd_step. The loop stops at max_iter or once the Polyak
-    average moved less than tolerance over convergence_window iterations.
-    eval_samples sets the per-row expected-outage budget in the trace.
+    mode "radius_only" moves one shared radius, tied at the first antenna's
+    start radius, and keeps the initial angles; "full_polar" moves every
+    radius and angle. Steps are step_scale * n^(-step_exponent); the
+    gradient is a finite difference with half-width fd_step, in (0, 0.5].
+    The loop stops at max_iter or once the Polyak average moved less than
+    tolerance over convergence_window iterations. eval_samples sets the
+    per-row expected-outage budget in the trace.
     """
 
     mode: RMMode = "radius_only"
@@ -62,8 +73,8 @@ class RMConfig:
                 "step sequence must be positive and decreasing with "
                 "exponent in (0.5, 1]"
             )
-        if self.fd_step <= 0.0:
-            raise ConfigError(f"fd_step must be > 0, got {self.fd_step}")
+        if not 0.0 < self.fd_step <= MAX_FD_STEP:
+            raise ConfigError(f"fd_step must lie in (0, {MAX_FD_STEP}], got {self.fd_step}")
         if self.max_iter < 1 or self.convergence_window < 1:
             raise ConfigError("max_iter and convergence_window must be >= 1")
         if self.eval_samples < 2:
@@ -75,7 +86,8 @@ class RMTrace:
     """Per-iteration record of the optimization.
 
     Row n holds the raw iterate, the Polyak average of all earlier iterates
-    (row 1 repeats the start), and the expected outage scored at that
+    (row 1 repeats the start), each a whole layout, its M radii then its M
+    angles, unwrapped, in both modes, and the expected outage scored at that
     average on a fixed evaluation stream shared by every row. The outage
     columns are filled after the search, in one kernel call; nothing in
     the loop reads them.
@@ -97,25 +109,17 @@ def step_sequence(n: int, scale: float, exponent: float) -> float:
     return scale * float(n) ** -exponent
 
 
-def _params_from_init(init: AntennaVector, mode: str) -> np.ndarray:
+def _search_space(init: AntennaVector, mode: RMMode) -> tuple[np.ndarray, np.ndarray]:
+    """The search's start layout, init's M radii then its M angles, and its
+    steps, (parameters, 2M) rows of layout: the identity for full_polar;
+    for radius_only one row that moves every radius, from every radius
+    tied to the first."""
+    m = init.count
     if mode == "radius_only":
-        return np.array([init.radii[0]])
-    return np.array(list(init.radii) + list(init.angles))
-
-
-def _polar_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> np.ndarray:
-    """Normalized (rows, 2, antennas) layouts for parameter rows (rows, P)."""
-    if mode == "radius_only":
-        radii = np.repeat(params[:, :1], init.count, axis=1)
-        return antenna_polar(radii, np.broadcast_to(init.angles, radii.shape))
-    return antenna_polar(params[:, : init.count], params[:, init.count :])
-
-
-def _antennas_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> AntennaVector:
-    """The layout of one parameter row; AntennaVector normalizes it."""
-    if mode == "radius_only":
-        return AntennaVector((params[0],) * init.count, init.angles, init.height)
-    return AntennaVector(tuple(params[: init.count]), tuple(params[init.count :]), init.height)
+        radii, rows = (init.radii[0],) * m, np.hstack([np.ones((1, m)), np.zeros((1, m))])
+    else:
+        radii, rows = init.radii, np.eye(2 * m)
+    return np.array(radii + init.angles), rows
 
 
 def _score(
@@ -141,35 +145,37 @@ def _score(
 def _fd_gradient(
     scenario: CellScenario,
     params: np.ndarray,
-    init: AntennaVector,
-    cfg: RMConfig,
+    rows: np.ndarray,
+    height: float,
+    delta: float,
     ux: np.ndarray,
     uy: np.ndarray,
 ) -> np.ndarray:
-    """Finite-difference gradient of the conditional outage at users (ux, uy), each (cells,).
+    """Finite-difference derivatives of the conditional outage at users
+    (ux, uy), each (cells,), along each row of the layout steps rows.
 
-    Central differences except against a radius bound, where the probe
-    switches to one-sided. That keeps probes feasible and, just as
-    important, breaks the mirror symmetry at radius 0: for an even
-    symmetric circle, -delta and +delta describe the same antenna set, so a
-    central difference there is identically zero and the loop would never
-    leave the center. The probes form one (2P, 2, antennas) array of
-    layouts, which the kernel scores on the user vector in one call.
+    params is a whole layout, M radii then M angles. The probes are
+    params +- delta * row: central differences, except where a probe would
+    take a radius past a bound, where that row's difference is one-sided
+    (delta <= MAX_FD_STEP leaves the other side free). That keeps probes
+    feasible and, just as important, breaks the mirror symmetry at radius
+    0: for an even symmetric circle, -delta and +delta describe the same
+    antenna set, so a central difference there is identically zero and the
+    loop would never leave the center. The probes form one (2P, 2,
+    antennas) array of layouts, which the kernel scores on the user vector
+    in one call.
     """
-    n_radii = params.size if cfg.mode == "radius_only" else init.count
+    m = params.size // 2
     lo, hi = RADIUS_BOUNDS
-    delta = cfg.fd_step
-    i = np.arange(params.size)
-    at_hi = (i < n_radii) & (params + delta > hi)
-    at_lo = (i < n_radii) & ~at_hi & (params - delta < lo)
-    # rows 2i and 2i + 1 are parameter i's upper and lower point
-    probes = np.repeat(params[None], 2 * params.size, axis=0)
+    # rows 2i and 2i + 1 are row i's upper and lower probe
+    probes = params + delta * np.stack([rows, -rows], axis=1).reshape(-1, params.size)
     up, down = probes[0::2], probes[1::2]
-    up[i[~at_hi], i[~at_hi]] += delta
-    down[i[~at_lo], i[~at_lo]] -= delta
+    at_hi = (up[:, :m] > hi).any(axis=1)
+    at_lo = ~at_hi & (down[:, :m] < lo).any(axis=1)
+    up[at_hi] = down[at_lo] = params
     widths = np.where(at_hi | at_lo, delta, 2.0 * delta)
-    polar = _polar_from_params(probes, init, cfg.mode)
-    values = layout_outage(scenario.channel, polar, init.height, ux, uy)
+    polar = antenna_polar(probes[:, :m], probes[:, m:])
+    values = layout_outage(scenario.channel, polar, height, ux, uy)
     return (values[0::2] - values[1::2]) / widths
 
 
@@ -182,56 +188,55 @@ def rm_optimize(
     """Minimize expected outage from init; returns (Polyak average, trace).
 
     Each iteration draws a fresh user vector from rng and descends the
-    conditional outage. The loop records only the iterates and averages;
-    after it, every trace row is scored in one kernel call on one
+    conditional outage. The loop records only the iterates and averages
+    it reaches, so max_iter reserves nothing up front; after it, every trace row is scored in one kernel call on one
     evaluation batch, drawn from a seed taken from rng before the first
     iteration, so successive rows differ only through the antenna
     locations, not through which users were sampled.
     """
-    params = _params_from_init(init, cfg.mode)
-    n_radii = params.size if cfg.mode == "radius_only" else init.count
+    params, rows = _search_space(init, cfg.mode)
+    m = init.count
     # drawn from a seed of its own, the evaluation batch leaves rng's stream alone
     eval_seed = int(rng.integers(2**63))
 
-    # row n - 1 holds iteration n's iterate and average; the last step's
-    # update goes to row max_iter, which no trace row shows
-    iterates = np.empty((cfg.max_iter + 1, params.size))
-    averages = np.empty_like(iterates)
-    iterates[0] = averages[0] = params
-    params, average = iterates[0], averages[0]
+    # entry n - 1 holds iteration n's iterate and average; the last step's
+    # update goes to entry max_iter, which no trace row shows
+    iterates, averages = [params], [params]
+    average = params
     lo, hi = RADIUS_BOUNDS
-    rows, converged = cfg.max_iter, False
-    pinned_streak = np.zeros(n_radii, dtype=int)
+    converged = False
+    pinned_streak = np.zeros(m, dtype=int)
 
     for n in range(1, cfg.max_iter + 1):
         if n > cfg.convergence_window:
             moved = np.max(np.abs(average - averages[n - 1 - cfg.convergence_window]))
             if moved < cfg.tolerance:
-                rows, converged = n, True
+                converged = True
                 break
 
         ux, uy = sample_user_batch(scenario.layout, 1, rng)
-        grad = _fd_gradient(scenario, params, init, cfg, ux[0], uy[0])
+        # the derivative along each row, as a step of the whole layout
+        grad = _fd_gradient(scenario, params, rows, init.height, cfg.fd_step, ux[0], uy[0]) @ rows
 
-        proposal = params - step_sequence(n, cfg.step_scale, cfg.step_exponent) * grad
-        new = iterates[n]
-        new[:] = proposal
-        radii = new[:n_radii]
+        new = params - step_sequence(n, cfg.step_scale, cfg.step_exponent) * grad
+        radii = new[:m]
+        proposal = radii.copy()
         np.minimum(np.maximum(radii, lo, out=radii), hi, out=radii)
-        pushing = (np.abs(proposal[:n_radii] - radii) > cfg.fd_step) & (
-            np.abs(grad[:n_radii]) > GRADIENT_FLOOR
-        )
+        pushing = (np.abs(proposal - radii) > cfg.fd_step) & (np.abs(grad[:m]) > GRADIENT_FLOOR)
         pinned_streak = np.where(pushing, pinned_streak + 1, 0)
 
-        np.add(average, (params - average) / n, out=averages[n])
-        params, average = new, averages[n]
+        average = average + (params - average) / n
+        params = new
+        iterates.append(params)
+        averages.append(average)
 
     diverged = bool(np.any(pinned_streak >= cfg.convergence_window))
-    polar = _polar_from_params(averages[:rows], init, cfg.mode)
+    shown = np.array(averages[: cfg.max_iter])
+    polar = antenna_polar(shown[:, :m], shown[:, m:])
     outage, outage_se = _score(scenario, polar, init.height, cfg.eval_samples, eval_seed)
-    iterates, averages = (tuple(map(tuple, a[:rows].tolist())) for a in (iterates, averages))
-    trace = RMTrace(iterates, averages, outage, outage_se, converged, diverged)
-    return _antennas_from_params(average, init, cfg.mode), trace
+    iterates = tuple(tuple(row.tolist()) for row in iterates[: cfg.max_iter])
+    trace = RMTrace(iterates, tuple(map(tuple, shown.tolist())), outage, outage_se, converged, diverged)
+    return AntennaVector(tuple(average[:m]), tuple(average[m:]), init.height), trace
 
 
 @dataclass(frozen=True)
@@ -258,6 +263,7 @@ def radius_sweep(
     """
     grid = [float(r) for r in radii]
     base = scenario.antennas
-    polar = _polar_from_params(np.array(grid)[:, None], base, "radius_only")
+    tied = np.repeat(np.array(grid)[:, None], base.count, axis=1)
+    polar = antenna_polar(tied, np.broadcast_to(base.angles, tied.shape))
     seed = int(rng.integers(2**63))
     return SweepResult(tuple(grid), *_score(scenario, polar, base.height, samples, seed))

@@ -13,11 +13,12 @@ antenna_outage_mc draws the fading itself on the same link rates, so it
 shares no arithmetic with the library.
 
 conditional_system_outage and fd_gradient are the scalar paths as they
-stood before every gradient probe was scored in one batch: each probe
-builds its AntennaVector (antennas_from_params) and its scenario, each
-antenna its link rates, and the system outage is the Python product of the
-per-antenna closed forms (system_outage). The batch path, which builds all
-probes as one polar array, must reproduce them bit for bit.
+stood before every gradient probe was scored in one batch: each probe, a
+whole layout, builds its AntennaVector (antennas_from_params) and its
+scenario, each antenna its link rates, and the system outage is the Python
+product of the per-antenna closed forms (system_outage). The batch path,
+which builds all probes as one polar array, must reproduce them bit for
+bit.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from dasqos.errors import ConfigError
 from dasqos.geometry import AntennaVector, ClusterLayout, UserVector
 from dasqos import placement
 from dasqos.outage import CellScenario
-from dasqos.placement import RMConfig
 
 
 def user_positions(layout: ClusterLayout, users: UserVector) -> np.ndarray:
@@ -165,46 +165,40 @@ def conditional_system_outage(scenario: CellScenario, users: UserVector) -> floa
     )
 
 
-def antennas_from_params(params: np.ndarray, init: AntennaVector, mode: str) -> AntennaVector:
-    """One parameter vector as an AntennaVector, one probe at a time."""
-    if mode == "radius_only":
-        radii = (float(params[0]),) * init.count
-        return AntennaVector(radii, init.angles, init.height)
-    m = init.count
+def antennas_from_params(params: np.ndarray, height: float) -> AntennaVector:
+    """One whole layout, M radii then M angles, as an AntennaVector, one
+    probe at a time."""
+    m = params.size // 2
     radii = tuple(float(r) for r in params[:m])
     angles = tuple(float(a) for a in params[m:])
-    return AntennaVector(radii, angles, init.height)
+    return AntennaVector(radii, angles, height)
 
 
 def fd_gradient(
     scenario: CellScenario,
     params: np.ndarray,
-    init: AntennaVector,
-    cfg: RMConfig,
+    rows: np.ndarray,
+    height: float,
+    fd_step: float,
     users: UserVector,
 ) -> np.ndarray:
-    """Finite-difference gradient, one conditional outage per probe; a
-    radius within fd_step of placement.RADIUS_BOUNDS takes a one-sided probe."""
-    n_radii = params.size if cfg.mode == "radius_only" else init.count
+    """Finite-difference derivatives along each row of layout steps, one
+    conditional outage per probe; a row whose probe would take a radius past
+    placement.RADIUS_BOUNDS takes a one-sided difference."""
+    m = params.size // 2
     lo, hi = placement.RADIUS_BOUNDS
-    delta = cfg.fd_step
-    grad = np.empty(params.size)
+    grad = np.empty(len(rows))
 
     def f(x: np.ndarray) -> float:
-        probe = replace(scenario, antennas=antennas_from_params(x, init, cfg.mode))
+        probe = replace(scenario, antennas=antennas_from_params(x, height))
         return conditional_system_outage(probe, users)
 
-    for i in range(params.size):
-        bounded = i < n_radii
-        up, down = params.copy(), params.copy()
-        if bounded and params[i] + delta > hi:
-            down[i] -= delta
-            grad[i] = (f(params) - f(down)) / delta
-        elif bounded and params[i] - delta < lo:
-            up[i] += delta
-            grad[i] = (f(up) - f(params)) / delta
+    for i, row in enumerate(rows):
+        up, down = params + fd_step * row, params - fd_step * row
+        if np.any(up[:m] > hi):
+            grad[i] = (f(params) - f(down)) / fd_step
+        elif np.any(down[:m] < lo):
+            grad[i] = (f(up) - f(params)) / fd_step
         else:
-            up[i] += delta
-            down[i] -= delta
-            grad[i] = (f(up) - f(down)) / (2.0 * delta)
+            grad[i] = (f(up) - f(down)) / (2.0 * fd_step)
     return grad

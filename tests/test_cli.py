@@ -487,6 +487,59 @@ def test_optimize_and_sweep_bytes_are_pinned(run, tmp_path):
     assert (code, out, err) == (0, PIN_SWEEP_CSV, "")
 
 
+# sha256 of the CSV, stdout and stderr of two short searches whose starts
+# the pins above do not reach: radius_only from unequal radii, which the
+# search ties to the first antenna's (by angle), and full_polar at
+# alpha = 0.6 from radii within fd_step of both bounds, whose first probes
+# are one-sided at each.
+UNEQUAL_START_TEXT = """\
+channel:
+  path_loss_exponent: 2.0
+geometry:
+  antennas:
+    radii: [0.1, 0.5, 0.3, 0.9]
+    angles: [0.3, 1.0, 2.0, 4.0]
+run: {seed: 3}
+rm: {max_iter: 40, eval_samples: 2000}
+"""
+
+BOUND_START_TEXT = """\
+channel:
+  path_loss_exponent: 3.0
+  on_probability: 0.6
+geometry:
+  antennas:
+    radii: [0.99995, 0.00005, 0.5]
+    angles: [0.0, 2.0, 4.0]
+run: {seed: 5}
+rm: {mode: full_polar, step_scale: 40.0, max_iter: 60, eval_samples: 1000}
+"""
+
+SEARCH_START_PINS = [
+    (
+        UNEQUAL_START_TEXT,
+        "6b52ee08e8535b71092b65882f04a82a639bf36e5b3d0f3376a26dfbc36b9ca7",
+        "393728cdfdb59fb2c80803fd2ba9b9f9ff1eb0c3410c273ce65dafdbe7c17dec",
+        "301a6ca04041171f1c6598784854689f7ba74fab82aafb9353c05e8cf5fdb983",
+    ),
+    (
+        BOUND_START_TEXT,
+        "e19ec911232d680b7ab17f7132ff9b8c102dc3d69141cc8b205d3862a3e2a720",
+        "3e429374c6925c0e18dd20c1286d0166179b991947aee83d6f934b66ca5aa89e",
+        "85e037c1b042d0732054ae8b7412ebb129e79979eb5dcd6a16acd907aba28dd9",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, csv_pin, out_pin, err_pin", SEARCH_START_PINS, ids=["unequal", "bounds"])
+def test_search_start_bytes_are_pinned(run, tmp_path, config, csv_pin, out_pin, err_pin):
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(["optimize", "--out", str(trace)], config=config)
+    assert code == 0
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    assert (sha(trace.read_bytes()), sha(out.encode()), sha(err.encode())) == (csv_pin, out_pin, err_pin)
+
+
 # Four flows, one of each arrival kind, on a 1,001-point grid: the largest
 # delay CSV, with a short simulation of the two-flow scenario next to it.
 # The sha256 pins were taken when every cell was formatted on its own and

@@ -452,6 +452,8 @@ class TestConstructorErrorsPointAtTheirMapping:
              "path loss exponent must be > 0, got -2.0"),
             ("samples: 100", "samples: 1", ("run",), "need at least 2 samples, got 1"),
             ("max_iter: 50", "max_iter: 0", ("rm",), "max_iter and convergence_window must be >= 1"),
+            # a probe's radius would leave [0, 1] on both sides; the message names fd_step
+            ("max_iter: 50", "fd_step: 0.6", ("rm",), "fd_step must lie in (0, 0.5], got 0.6"),
             ("priority: 1", "priority: 0", ("flows", 0), "priority must be >= 1, got 0"),
             ("rate: 0.6", "rate: -0.6", ("flows", 1, "arrival"), "poisson rate must be > 0, got -0.6"),
             ("failure_prob: 0.1", "failure_prob: 1.5", ("flows", 1, "service"),
@@ -462,7 +464,7 @@ class TestConstructorErrorsPointAtTheirMapping:
             ("radii: [0.5,", "radii: [1.5,", ("geometry", "users"), "user radius must lie in [0, 1], got 1.5"),
             ("spacing: 2.0", "spacing: 0", ("geometry",), "center spacing must be > 0, got 0.0"),
         ],
-        ids=["channel", "run", "rm", "flow", "arrival", "service", "antennas-count",
+        ids=["channel", "run", "rm", "rm-fd-step", "flow", "arrival", "service", "antennas-count",
              "antennas-polar", "users", "cluster"],
     )
     def test_error_points_at_the_mapping(self, old, new, path, message):

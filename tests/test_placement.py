@@ -26,13 +26,14 @@ from dasqos.outage import CellScenario, ChannelParams, expected_outage
 from dasqos.placement import (
     RMConfig,
     RMTrace,
-    _antennas_from_params,
     _fd_gradient,
+    _search_space,
     radius_sweep,
     rm_optimize,
     step_sequence,
 )
 import probe_loop_oracle
+from probe_loop_oracle import antennas_from_params
 
 GRID = tuple(i * 0.05 for i in range(19))  # 0.0 .. 0.90
 
@@ -100,6 +101,9 @@ class TestRMConfigValidation:
             {"convergence_window": -1},
             {"eval_samples": 0},
             {"eval_samples": 1},
+            # past half the radius range a probe can leave [0, 1] on both sides
+            {"fd_step": 0.6},
+            {"fd_step": math.nextafter(0.5, 1.0)},
         ],
     )
     def test_bad_field_rejected(self, kwargs):
@@ -110,6 +114,9 @@ class TestRMConfigValidation:
         cfg = RMConfig()
         assert cfg.mode == "radius_only"
         assert cfg.step_scale == 15.0
+
+    def test_largest_fd_step_accepted(self):
+        assert RMConfig(fd_step=0.5).fd_step == 0.5
 
 
 class TestTrace:
@@ -142,12 +149,33 @@ class TestTrace:
         assert not trace.diverged
 
     def test_single_iteration_returns_start(self):
+        # a row is the whole layout: four radii, then four angles
         antennas, trace = short_run(max_iter=1)
+        start = (0.3,) * 4 + symmetric_circle(4, 0.3).angles
         assert len(trace) == 1
-        assert trace.iterates[0] == (0.3,)
-        assert trace.averages[0] == (0.3,)
+        assert trace.iterates[0] == start
+        assert trace.averages[0] == start
         assert not trace.converged
         assert antennas.radii == pytest.approx((0.3,) * 4)
+
+    def test_huge_max_iter_only_caps_the_search(self):
+        # the loop keeps the rows it reaches, so a cap far beyond them
+        # reserves nothing and leaves the converged trace as it was
+        def converged_run(max_iter):
+            cfg = RMConfig(
+                mode="radius_only",
+                max_iter=max_iter,
+                convergence_window=2,
+                tolerance=1.0,
+                eval_samples=2,
+            )
+            return rm_optimize(
+                cluster_scenario(2.0), symmetric_circle(4, 0.3), cfg, np.random.default_rng(5)
+            )
+
+        antennas, trace = converged_run(10**15)
+        assert trace.converged and len(trace) == 3
+        assert (antennas, trace) == converged_run(1000)
 
 
 class TestFixedPoint:
@@ -324,7 +352,7 @@ class TestBatchedScoring:
         eval_seed = int(np.random.default_rng(3).integers(2**63))
         for average, value, se in zip(trace.averages, trace.outage, trace.outage_se):
             est = expected_outage(
-                replace(scenario, antennas=_antennas_from_params(np.array(average), init, mode)),
+                replace(scenario, antennas=antennas_from_params(np.array(average), init.height)),
                 cfg.eval_samples,
                 np.random.default_rng(eval_seed),
             )
@@ -378,7 +406,7 @@ class TestBatchedScoring:
         eval_seed = int(np.random.default_rng(3).integers(2**63))
         for average, value, se in zip(trace.averages, trace.outage, trace.outage_se):
             est = expected_outage(
-                replace(scenario, antennas=_antennas_from_params(np.array(average), init, mode)),
+                replace(scenario, antennas=antennas_from_params(np.array(average), init.height)),
                 cfg.eval_samples,
                 np.random.default_rng(eval_seed),
             )
@@ -421,11 +449,19 @@ class TestBatchedScoring:
 
     @staticmethod
     def _check_gradient(scenario, params, init, cfg, users):
+        _, rows = _search_space(init, cfg.mode)
         upos = probe_loop_oracle.user_positions(scenario.layout, users)
-        grad = _fd_gradient(scenario, params, init, cfg, upos[:, 0], upos[:, 1])
-        reference = probe_loop_oracle.fd_gradient(scenario, params, init, cfg, users)
+        args = (scenario, params, rows, init.height, cfg.fd_step)
+        grad = _fd_gradient(*args, upos[:, 0], upos[:, 1])
+        reference = probe_loop_oracle.fd_gradient(*args, users)
         assert grad.tobytes() == reference.tobytes()
         return grad
+
+    @staticmethod
+    def _layout(radii, init, mode):
+        """A whole layout on init's angles; radius_only ties every radius to the first."""
+        radii = [radii[0]] * len(radii) if mode == "radius_only" else list(radii)
+        return np.array(radii + list(init.angles))
 
     @pytest.mark.parametrize("mode", ["radius_only", "full_polar"])
     @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.2, 0.7)])
@@ -438,7 +474,7 @@ class TestBatchedScoring:
         users = sample_user_vector(scenario.layout, np.random.default_rng(17))
         init = AntennaVector((0.3,) * 4, (0.3, 1.9, 3.5, 5.0))
         for radii in ([lo, hi, lo + 4e-4, hi - 4e-4], [hi, lo, 0.5 * (lo + hi), hi]):
-            params = np.array(radii[:1] if mode == "radius_only" else radii + list(init.angles))
+            params = self._layout(radii, init, mode)
             with mock.patch.object(placement, "RADIUS_BOUNDS", bounds):
                 grad = self._check_gradient(scenario, params, init, cfg, users)
             assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
@@ -468,7 +504,7 @@ class TestBatchedScoring:
             probe = params.copy()
             probe[init.count + moved] += sign * cfg.fd_step
             assert init.radii == (0.4, 0.6, 0.5, 0.7)
-            assert _antennas_from_params(probe, init, cfg.mode).radii == order
+            assert antennas_from_params(probe, init.height).radii == order
             for exponent, alpha in [(2.0, 1.0), (4.0, 0.5)]:
                 scenario = cluster_scenario(exponent, alpha)
                 rng = np.random.default_rng(int(exponent))
@@ -488,6 +524,6 @@ class TestBatchedScoring:
                 )
                 # on, just inside and away from the radius bounds
                 radii = list(rng.choice([0.0, 1.0, 5e-5, 1.0 - 5e-5, 0.4], 4))
-                params = np.array(radii[:1] if mode == "radius_only" else radii + list(init.angles))
+                params = self._layout(radii, init, mode)
                 users = sample_user_vector(scenario.layout, rng)
                 self._check_gradient(scenario, params, init, cfg, users)
