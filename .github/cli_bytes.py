@@ -9,10 +9,11 @@ command then runs twice, as `python -m dasqos.cli` in a fresh interpreter,
 once on that tree and once on the working tree's src/, and the two runs'
 exit code, stdout, stderr and --out CSV are compared. The commands are
 README's five, on its scenario block; `outage` on that scenario with a
-pinned `geometry.users` vector, as CI runs it; and the four perfbench
+pinned `geometry.users` vector, as CI runs it; the four perfbench
 workloads' documents (`perfbench/workloads.py`, read only) at seeds 1 and
-20261017. It prints one "identical" or "differs" line per command; it sets
-no bound, and exits 0 either way.
+20261017; and `delay --simulate` on the fixed documents of SIM_SCENARIOS.
+It prints one "identical" or "differs" line per command; it sets no bound,
+and exits 0 either way.
 """
 import argparse
 import io
@@ -32,6 +33,39 @@ PINNED_USERS = (
     "  users: {radii: [0.5, 0.7, 0.2, 0.9, 0.4, 0.6, 0.8], "
     "angles: [0.1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}\n"
 )
+
+
+def _poisson(rate: float, service: str = "{kind: unit}") -> tuple[str, str]:
+    return f"{{kind: poisson, rate: {rate}}}", service
+
+
+def _retry(p: float, attempts: int) -> str:
+    return f"{{kind: truncated_geometric, failure_prob: {p}, max_attempts: {attempts}}}"
+
+
+def _document(p: float, warmup: int, *flows: tuple[str, str]) -> str:
+    """A scenario of the given (arrival, service) flows in priority order."""
+    lines = ["flows:"]
+    for priority, (arrival, service) in enumerate(flows, 1):
+        lines += [f"  - priority: {priority}", f"    arrival: {arrival}", f"    service: {service}"]
+    lines.append(f"run: {{attempt_failure_prob: {p}, horizon: 40000, warmup: {warmup}, seed: 3}}")
+    return "\n".join(lines) + "\n"
+
+
+# Documents for `delay --simulate` that, with README's and perfbench's
+# two-flow case, reach every branch of slotsim._serve_level: a retrying
+# level above a unit one (the run-length mask of the slots it leaves),
+# three levels, markov_fluid arrivals, warmup 0, p = 0, and p = 0.9 at
+# L = 6 (failure runs longer than a lattice cell).
+HYPEREXPONENTIAL = "{kind: markov_fluid, rate_a: 0.5, rate_b: 0.1, weight_a: 0.5, weight_b: 0.5}"
+SIM_SCENARIOS = {
+    "sim-retry-over-unit.yaml": _document(0.2, 1000, _poisson(0.25, _retry(0.2, 3)), _poisson(0.4)),
+    "sim-three-levels.yaml": _document(0.2, 1000, _poisson(0.1), _poisson(0.3, _retry(0.2, 2)), _poisson(0.3)),
+    "sim-markov-fluid.yaml": _document(0.1, 1000, (HYPEREXPONENTIAL, _retry(0.1, 3)), _poisson(0.4)),
+    "sim-warmup-0.yaml": _document(0.1, 0, _poisson(0.2), _poisson(0.6, _retry(0.1, 4))),
+    "sim-p-0.yaml": _document(0.0, 1000, _poisson(0.2), _poisson(0.6, _retry(0.0, 4))),
+    "sim-long-runs.yaml": _document(0.9, 1000, _poisson(0.1), _poisson(0.12, _retry(0.9, 6))),
+}
 
 
 def run(argv: list[str], src: Path, cwd: Path) -> tuple:
@@ -82,6 +116,15 @@ def perfbench_commands(workdir: Path) -> list[list[str]]:
     return argvs
 
 
+def simulator_commands(workdir: Path) -> list[list[str]]:
+    """`delay --simulate` on each SIM_SCENARIOS document, written to workdir."""
+    argvs = []
+    for name, text in SIM_SCENARIOS.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+        argvs.append(["delay", "--config", name, "--dth", "0:30:1", "--simulate", "--out", "sim.csv"])
+    return argvs
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="compare CLI output bytes with a git ref")
     parser.add_argument("--base", metavar="REF", required=True, help="git ref to compare with")
@@ -96,7 +139,7 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "base", filter="data")
         workdir = tmp / "work"
         workdir.mkdir()
-        for command in readme_commands(workdir) + perfbench_commands(workdir):
+        for command in readme_commands(workdir) + perfbench_commands(workdir) + simulator_commands(workdir):
             same = compare(command, tmp / "base" / "src", ROOT / "src", workdir)
             shown = " ".join(os.path.relpath(a, workdir) if a.startswith(str(workdir)) else a for a in command)
             print(f"{'identical' if same else 'differs  '} {shown}")

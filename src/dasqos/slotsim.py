@@ -23,6 +23,12 @@ below are all but its start slots. The per-attempt probability may be a
 plain number or the expected-outage output of the antenna engine; the
 simulator does not care where it came from.
 
+Gathers run np.take on _BLOCK indices at a time. The lattice, the retry
+recursion and the delay histogram step _BLOCK slots or packets at a time
+and write into the level's own arrays or into one set of block buffers
+(_blocks) that a simulate call makes once and every level and block
+reuses.
+
 The checks on it live under tests/: the per-slot and per-packet loops and
 the per-offset break check it replaced, and the fit of its delay tails
 against the analysis.
@@ -119,7 +125,8 @@ def _eligible_slots(flow: TrafficFlow, horizon: int, rng: np.random.Generator):
         n = max(64, int(remaining * rate * 1.1) + 16)
         chunk = sample_interarrival(flow.arrival, rng, n)
         np.cumsum(chunk, out=chunk)
-        chunk += total
+        if times:  # the first chunk's times start from 0.0
+            chunk += total
         times.append(chunk)
         total = float(chunk[-1])
         remaining = horizon - total
@@ -133,7 +140,25 @@ def _eligible_slots(flow: TrafficFlow, horizon: int, rng: np.random.Generator):
 _BLOCK = 1 << 14  # slots or packets per vector step; bounds the temporaries
 
 
-def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np.ndarray):
+def _blocks(dtype) -> tuple[np.ndarray, ...]:
+    """The block buffers of one simulate call, which every level and block
+    reuses: the ramp 0, 1, ..., _BLOCK - 1 and three buffers of the
+    positions' dtype, then two masks. They share one page offset; placed
+    at others, a retrying level timed the same (no 4K aliasing)."""
+    return np.arange(_BLOCK, dtype=dtype), *np.empty((3, _BLOCK), dtype), *np.empty((2, _BLOCK), bool)
+
+
+def _take(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[k] = a[idx[k]], one _BLOCK of indices at a time: np.take copies
+    int32 indices to intp, 8 bytes per index, which over a whole level
+    would raise simulate's memory peak. Every index it is given is in
+    range; mode clip keeps np.take from copying out, as mode raise does."""
+    for c in range(0, len(idx), _BLOCK):
+        np.take(a, idx[c : c + _BLOCK], out=out[c : c + _BLOCK], mode="clip")
+    return out
+
+
+def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np.ndarray, blocks):
     """The lattice starts in order, then the end of the last cell plus one.
 
     A segment of free slots starts at 0 and one past each success, for
@@ -150,15 +175,17 @@ def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np
     of one past each success.
     """
     dtype = idx.dtype
+    ramp, pos_buf, opened_buf, first_buf, success_buf, on_buf = blocks
     cells, count, seg = np.empty(nfree + 1, dtype=dtype), 0, 0
     edges = np.arange(0, nfree + _BLOCK, _BLOCK, dtype=dtype)
     edges[-1] = nfree
     bounds = np.searchsorted(idx, edges)  # packets eligible in each block
     for b, lo, hi in zip(range(0, nfree, _BLOCK), bounds.tolist(), bounds[1:].tolist()):
-        pos = np.arange(b, min(b + _BLOCK, nfree), dtype=dtype)
-        opened = pos + 1  # a success opens pos + 1
-        opened *= ~fail[b : b + _BLOCK]
-        first = np.empty_like(pos)  # first slot of the segment holding pos
+        m = min(_BLOCK, nfree - b)
+        pos = np.add(ramp[:m], b, out=pos_buf[:m])
+        opened = np.add(pos, 1, out=opened_buf[:m])  # a success opens pos + 1
+        opened *= np.logical_not(fail[b : b + m], out=success_buf[:m])
+        first = first_buf[:m]  # first slot of the segment holding pos
         first[0], first[1:] = seg, opened[:-1]
         np.maximum.accumulate(first, out=first)
         seg = max(int(first[-1]), int(opened[-1]))
@@ -167,12 +194,15 @@ def _lattice(fail: np.ndarray, idx: np.ndarray, limit: int, nfree: int, rank: np
         # numpy divides by an integer scalar without a hardware divide
         whole = np.floor_divide(off, limit, out=opened)
         whole *= limit
-        on = whole == off
+        on = np.equal(whole, off, out=on_buf[:m])
         if hi > lo:
-            seen = np.cumsum(on, dtype=dtype)
-            np.add(seen[idx[lo:hi] - b], count - 1, out=rank[lo:hi])
+            seen = np.cumsum(on, dtype=dtype, out=first)
+            seen += count - 1
+            for c in range(lo, hi, _BLOCK):  # more than _BLOCK packets may fall in a block
+                at = np.subtract(idx[c : min(c + _BLOCK, hi)], b, out=opened_buf[: min(_BLOCK, hi - c)])
+                _take(seen, at, rank[c : c + len(at)])
         starts = np.flatnonzero(on)
-        cells[count : count + len(starts)] = starts + b
+        np.add(starts, b, out=cells[count : count + len(starts)])
         count += len(starts)
     rank[bounds[-1] :] = count - 1  # eligible at nfree
     # the last cell ends at nfree - 1, or at the horizon if it holds no
@@ -195,12 +225,13 @@ def _rule_breaks(fail: np.ndarray, start: np.ndarray, end: np.ndarray, limit: in
     lattice, so it also finds every break of a wrong one.
     """
     span = end - start
-    bad = span >= limit
-    bad |= fail[np.minimum(end, nfree - 1)] & (span != limit - 1) & (end != nfree)
+    bad = np.take(fail, end, mode="clip")  # nfree coins: fail[nfree - 1] at nfree
+    bad &= (span != limit - 1) & (end != nfree)
+    bad |= span >= limit
     return bad
 
 
-def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: int):
+def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: int, blocks):
     """First and last attempt of each packet that starts before the horizon.
 
     Positions count the level's free slots, whose failure coins fail_bytes
@@ -218,34 +249,38 @@ def _serve_with_retries(idx: np.ndarray, fail_bytes: bytes, limit: int, nfree: i
     the lattice again. The recursion gives each packet the FIFO start
     max(idx_k, end_{k-1} + 1) inside its cell, so _rule_breaks finds the
     breaks per block of _BLOCK packets from each packet's end and span.
+    blocks holds _blocks(idx.dtype).
     """
     start, end = np.empty_like(idx), np.empty_like(idx)
     if nfree == 0:
         return start[:0], end[:0]
     fail = np.frombuffer(fail_bytes, dtype=bool)
-    cells, count = _lattice(fail, idx, limit, nfree, start)
+    cells, count = _lattice(fail, idx, limit, nfree, start, blocks)
+    ramp, k_buf, r_buf = blocks[:3]
     n, broken, top = len(idx), [], 0  # top = r_{k-1} - (k-1)
     for c in range(0, len(idx), _BLOCK):
         i = idx[c : c + _BLOCK]
-        m, k = len(i), np.arange(c, c + len(i))
-        r = start[c : c + m] - k
+        m = len(i)
+        k = np.add(ramp[:m], c, out=k_buf[:m])
+        r = np.subtract(start[c : c + m], k, out=r_buf[:m])
         np.maximum.accumulate(r, out=r)
         np.maximum(r, top, out=r)
         r += k
+        top = int(r[-1] - k[-1])
         # cut where idx reaches nfree or the last cell is taken: that cell
         # ends at nfree - 1 or later, so the packet after it starts at or
         # past nfree once it follows the rule
         stop = min(int(np.searchsorted(r, count)), int(np.searchsorted(i, i.dtype.type(nfree))))
         if stop:
             r, i = r[:stop], i[:stop]
-            s = start[c : c + stop]
-            np.maximum(cells[r], i, out=s)
-            e = np.subtract(cells[r + 1], 1, out=end[c : c + stop])
+            s = _take(cells, r, start[c : c + stop])
+            np.maximum(s, i, out=s)
+            e = _take(cells[1:], r, end[c : c + stop])  # the next cell's start
+            e -= 1
             broken.extend((np.flatnonzero(_rule_breaks(fail, s, e, limit, nfree)) + c).tolist())
         if stop < m:
             n = c + stop
             break
-        top = int(r[-1] - k[-1])
 
     find, ids, starts, ends = fail_bytes.find, memoryview(idx), memoryview(start), memoryview(end)
     done = 0  # packets before done follow the rule
@@ -284,12 +319,12 @@ def _check_schedule(idx: np.ndarray, start: np.ndarray, end: np.ndarray, nfree: 
         raise AssertionError("FIFO order or work conservation violated")
 
 
-def _serve_level(flow, e, idx, free, fail, cfg: SimConfig, last: bool):
+def _serve_level(flow, e, idx, free, fail, cfg: SimConfig, last: bool, blocks):
     """Serve one level as a FIFO queue on the slots the levels above left
     free (None: all). idx, start and end are positions among them; idx_k
     is that of the first free slot at or after e_k (nfree if none). Returns
     the level's FlowStats and the mask of the free slots it leaves below
-    (None if last)."""
+    (None if last). blocks holds _blocks(idx.dtype)."""
     horizon, warmup, limit = cfg.horizon, cfg.warmup, flow.service.max_attempts
     nfree = horizon if free is None else len(free)
     if limit == 1:  # Lindley recursion as a running maximum
@@ -298,8 +333,8 @@ def _serve_level(flow, e, idx, free, fail, cfg: SimConfig, last: bool):
         start += k
         start = end = start[: np.searchsorted(start, nfree)]
     else:
-        coins = (fail if free is None else fail[free]).tobytes()
-        start, end = _serve_with_retries(idx, coins, limit, nfree)
+        coins = (fail if free is None else _take(fail, free, np.empty(nfree, dtype=bool))).tobytes()
+        start, end = _serve_with_retries(idx, coins, limit, nfree, blocks)
     _check_schedule(idx, start, end, nfree)
     keep = None
     if not last and limit == 1:  # a unit packet holds its start slot only
@@ -312,16 +347,19 @@ def _serve_level(flow, e, idx, free, fail, cfg: SimConfig, last: bool):
         keep = np.cumsum(run[:nfree], dtype=np.int8) == 0
 
     done = len(end) - int(len(end) > 0 and end[-1] >= nfree)  # in service at the horizon
-    depart = end[:done] if free is None else free[end[:done]]
     first = int(np.searchsorted(e, e.dtype.type(warmup)))  # first post-warmup arrival
-    lost = int(np.count_nonzero(fail[depart[first:]]))
-    # in place: depart (a view of end on the top level) is not read again
-    wait = np.subtract(depart[first:], e[first:done], out=depart[first:])
-    wait += 1  # sojourn: the eligibility slot through the departure slot
-    counts = np.zeros(int(wait.max(initial=-1)) + 1, dtype=np.int64)
-    for c in range(0, len(wait), _BLOCK):  # bincount copies its input to int64
-        counts += np.bincount(wait[c : c + _BLOCK], minlength=len(counts))
-    tallies = (len(e) - first, len(wait) - lost, lost, tuple(counts.tolist()))
+    depart_buf, lost_buf = blocks[1], blocks[4]
+    lost, counts = 0, np.zeros(0, dtype=np.int64)
+    for c in range(first, done, _BLOCK):
+        m = min(_BLOCK, done - c)
+        depart = end[c : c + m] if free is None else _take(free, end[c : c + m], depart_buf[:m])
+        lost += int(np.count_nonzero(_take(fail, depart, lost_buf[:m])))
+        wait = np.subtract(depart, e[c : c + m], out=depart_buf[:m])
+        wait += 1  # sojourn: the eligibility slot through the departure slot
+        tally = np.bincount(wait, minlength=len(counts))  # as long as the longest wait yet
+        tally[: len(counts)] += counts
+        counts = tally
+    tallies = (len(e) - first, max(done - first, 0) - lost, lost, tuple(counts.tolist()))
     return FlowStats(flow.priority, *tallies), keep
 
 
@@ -337,17 +375,17 @@ def simulate(cfg: SimConfig) -> SimStats:
     eligible = [_eligible_slots(f, cfg.horizon, rng) for f in flows]
     fail = rng.random(cfg.horizon) < cfg.attempt_failure_prob
     positions = list(eligible)  # among all slots, a level's positions are its slots
-    free, flow_stats = None, []
+    free, flow_stats, blocks = None, [], _blocks(eligible[0].dtype)
     for f in flows:
         # popped, so a level's eligibility slots go once it is served
         e = eligible.pop(0)
-        stats, keep = _serve_level(f, e, positions.pop(0), free, fail, cfg, not eligible)
+        stats, keep = _serve_level(f, e, positions.pop(0), free, fail, cfg, not eligible, blocks)
         flow_stats.append(stats)
         if keep is not None:
             # the free slots kept before each position: its position below
             rank = np.zeros(len(keep) + 1, dtype=e.dtype)
             np.cumsum(keep, dtype=e.dtype, out=rank[1:])
-            positions = [rank[idx] for idx in positions]
+            positions = [_take(rank, idx, np.empty_like(idx)) for idx in positions]
             del rank
             free = np.flatnonzero(keep).astype(e.dtype) if free is None else free[keep]
             del keep  # held through the next level, the mask would raise its peak

@@ -604,6 +604,35 @@ def test_retry_repairs_bytes_are_pinned(run):
     assert hashlib.sha256(out.encode()).hexdigest() == PIN_SIMULATE_HIGH_P_SHA256
 
 
+# A Poisson(1e-7) unit flow under README's voice flow has no departure
+# after warmup in 1,000 slots: its prob_sim is nan and its band all of [0, 1].
+NO_DEPARTURE_TEXT = """\
+flows:
+  - priority: 1
+    name: voice
+    arrival: {kind: poisson, rate: 0.2}
+    service: {kind: unit}
+  - priority: 2
+    arrival: {kind: poisson, rate: 1.0e-7}
+    service: {kind: unit}
+run: {attempt_failure_prob: 0.1, horizon: 1000, warmup: 10, seed: 1}
+"""
+
+
+def test_flow_without_departures_bytes_are_pinned(run):
+    code, out, err = run(["delay", "--dth", "1:3:1", "--simulate"], config=NO_DEPARTURE_TEXT)
+    assert (code, err) == (0, "")
+    assert out == (
+        "flow,d_th,prob_sim,ci_low,ci_high,prob_analytic\n"
+        "1,1,0.100529101,0.0576587884,0.143399413,0.0699203139\n"
+        "1,2,0,0,0,0.00488885029\n"
+        "1,3,0,0,0,0.000341829947\n"
+        "2,1,nan,0,1,0.99970216\n"
+        "2,2,nan,0,1,0.999404408\n"
+        "2,3,nan,0,1,0.999106745\n"
+    )
+
+
 # The cell kinds a command writes, the float edges among them. A drawn
 # table gives each column one kind, as every command does (see
 # test_every_row_has_the_first_rows_cell_types).

@@ -2,6 +2,8 @@
 import importlib.util
 from pathlib import Path
 
+from dasqos.cli import main
+
 _PATH = Path(__file__).resolve().parents[1] / ".github" / "cli_bytes.py"
 _SPEC = importlib.util.spec_from_file_location("cli_bytes", _PATH)
 cli_bytes = importlib.util.module_from_spec(_SPEC)
@@ -37,3 +39,17 @@ def test_readme_commands_and_the_pinned_outage(tmp_path):
         encoding="utf-8"
     )
     assert cli_bytes.PINNED_USERS in pinned
+
+
+def test_simulator_documents_simulate(tmp_path, monkeypatch):
+    # a document the parser rejects reads "identical" on both trees and
+    # reaches no simulator branch, so each one must simulate
+    argvs = cli_bytes.simulator_commands(tmp_path)
+    assert [a[2] for a in argvs] == list(cli_bytes.SIM_SCENARIOS)
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        assert main(argv) == 0
+        csv = (tmp_path / "sim.csv").read_bytes()
+        assert csv.startswith(b"flow,d_th,prob_sim,ci_low,ci_high,prob_analytic\n")
+    # the retrying level above a unit one, as the gate runs it
+    assert cli_bytes.compare(argvs[0], SRC, SRC, tmp_path)

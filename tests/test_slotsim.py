@@ -23,11 +23,13 @@ from dasqos.errors import ConfigError
 from dasqos.slotsim import FlowStats, SimConfig, SimStats, simulate
 from dasqos.traffic import (
     GenericRenewal,
+    MarkovFluidRenewal,
     Poisson,
     TrafficFlow,
     TruncatedGeometric,
     DeterministicUnit,
     packet_loss_probability,
+    sample_interarrival,
 )
 
 
@@ -268,6 +270,48 @@ def test_simulate_matches_slot_loop(kind, p):
             assert repr(got) == repr(want)  # plain ints, not numpy scalars
 
 
+# the grid's horizon is below _BLOCK, so there simulate's block loops never
+# carry a level's state, its gathers or its histogram from one block to the
+# next; blocks of 7 and 1,000 slots or packets cross them
+ACROSS_BLOCKS = ("three_levels", "four_levels", "overload", "long_runs")
+
+
+@pytest.mark.parametrize("block", [7, 1_000])
+@pytest.mark.parametrize(
+    "kind, p", sorted({(k, p) for k, p in ORACLE_GRID if k in ACROSS_BLOCKS} | {(k, 0.99) for k in ACROSS_BLOCKS})
+)
+def test_simulate_matches_slot_loop_across_blocks(kind, p, block):
+    horizon = 10_000
+    system = PrioritySystem(ORACLE_SCENARIOS[kind](p))
+    for seed, warmup in ((1, 0), (2, horizon // 2)):
+        cfg = SimConfig(system, p, horizon, warmup, seed)
+        with mock.patch.object(slotsim, "_BLOCK", block):
+            got = simulate(cfg)
+        want = slot_loop_oracle.simulate(cfg)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+def test_eligible_slots_over_many_chunks():
+    # draws cut to 5 interarrivals force _eligible_slots through many
+    # chunks, each shifted by the last time of the one before, where the
+    # first is not shifted at all; the per-slot loop draws alike
+    def short(arrival, rng, n):
+        return sample_interarrival(arrival, rng, 5)
+
+    flows = (_unit(1, 0.3), TrafficFlow(2, MarkovFluidRenewal(0.5, 0.1, 0.5, 0.5), TruncatedGeometric(0.2, 3)))
+    cfg = SimConfig(PrioritySystem(flows), 0.2, 2_000, 100, seed=5)
+    with mock.patch.object(slotsim, "sample_interarrival", short), mock.patch.object(
+        slot_loop_oracle, "sample_interarrival", short
+    ):
+        for flow in flows:
+            got = slotsim._eligible_slots(flow, cfg.horizon, np.random.default_rng(9))
+            want = slot_loop_oracle._eligible_slots(flow, cfg.horizon, np.random.default_rng(9))
+            assert len(got) > 50
+            np.testing.assert_array_equal(got, np.array(want))
+        assert simulate(cfg) == slot_loop_oracle.simulate(cfg)
+
+
 # one retrying level: its free-slot coins come from seed at failure
 # probability p, and block sets the lattice pass's step so that its
 # carries are crossed
@@ -303,7 +347,7 @@ def _level(p, nfree, seed, arrivals):
 def test_retry_schedule_matches_packet_loop(limit, p, nfree, seed, arrivals, block):
     idx, fail_bytes = _level(p, nfree, seed, arrivals)
     with mock.patch.object(slotsim, "_BLOCK", block):
-        got = slotsim._serve_with_retries(idx, fail_bytes, limit, nfree)
+        got = slotsim._serve_with_retries(idx, fail_bytes, limit, nfree, slotsim._blocks(idx.dtype))
     want = slot_loop_oracle.serve_with_retries(idx, fail_bytes, limit, nfree)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
@@ -319,13 +363,13 @@ def test_retry_schedule_repairs_a_wrong_lattice(limit, p, nfree, seed, arrivals,
     idx, fail_bytes = _level(p, nfree, seed, arrivals)
     lattice = slotsim._lattice
 
-    def wrong_lattice(fail, idx, limit, nfree, rank):
-        return lattice(fail, idx, wrong, nfree, rank)
+    def wrong_lattice(fail, idx, limit, nfree, rank, blocks):
+        return lattice(fail, idx, wrong, nfree, rank, blocks)
 
     with mock.patch.object(slotsim, "_lattice", wrong_lattice), mock.patch.object(
         slotsim, "_BLOCK", block
     ):
-        got = slotsim._serve_with_retries(idx, fail_bytes, limit, nfree)
+        got = slotsim._serve_with_retries(idx, fail_bytes, limit, nfree, slotsim._blocks(idx.dtype))
     want = slot_loop_oracle.serve_with_retries(idx, fail_bytes, limit, nfree)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
@@ -345,8 +389,8 @@ def test_rule_breaks_match_the_per_offset_check(limit, p, nfree, seed, arrivals,
     idx, fail_bytes = _level(p, nfree, seed, arrivals)
     lattice, rule_breaks = slotsim._lattice, slotsim._rule_breaks
 
-    def any_lattice(fail, idx, limit, nfree, rank):
-        return lattice(fail, idx, wrong or limit, nfree, rank)
+    def any_lattice(fail, idx, limit, nfree, rank, blocks):
+        return lattice(fail, idx, wrong or limit, nfree, rank, blocks)
 
     def checked(fail, start, end, limit, nfree):
         got = rule_breaks(fail, start, end, limit, nfree)
@@ -357,7 +401,7 @@ def test_rule_breaks_match_the_per_offset_check(limit, p, nfree, seed, arrivals,
     with mock.patch.object(slotsim, "_lattice", any_lattice), mock.patch.object(
         slotsim, "_rule_breaks", checked
     ), mock.patch.object(slotsim, "_BLOCK", block):
-        slotsim._serve_with_retries(idx, fail_bytes, limit, nfree)
+        slotsim._serve_with_retries(idx, fail_bytes, limit, nfree, slotsim._blocks(idx.dtype))
 
 
 @given(**LEVELS)
@@ -367,7 +411,9 @@ def test_lattice_is_the_schedule_of_a_queue_never_empty(limit, p, nfree, seed, b
     idx, fail_bytes = _level(p, nfree, seed, [0] * (nfree + 1))
     rank = np.empty_like(idx)
     with mock.patch.object(slotsim, "_BLOCK", block):
-        cells, count = slotsim._lattice(np.frombuffer(fail_bytes, bool), idx, limit, nfree, rank)
+        cells, count = slotsim._lattice(
+            np.frombuffer(fail_bytes, bool), idx, limit, nfree, rank, slotsim._blocks(idx.dtype)
+        )
     start, end = slot_loop_oracle.serve_with_retries(idx, fail_bytes, limit, nfree)
     np.testing.assert_array_equal(cells[:count], start)
     np.testing.assert_array_equal(cells[1 : count + 1] - 1, end)
@@ -383,7 +429,7 @@ def test_lattice_cells_succeed_only_at_their_last_slot(limit, p, nfree, seed, bl
     idx, fail_bytes = _level(p, nfree, seed, [])
     fail = np.frombuffer(fail_bytes, bool)
     with mock.patch.object(slotsim, "_BLOCK", block):
-        cells, count = slotsim._lattice(fail, idx, limit, nfree, np.empty_like(idx))
+        cells, count = slotsim._lattice(fail, idx, limit, nfree, np.empty_like(idx), slotsim._blocks(idx.dtype))
     assert cells[0] == 0
     for j in range(count):
         assert fail[cells[j] : cells[j + 1] - 1].all()
