@@ -12,10 +12,19 @@ README's five, on its scenario block; `outage` on that scenario with a
 pinned `geometry.users` vector, as CI runs it; the four perfbench
 workloads' documents (`perfbench/workloads.py`, read only) at seeds 1 and
 20261017; and `delay --simulate` on the fixed documents of SIM_SCENARIOS.
-It prints one "identical" or "differs" line per command; it sets no bound,
-and exits 0 either way.
+An argparse error (ERROR_ARGV) and a help page (HELP_ARGV) run between
+them.
+
+A second pass runs the same commands once more, in the same order, through
+`dasqos.cli.main(argv)` in this one interpreter on the working tree, and
+compares each call with the working tree's fresh-interpreter run: the way
+perfbench calls the CLI, many times in one process.
+
+Each pass prints one "identical" or "differs" line per command; the tool
+sets no bound, and exits 0 either way.
 """
 import argparse
+import contextlib
 import io
 import os
 import re
@@ -24,10 +33,19 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import traceback
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 20261017)
+# run between the other commands: an argparse error (exit 2) and a help page
+# (exit 0), on README's scenario file
+ERROR_ARGV = ["delay", "--config", "scenario.yaml", "--bogus"]
+HELP_ARGV = ["delay", "--help"]
+# help pages wrap at the terminal width; a fresh run on a pipe falls back to 80
+# columns, and this process may sit on a terminal, so both sides are told it
+COLUMNS = "80"
 # the pinned user vector CI adds to README's scenario, one user per cell
 PINNED_USERS = (
     "  users: {radii: [0.5, 0.7, 0.2, 0.9, 0.4, 0.6, 0.8], "
@@ -68,22 +86,51 @@ SIM_SCENARIOS = {
 }
 
 
-def run(argv: list[str], src: Path, cwd: Path) -> tuple:
-    """(exit code, stdout, stderr, --out bytes or None) of one fresh CLI run on src."""
+def _out_path(argv: list[str], cwd: Path) -> Path | None:
+    """argv's --out file, removed so that a run which writes none shows it."""
     out = Path(cwd, argv[argv.index("--out") + 1]) if "--out" in argv else None
     if out is not None and out.exists():
         out.unlink()
-    env = dict(os.environ, PYTHONPATH=str(src))
+    return out
+
+
+def _read(out: Path | None) -> bytes | None:
+    return out.read_bytes() if out is not None and out.exists() else None
+
+
+def run(argv: list[str], src: Path, cwd: Path) -> tuple:
+    """(exit code, stdout, stderr, --out bytes or None) of one fresh CLI run on src."""
+    out = _out_path(argv, cwd)
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS=COLUMNS)
     done = subprocess.run(
         [sys.executable, "-m", "dasqos.cli", *argv], cwd=cwd, env=env, capture_output=True
     )
-    csv = out.read_bytes() if out is not None and out.exists() else None
-    return done.returncode, done.stdout, done.stderr, csv
+    return done.returncode, done.stdout, done.stderr, _read(out)
 
 
-def compare(argv: list[str], base: Path, head: Path, cwd: Path) -> bool:
-    """Whether argv leaves the same bytes on the src trees base and head."""
-    return run(argv, base, cwd) == run(argv, head, cwd)
+def run_in_process(argv: list[str], cwd: Path) -> tuple:
+    """run()'s tuple for one `dasqos.cli.main(argv)` call in this interpreter,
+    with cwd as the working directory; the dasqos on sys.path runs."""
+    from dasqos import cli
+
+    out = _out_path(argv, cwd)
+    stdout, stderr = (io.TextIOWrapper(io.BytesIO(), "utf-8", write_through=True) for _ in range(2))
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), mock.patch.dict(
+            os.environ, COLUMNS=COLUMNS
+        ):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:  # a crash differs from the fresh run's traceback
+                traceback.print_exc()
+                code = 1
+    finally:
+        os.chdir(here)
+    return code, stdout.buffer.getvalue(), stderr.buffer.getvalue(), _read(out)
 
 
 def readme_commands(workdir: Path) -> list[list[str]]:
@@ -139,10 +186,27 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "base", filter="data")
         workdir = tmp / "work"
         workdir.mkdir()
-        for command in readme_commands(workdir) + perfbench_commands(workdir) + simulator_commands(workdir):
-            same = compare(command, tmp / "base" / "src", ROOT / "src", workdir)
+        commands = [
+            *readme_commands(workdir),
+            ERROR_ARGV,
+            *perfbench_commands(workdir),
+            HELP_ARGV,
+            *simulator_commands(workdir),
+        ]
+
+        def report(same: bool, command: list[str]) -> None:
             shown = " ".join(os.path.relpath(a, workdir) if a.startswith(str(workdir)) else a for a in command)
             print(f"{'identical' if same else 'differs  '} {shown}")
+
+        print(f"# {args.base} against this tree, each command in a fresh interpreter")
+        fresh = []
+        for command in commands:
+            fresh.append(run(command, ROOT / "src", workdir))
+            report(run(command, tmp / "base" / "src", workdir) == fresh[-1], command)
+        print("# this tree in one interpreter, in sequence, against its fresh runs")
+        sys.path.insert(0, str(ROOT / "src"))
+        for command, head in zip(commands, fresh):
+            report(run_in_process(command, workdir) == head, command)
     return 0
 
 

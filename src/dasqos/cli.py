@@ -16,12 +16,19 @@ nor leaves a new one behind.
 Analytic delay, and scenario parsing, run without numpy; the commands that
 need it (delay --simulate, outage, optimize, sweep) import it when they run.
 
+main() builds the argparse parser on its first call, not at import, and
+reuses it for every later call in the process; a one-shot run builds it
+once, as before. Each call runs the cmd_<command> function the module holds
+when the call runs, so a function rebound on the module (a tracer's span, a
+test's patch) runs in place of the original.
+
 Exit codes: 0 success, 2 configuration/validation problem, 3 numerical
 failure (unstable queue, missing decay-rate root).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -44,14 +51,17 @@ if TYPE_CHECKING:
     from .outage import CellScenario
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # cached, not built at import: ~1 ms of argparse set-up that every
+    # main() call after the first would redo
     parser = argparse.ArgumentParser(
         prog="dasqos",
         description="delay and outage workbench for prioritized uplink traffic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, about: str, samples: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, about: str, samples: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
@@ -60,10 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--samples", type=int, default=None, help="override run.samples"
             )
         p.add_argument("--out", default=None, help="CSV path (default stdout)")
-        p.set_defaults(func=func, samples=None)
+        p.set_defaults(samples=None)
         return p
 
-    p_delay = command("delay", cmd_delay, "delay-bound violation curves")
+    p_delay = command("delay", "delay-bound violation curves")
     p_delay.add_argument("--flow", type=int, default=None, help="single priority")
     p_delay.add_argument(
         "--dth", default="0:30:1", help="threshold grid start:stop:step"
@@ -71,10 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_delay.add_argument(
         "--simulate", action="store_true", help="add slot-simulator columns"
     )
-    command("outage", cmd_outage, "outage for fixed or random users")
+    command("outage", "outage for fixed or random users")
     # the search scores its trace on rm.eval_samples users, never run.samples
-    command("optimize", cmd_optimize, "stochastic placement search", samples=False)
-    p_sweep = command("sweep", cmd_sweep, "expected outage on a radius grid")
+    command("optimize", "stochastic placement search", samples=False)
+    p_sweep = command("sweep", "expected outage on a radius grid")
     p_sweep.add_argument(
         "--radii", default="0:0.9:0.05", help="radius grid start:stop:step"
     )
@@ -320,7 +330,8 @@ def main(argv=None) -> int:
         run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
         created = run.output is not None and _claim_output(run.output)
         try:
-            args.func(args, replace(cfg, run=run))
+            # by name, not bound into the cached parser: a rebound cmd_<name> runs
+            globals()[f"cmd_{args.command}"](args, replace(cfg, run=run))
         except BaseException:
             if created:
                 os.remove(run.output)

@@ -3,12 +3,14 @@
 Everything runs in-process through main() so coverage and debuggers see
 the command paths; stdout/stderr are captured with capsys. One test runs
 the CLI in a fresh interpreter with numpy blocked, to see which modules
-start-up and analytic delay load.
+start-up and analytic delay load, and one counts the argparse parsers a
+fresh interpreter builds.
 """
 import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -1308,3 +1310,49 @@ def test_cli_start_up_and_analytic_delay_run_without_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert main([*argv, str(tmp_path / "free.csv")]) == 0
     assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
+
+
+def test_main_runs_the_command_function_the_module_holds(run, monkeypatch):
+    # the parser outlives a call, so it must not hold on to the command
+    # functions: a cmd_<name> rebound after the first call runs in its place
+    assert run(["delay", "--dth", "0:1:1"], config=FLOWS_TEXT)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_delay", lambda args, cfg: seen.append((args.dth, cfg.run.seed)))
+    code, out, err = run(["delay", "--dth", "0:2:1", "--seed", "7"], config=FLOWS_TEXT)
+    assert (code, out, err, seen) == (0, "", "", [("0:2:1", 7)])
+
+
+PARSER_COUNT_CHECK = """\
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import dasqos.cli
+counts = [len(built)]
+for argv in json.loads(sys.argv[1]):
+    assert dasqos.cli.main(argv) == 0, argv
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+def test_one_parser_per_process_and_none_at_import(tmp_path):
+    # a fresh interpreter, so no earlier main() call has built the parser:
+    # the top-level parser and its four subcommands, built by the first call
+    for name, text in (("flows", FLOWS_TEXT), ("alpha0", ALPHA0_TEXT), ("opt", OPT_TEXT)):
+        (tmp_path / f"{name}.yaml").write_text(text, encoding="utf-8")
+    argvs = [
+        ["delay", "--config", "flows.yaml", "--dth", "0:2:1", "--out", "delay.csv"],
+        ["outage", "--config", "alpha0.yaml", "--out", "outage.csv"],
+        ["optimize", "--config", "opt.yaml", "--out", "optimize.csv"],
+    ]
+    src = str(Path(dasqos.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", PARSER_COUNT_CHECK, json.dumps(argvs)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, 5, 5, 5]

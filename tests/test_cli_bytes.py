@@ -28,7 +28,7 @@ def test_one_tree_against_itself_is_identical(tmp_path):
     code, out, err, csv = cli_bytes.run(argv, SRC, tmp_path)
     assert (code, out, err) == (0, b"", b"")
     assert csv.startswith(b"flow,d_th,prob_analytic\n") and csv.count(b"\n") == 13
-    assert cli_bytes.compare(argv, SRC, SRC, tmp_path)
+    assert cli_bytes.run(argv, SRC, tmp_path) == cli_bytes.run(argv, SRC, tmp_path)
 
 
 def test_readme_commands_and_the_pinned_outage(tmp_path):
@@ -39,6 +39,20 @@ def test_readme_commands_and_the_pinned_outage(tmp_path):
         encoding="utf-8"
     )
     assert cli_bytes.PINNED_USERS in pinned
+
+
+def test_in_process_pass_on_readme_commands(tmp_path):
+    # README's commands with the argparse error and the help page between
+    # them, in sequence through main() in this interpreter, against fresh runs
+    argvs = cli_bytes.readme_commands(tmp_path)
+    argvs[1:1] = [cli_bytes.ERROR_ARGV]
+    argvs[3:3] = [cli_bytes.HELP_ARGV]
+    fresh = []
+    for argv in argvs:
+        fresh.append(cli_bytes.run(argv, SRC, tmp_path))
+        assert cli_bytes.run_in_process(argv, tmp_path) == fresh[-1], argv
+    assert fresh[1][0] == 2 and fresh[1][2].endswith(b"error: unrecognized arguments: --bogus\n")
+    assert fresh[3][0] == 0 and fresh[3][1].startswith(b"usage: dasqos delay ")
 
 
 def test_simulator_documents_simulate(tmp_path, monkeypatch):
@@ -52,4 +66,4 @@ def test_simulator_documents_simulate(tmp_path, monkeypatch):
         csv = (tmp_path / "sim.csv").read_bytes()
         assert csv.startswith(b"flow,d_th,prob_sim,ci_low,ci_high,prob_analytic\n")
     # the retrying level above a unit one, as the gate runs it
-    assert cli_bytes.compare(argvs[0], SRC, SRC, tmp_path)
+    assert cli_bytes.run(argvs[0], SRC, tmp_path) == cli_bytes.run(argvs[0], SRC, tmp_path)
