@@ -8,10 +8,11 @@ config snippet; sweep scores a shared-radius grid.
 
 Each CSV table is written with one %-format taken from its first row:
 %.9g for a float cell (numpy float64 included), %s for any other, so every
-column of a table holds one cell type. The CSV path, --out or run.output, is
-opened without truncation before the command runs, so a path that cannot
-be written fails at once; a failed run neither truncates an existing file
-nor leaves a new one behind.
+column of a table holds one cell type. The format is applied to all the
+table's cells at once, and a row of another width raises TypeError. The CSV
+path, --out or run.output, is opened without truncation before the command
+runs, so a path that cannot be written fails at once; a failed run neither
+truncates an existing file nor leaves a new one behind.
 
 Analytic delay, and scenario parsing, run without numpy; the commands that
 need it (delay --simulate, outage, optimize, sweep) import it when they run.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import os
 import sys
 from dataclasses import replace
@@ -129,12 +131,20 @@ def _claim_output(path: str) -> bool:
 
 def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
     # one %-format for the table, from its first row's cells: %.9g is
-    # format_float for any float (numpy's too), %s is str for the rest
-    lines = [",".join(header)]
+    # format_float for any float (numpy's too), %s is str for the rest.
+    # It is repeated once per row and applied once to every cell, flattened
+    # by one list extend per row (cheaper than itertools.chain), so every
+    # row's width is checked first: a short row and a long one would
+    # otherwise cancel out and shift the cells between them, where fmt % row
+    # raised
+    text = ",".join(header) + "\n"
     if rows:
-        fmt = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
-        lines += map(fmt.__mod__, rows)
-    text = "\n".join(lines) + "\n"
+        width = len(rows[0])
+        fmt = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        if list(map(len, rows)).count(width) != len(rows):
+            bad = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise TypeError(f"row {bad} has {len(rows[bad])} cells, the first row {width}")
+        text += (fmt * len(rows)) % tuple(functools.reduce(operator.iconcat, rows, []))
     if out is None:
         sys.stdout.write(text)
         return
@@ -280,11 +290,18 @@ def cmd_outage(args, cfg: ScenarioConfig) -> None:
 
 
 def cmd_optimize(args, cfg: ScenarioConfig) -> None:
-    from .placement import RMConfig, rm_optimize
+    from .placement import RMConfig, rm_optimize, start_radii
 
     scenario, rng = _cell(cfg)
     antennas = scenario.antennas
     rm_cfg = cfg.rm if cfg.rm is not None else RMConfig()
+    start = start_radii(antennas, rm_cfg.mode)
+    if start != antennas.radii:
+        print(
+            f"warning: {rm_cfg.mode} starts every antenna at radius {format_float(start[0])}, "
+            "the first antenna's by angle; the other start radii were not used",
+            file=sys.stderr,
+        )
     final, trace = rm_optimize(scenario, antennas, rm_cfg, rng)
 
     # each row is a whole layout, the first antenna's radius at 0, its angle at m

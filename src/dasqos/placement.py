@@ -50,7 +50,8 @@ class RMConfig:
     """Knobs for the Robbins-Monro loop.
 
     mode "radius_only" moves one shared radius, tied at the first antenna's
-    start radius, and keeps the initial angles; "full_polar" moves every
+    start radius (the optimize command says so on stderr when the start
+    radii differ), and keeps the initial angles; "full_polar" moves every
     radius and angle. Steps are step_scale * n^(-step_exponent); the
     gradient is a finite difference with half-width fd_step, in (0, 0.5].
     The loop stops at max_iter or once the Polyak average moved less than
@@ -109,17 +110,22 @@ def step_sequence(n: int, scale: float, exponent: float) -> float:
     return scale * float(n) ** -exponent
 
 
+def start_radii(init: AntennaVector, mode: RMMode) -> tuple[float, ...]:
+    """The radii the search starts from: init's for full_polar; for
+    radius_only every radius tied to the first (by angle)."""
+    return (init.radii[0],) * init.count if mode == "radius_only" else init.radii
+
+
 def _search_space(init: AntennaVector, mode: RMMode) -> tuple[np.ndarray, np.ndarray]:
-    """The search's start layout, init's M radii then its M angles, and its
+    """The search's start layout, start_radii then init's M angles, and its
     steps, (parameters, 2M) rows of layout: the identity for full_polar;
-    for radius_only one row that moves every radius, from every radius
-    tied to the first."""
+    for radius_only one row that moves every radius together."""
     m = init.count
     if mode == "radius_only":
-        radii, rows = (init.radii[0],) * m, np.hstack([np.ones((1, m)), np.zeros((1, m))])
+        rows = np.hstack([np.ones((1, m)), np.zeros((1, m))])
     else:
-        radii, rows = init.radii, np.eye(2 * m)
-    return np.array(radii + init.angles), rows
+        rows = np.eye(2 * m)
+    return np.array(start_radii(init, mode) + init.angles), rows
 
 
 def _score(

@@ -2,9 +2,12 @@
 
 Ints (bools included) go through str, floats through format_float, and
 everything else through str; the cells of a row are joined by commas.
-cli._emit now formats every row with one %-format taken from the table's
-first row, and must reproduce this text byte for byte on any table whose
-columns each hold one cell type.
+cli._emit now takes one %-format from the table's first row, repeats it
+once per row and applies it once to all the table's cells flattened. It
+must reproduce this text byte for byte on any table whose columns each
+hold one cell type, and raise TypeError on a row whose width differs from
+the first row's, as the per-row format did, even where the widths of two
+ragged rows cancel out.
 """
 from __future__ import annotations
 

@@ -491,9 +491,9 @@ def test_optimize_and_sweep_bytes_are_pinned(run, tmp_path):
 
 # sha256 of the CSV, stdout and stderr of two short searches whose starts
 # the pins above do not reach: radius_only from unequal radii, which the
-# search ties to the first antenna's (by angle), and full_polar at
-# alpha = 0.6 from radii within fd_step of both bounds, whose first probes
-# are one-sided at each.
+# search ties to the first antenna's (by angle), saying so on stderr, and
+# full_polar at alpha = 0.6 from radii within fd_step of both bounds, whose
+# first probes are one-sided at each.
 UNEQUAL_START_TEXT = """\
 channel:
   path_loss_exponent: 2.0
@@ -522,7 +522,7 @@ SEARCH_START_PINS = [
         UNEQUAL_START_TEXT,
         "6b52ee08e8535b71092b65882f04a82a639bf36e5b3d0f3376a26dfbc36b9ca7",
         "393728cdfdb59fb2c80803fd2ba9b9f9ff1eb0c3410c273ce65dafdbe7c17dec",
-        "301a6ca04041171f1c6598784854689f7ba74fab82aafb9353c05e8cf5fdb983",
+        "1e76af85b0675f5b8be328bb163c18660cb3cd915df4ee79e95c72a0c61af87a",
     ),
     (
         BOUND_START_TEXT,
@@ -540,6 +540,33 @@ def test_search_start_bytes_are_pinned(run, tmp_path, config, csv_pin, out_pin, 
     assert code == 0
     sha = lambda data: hashlib.sha256(data).hexdigest()
     assert (sha(trace.read_bytes()), sha(out.encode()), sha(err.encode())) == (csv_pin, out_pin, err_pin)
+
+
+@pytest.mark.parametrize(
+    "mode, radii, warning",
+    [
+        # the first antenna by angle is neither the first listed nor the smallest
+        ("radius_only", "[0.5, 0.3, 0.1, 0.9]", "radius 0.9"),
+        ("radius_only", "[0.4, 0.4, 0.4, 0.4]", None),
+        ("full_polar", "[0.5, 0.3, 0.1, 0.9]", None),
+    ],
+)
+def test_radius_only_says_which_start_radius_it_uses(run, mode, radii, warning):
+    config = (
+        UNEQUAL_START_TEXT.replace("max_iter: 40", f"max_iter: 2, mode: {mode}")
+        .replace("[0.1, 0.5, 0.3, 0.9]", radii)
+        .replace("[0.3, 1.0, 2.0, 4.0]", "[4.0, 1.0, 2.0, 0.3]")
+    )
+    code, _, err = run(["optimize"], config=config)
+    assert code == 0
+    if warning is None:
+        assert "warning" not in err
+    else:
+        assert err.startswith(
+            f"warning: radius_only starts every antenna at {warning}, the first "
+            "antenna's by angle; the other start radii were not used\n"
+        )
+        assert err.count("warning") == 1
 
 
 # Four flows, one of each arrival kind, on a 1,001-point grid: the largest
@@ -666,6 +693,23 @@ def test_emit_matches_per_cell_oracle(header, rows):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         _emit(header, rows, None)
     assert out.getvalue() == emit_text(header, rows)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [3, 2],
+        [3, 4],
+        # 9 cells, three rows' worth: only a row-by-row check sees it
+        [3, 2, 4],
+    ],
+    ids=["short", "long", "cancelling"],
+)
+def test_emit_rejects_a_ragged_row(lengths):
+    rows = [(0.5,) * n for n in lengths]
+    with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(TypeError):
+        _emit(["a", "b", "c"], rows, None)
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize(
