@@ -11,7 +11,8 @@ exit code, stdout, stderr and --out CSV are compared. The commands are
 README's five, on its scenario block; `outage` on that scenario with a
 pinned `geometry.users` vector, as CI runs it; the four perfbench
 workloads' documents (`perfbench/workloads.py`, read only) at seeds 1 and
-20261017; and `delay --simulate` on the fixed documents of SIM_SCENARIOS.
+20261017; `delay --simulate` on the fixed documents of SIM_SCENARIOS; and
+`delay --simulate`, `sweep`, `optimize` and `outage` on LINKED_SCENARIO.
 An argparse error (ERROR_ARGV) and a help page (HELP_ARGV) run between
 them.
 
@@ -84,6 +85,27 @@ SIM_SCENARIOS = {
     "sim-p-0.yaml": _document(0.0, 1000, _poisson(0.2), _poisson(0.6, _retry(0.0, 4))),
     "sim-long-runs.yaml": _document(0.9, 1000, _poisson(0.1), _poisson(0.12, _retry(0.9, 6))),
 }
+
+
+# One document on which every caller of the expected-outage scorer runs with
+# settings no other command gives it: `linked` delay, and the sweep, the
+# search and the sampled outage at exponent 3.7 and alpha 0.6.
+LINKED_SCENARIO = """\
+flows:
+  - priority: 1
+    arrival: {kind: poisson, rate: 0.2}
+    service: {kind: unit}
+  - priority: 2
+    arrival: {kind: poisson, rate: 0.3}
+    service: {kind: unit}
+channel: {path_loss_exponent: 3.7, on_probability: 0.6}
+geometry:
+  cluster_size: 7
+  spacing: 2.0
+  antennas: {count: 4, radius: 0.3}
+rm: {mode: full_polar, max_iter: 20, eval_samples: 2000}
+run: {attempt_failure_prob: linked, samples: 4000, horizon: 40000, warmup: 1000, seed: 11}
+"""
 
 
 def _out_path(argv: list[str], cwd: Path) -> Path | None:
@@ -172,6 +194,19 @@ def simulator_commands(workdir: Path) -> list[list[str]]:
     return argvs
 
 
+def linked_commands(workdir: Path) -> list[list[str]]:
+    """`delay --simulate`, `sweep`, `optimize` and `outage` on LINKED_SCENARIO,
+    written to workdir."""
+    (workdir / "linked.yaml").write_text(LINKED_SCENARIO, encoding="utf-8")
+    config = ["--config", "linked.yaml"]
+    return [
+        ["delay", *config, "--dth", "0:20:2", "--simulate"],
+        ["sweep", *config, "--radii", "0:0.9:0.1"],
+        ["optimize", *config],
+        ["outage", *config],
+    ]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="compare CLI output bytes with a git ref")
     parser.add_argument("--base", metavar="REF", required=True, help="git ref to compare with")
@@ -192,6 +227,7 @@ def main(argv: list[str]) -> int:
             *perfbench_commands(workdir),
             HELP_ARGV,
             *simulator_commands(workdir),
+            *linked_commands(workdir),
         ]
 
         def report(same: bool, command: list[str]) -> None:

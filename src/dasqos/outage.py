@@ -34,6 +34,11 @@ stepping through the layouts inside each block, _BLOCK // block of them
 at a time (at least one), so every array step runs along a block of users
 and its temporaries stay about one block in size. Both paths compute an
 antenna's outage with _antenna_outage.
+score_layouts is the one expected-outage scorer: it draws one batch of
+users, runs layout_outage on it a slice of layouts at a time, and turns
+each layout's values into a mean and a standard error. expected_outage
+scores one layout with it, and the radius sweep and the search's trace
+score theirs.
 The checks on it live under tests/: the scalar product form it replaced,
 the log-space form the recurrence replaced, the paper's partial-fraction
 expansion, exact rational arithmetic and a fading Monte Carlo.
@@ -49,6 +54,9 @@ from .errors import ConfigError
 from .geometry import AntennaVector, ClusterLayout, UserVector, sample_user_batch, user_coordinates
 
 _BLOCK = 6144  # users per cell-major step; bounds the kernel's temporaries
+# outage values score_layouts holds at once (4 MB): a 70 x 5,000 search trace
+# and a 19 x 10,000 radius sweep each take one slice
+_SCORE_VALUES = 2**19
 
 
 @dataclass(frozen=True)
@@ -92,17 +100,6 @@ class CellScenario:
 class OutageEstimate:
     value: float
     std_err: float
-
-
-def row_estimates(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean of each row of values (rows, samples) and its standard
-    error: numpy's std(ddof=1) / sqrt(samples) step by step, in place, so
-    no rows x samples temporary is made. values is overwritten."""
-    samples = values.shape[1]
-    mean = values.mean(axis=1)
-    values -= mean[:, None]
-    values *= values
-    return mean, np.sqrt(values.sum(axis=1) / (samples - 1)) / math.sqrt(samples)
 
 
 def _staggered(*sizes: int) -> list[np.ndarray]:
@@ -258,34 +255,51 @@ def conditional_system_outage(scenario: CellScenario, users: UserVector) -> floa
     return _pinned_outage(scenario, users)
 
 
+def score_layouts(
+    scenario: CellScenario, polar: np.ndarray, height: float, samples: int, rng: np.random.Generator
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Expected outage and standard error of each layout at one height,
+    all scored on one batch of samples users drawn from rng.
+
+    The layouts are scored max(1, _SCORE_VALUES // samples) at a time, so
+    the values held at once stay under a fixed budget however many rows and
+    samples; each row's estimates do not depend on the slicing. A row's
+    standard error is numpy's std(ddof=1) / sqrt(samples) step by step, in
+    place on the slice's values, so no further rows x samples array is made.
+    """
+    ux, uy = sample_user_batch(scenario.layout, samples, rng)
+    rows = max(1, _SCORE_VALUES // samples)
+    mean, std_err = [], []
+    for s in range(0, len(polar), rows):
+        values = layout_outage(scenario.channel, polar[s : s + rows], height, ux, uy)
+        row_mean = values.mean(axis=1)
+        values -= row_mean[:, None]
+        values *= values
+        mean += row_mean.tolist()
+        std_err += (np.sqrt(values.sum(axis=1) / (samples - 1)) / math.sqrt(samples)).tolist()
+        del values  # so no two slices' values are ever held at once
+    return tuple(mean), tuple(std_err)
+
+
 def expected_outage(
     scenario: CellScenario,
     samples: int,
     rng: np.random.Generator,
     workers: int = 1,
 ) -> OutageEstimate:
-    """System outage marginalized over user placement.
+    """System outage marginalized over user placement: score_layouts on
+    the scenario's one layout.
 
     Draws `samples` independent user vectors, evaluates the conditional
     system outage for each, and averages. The user stream depends only on
     rng, never on the antenna layout, so calls sharing a seed share their
-    user draws (common random numbers across layouts). workers > 1 splits
-    the batch across threads; the values do not depend on the split.
-    samples >= 2, as config.RunParams checks it.
+    user draws (common random numbers across layouts). samples >= 2, as
+    config.RunParams checks it. workers is accepted and unused: splitting
+    the batch across threads gained nothing over one thread, and the
+    benchmark under perfbench/ still passes workers=2.
     """
     a = scenario.antennas
-    ux, uy = sample_user_batch(scenario.layout, samples, rng)
-    polar = np.array([[a.radii, a.angles]])
-    if workers <= 1 or samples < 2 * workers:
-        values = layout_outage(scenario.channel, polar, a.height, ux, uy)
-    else:
-        # imported here, as at module level it would slow every CLI start-up
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda xy: layout_outage(scenario.channel, polar, a.height, *xy),
-                zip(np.array_split(ux, workers), np.array_split(uy, workers)),
-            )
-            values = np.concatenate(list(parts), axis=1)
-    mean, std_err = row_estimates(values)
-    return OutageEstimate(float(mean[0]), float(std_err[0]))
+    (value,), (std_err,) = score_layouts(
+        scenario, np.array([[a.radii, a.angles]]), a.height, samples, rng
+    )
+    return OutageEstimate(value, std_err)

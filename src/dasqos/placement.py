@@ -15,12 +15,13 @@ every radius together, from every radius tied to the first. A gradient
 over the parameters enters the layout as gradient @ rows. Probes and
 trace rows reach the kernel as polar arrays (geometry.antenna_polar):
 each gradient's probe layouts in one call on its user vector, the
-kernel's one-user pass; the trace rows in one call after the loop, their
-means and standard errors taken in one pass over the rows.
+kernel's one-user pass; the trace rows after the loop, through
+outage.score_layouts, the scorer behind expected_outage.
 
 radius_sweep is the deterministic cross-check: expected outage on a radius
-grid for a symmetric antenna circle, every radius scored on one batch of
-users drawn once, so the argmin is not an artifact of sampling noise.
+grid for a symmetric antenna circle, every radius scored by
+outage.score_layouts on one batch of users drawn once, so the argmin is
+not an artifact of sampling noise.
 """
 from __future__ import annotations
 
@@ -31,16 +32,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import AntennaVector, antenna_polar, sample_user_batch
-from .outage import CellScenario, layout_outage, row_estimates
+from .outage import CellScenario, layout_outage, score_layouts
 
 GRADIENT_FLOOR = 1e-6  # |g| below this counts as vanished when flagging divergence
 RADIUS_BOUNDS = (0.0, 1.0)  # radii are clamped to the unit cell after each step
 # the largest fd_step, half the radius range: a probe that would push a radius
 # past one bound then has room on the other side
 MAX_FD_STEP = 0.5
-# outage values _score holds at once (4 MB): a 70 x 5,000 search trace and a
-# 19 x 10,000 radius sweep each take one slice
-_SCORE_VALUES = 2**19
 
 RMMode = Literal["radius_only", "full_polar"]
 
@@ -128,26 +126,6 @@ def _search_space(init: AntennaVector, mode: RMMode) -> tuple[np.ndarray, np.nda
     return np.array(start_radii(init, mode) + init.angles), rows
 
 
-def _score(
-    scenario: CellScenario, polar: np.ndarray, height: float, samples: int, seed: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Expected outage and standard error of each layout at one height,
-    all scored on one batch of samples users drawn from seed. The layouts
-    are scored max(1, _SCORE_VALUES // samples) at a time, so the values
-    held at once stay under a fixed budget however many rows and samples;
-    each row's values and estimates do not depend on the slicing."""
-    ux, uy = sample_user_batch(scenario.layout, samples, np.random.default_rng(seed))
-    rows = max(1, _SCORE_VALUES // samples)
-    mean, std_err = np.concatenate(
-        [
-            row_estimates(layout_outage(scenario.channel, polar[s : s + rows], height, ux, uy))
-            for s in range(0, len(polar), rows)
-        ],
-        axis=1,
-    )
-    return tuple(mean.tolist()), tuple(std_err.tolist())
-
-
 def _fd_gradient(
     scenario: CellScenario,
     params: np.ndarray,
@@ -195,15 +173,16 @@ def rm_optimize(
 
     Each iteration draws a fresh user vector from rng and descends the
     conditional outage. The loop records only the iterates and averages
-    it reaches, so max_iter reserves nothing up front; after it, every trace row is scored in one kernel call on one
-    evaluation batch, drawn from a seed taken from rng before the first
-    iteration, so successive rows differ only through the antenna
-    locations, not through which users were sampled.
+    it reaches, so max_iter reserves nothing up front; after it,
+    score_layouts scores every trace row on one evaluation batch, drawn
+    from a seed taken from rng before the first iteration, so successive
+    rows differ only through the antenna locations, not through which
+    users were sampled.
     """
     params, rows = _search_space(init, cfg.mode)
     m = init.count
     # drawn from a seed of its own, the evaluation batch leaves rng's stream alone
-    eval_seed = int(rng.integers(2**63))
+    eval_rng = np.random.default_rng(int(rng.integers(2**63)))
 
     # entry n - 1 holds iteration n's iterate and average; the last step's
     # update goes to entry max_iter, which no trace row shows
@@ -239,7 +218,7 @@ def rm_optimize(
     diverged = bool(np.any(pinned_streak >= cfg.convergence_window))
     shown = np.array(averages[: cfg.max_iter])
     polar = antenna_polar(shown[:, :m], shown[:, m:])
-    outage, outage_se = _score(scenario, polar, init.height, cfg.eval_samples, eval_seed)
+    outage, outage_se = score_layouts(scenario, polar, init.height, cfg.eval_samples, eval_rng)
     iterates = tuple(tuple(row.tolist()) for row in iterates[: cfg.max_iter])
     trace = RMTrace(iterates, tuple(map(tuple, shown.tolist())), outage, outage_se, converged, diverged)
     return AntennaVector(tuple(average[:m]), tuple(average[m:]), init.height), trace
@@ -271,5 +250,5 @@ def radius_sweep(
     base = scenario.antennas
     tied = np.repeat(np.array(grid)[:, None], base.count, axis=1)
     polar = antenna_polar(tied, np.broadcast_to(base.angles, tied.shape))
-    seed = int(rng.integers(2**63))
-    return SweepResult(tuple(grid), *_score(scenario, polar, base.height, samples, seed))
+    eval_rng = np.random.default_rng(int(rng.integers(2**63)))
+    return SweepResult(tuple(grid), *score_layouts(scenario, polar, base.height, samples, eval_rng))

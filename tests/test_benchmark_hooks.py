@@ -71,8 +71,9 @@ def test_read_parameter_exists(module, function, parameter):
 
 
 def test_benchmark_call_signatures():
-    # perfbench/run.py times expected_outage at two worker counts, and the
-    # simulate span reads cfg.horizon
+    # perfbench/run.py passes expected_outage workers=1 and workers=2 (the
+    # parameter is inert; both take one thread), and the simulate span reads
+    # cfg.horizon
     assert "workers" in inspect.signature(expected_outage).parameters
     assert "horizon" in {f.name for f in fields(SimConfig)}
 

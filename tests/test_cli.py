@@ -13,8 +13,6 @@ import io
 import json
 import math
 import os
-import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +33,7 @@ from dasqos.traffic import DeterministicUnit, Poisson, TrafficFlow, TruncatedGeo
 from analysis_helpers import delay_violation_probability
 from emit_oracle import emit_text
 from probe_loop_oracle import antenna_outage_closed_form
+from test_cli_bytes import cli_bytes
 
 F2_TEXT = """\
 channel:
@@ -752,19 +751,6 @@ def test_every_row_has_the_first_rows_cell_types(run, monkeypatch, argv, config)
         assert tuple(map(type, row)) == first
 
 
-README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-
-
-def _readme_commands() -> list[list[str]]:
-    """README's command lines, each optional [flag] left out and then put in."""
-    argvs = []
-    for line in re.findall(r"^dasqos (.*)$", README, re.M):
-        argvs.append(shlex.split(re.sub(r"\[[^]]*\]", "", line)))
-        if "[" in line:
-            argvs.append(shlex.split(line.replace("[", "").replace("]", "")))
-    return argvs
-
-
 # sha256 of each README command's stdout and stderr; optimize runs the
 # default radius_only search, which no other pin covers
 README_PINS = [
@@ -780,11 +766,11 @@ README_PINS = [
 
 
 def test_readme_example_runs_as_documented(run, tmp_path, monkeypatch):
-    # the scenario block and the command lines, exactly as README gives them
+    # the scenario block and the command lines, exactly as README gives
+    # them, read as the byte gate reads them; its last command, the
+    # pinned-user outage, is not README's
     monkeypatch.chdir(tmp_path)
-    scenario = re.search(r"```yaml\n# scenario.yaml\n(.*?)```", README, re.S).group(1)
-    (tmp_path / "scenario.yaml").write_text(scenario, encoding="utf-8")
-    argvs = _readme_commands()
+    argvs = cli_bytes.readme_commands(tmp_path)[:-1]
     assert [a[0] for a in argvs] == ["delay", "delay", "outage", "optimize", "sweep"]
     assert "--simulate" in argvs[1]
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest() if text else ""
@@ -1340,8 +1326,8 @@ assert "concurrent.futures" not in sys.modules
 
 def test_cli_start_up_and_analytic_delay_run_without_numpy(tmp_path):
     # numpy is most of a CLI start-up and only the commands that draw use it;
-    # concurrent.futures is for expected_outage(workers > 1) alone, and its
-    # import pulls logging and queue in
+    # no command runs a thread pool, and importing concurrent.futures
+    # would pull logging and queue into every start-up
     config = tmp_path / "flows.yaml"
     config.write_text(START_UP_TEXT)
     argv = ["delay", "--config", str(config), "--dth", "0:30:0.5", "--out"]

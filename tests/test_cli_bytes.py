@@ -67,3 +67,14 @@ def test_simulator_documents_simulate(tmp_path, monkeypatch):
         assert csv.startswith(b"flow,d_th,prob_sim,ci_low,ci_high,prob_analytic\n")
     # the retrying level above a unit one, as the gate runs it
     assert cli_bytes.run(argvs[0], SRC, tmp_path) == cli_bytes.run(argvs[0], SRC, tmp_path)
+
+
+def test_linked_commands_run(tmp_path):
+    # a document the parser rejects reads "identical" on both trees and
+    # reaches no scorer, so each of the four commands must run
+    argvs = cli_bytes.linked_commands(tmp_path)
+    assert [a[0] for a in argvs] == ["delay", "sweep", "optimize", "outage"]
+    results = [cli_bytes.run_in_process(argv, tmp_path) for argv in argvs]
+    assert [code for code, *_ in results] == [0, 0, 0, 0]
+    assert results[0][2].startswith(b"linked attempt failure probability = ")
+    assert results[0][1].startswith(b"flow,d_th,prob_sim,ci_low,ci_high,prob_analytic\n")

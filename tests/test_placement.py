@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dasqos import placement
+from dasqos import outage, placement
 from dasqos.errors import ConfigError
 from dasqos.geometry import (
     AntennaVector,
@@ -373,8 +373,12 @@ class TestBatchedScoring:
             layouts_per_call.append(len(polar))
             return kernel(channel, polar, *rest)
 
+        # the probes reach the kernel from placement, the trace through
+        # outage.score_layouts
         kernel = placement.layout_outage
-        with mock.patch.object(placement, "layout_outage", counting):
+        with mock.patch.object(placement, "layout_outage", counting), mock.patch.object(
+            outage, "layout_outage", counting
+        ):
             _, trace = rm_optimize(scenario, init, cfg, np.random.default_rng(3))
         probes = 2 if mode == "radius_only" else 16
         moved = [a != b for a, b in zip(trace.averages, trace.averages[1:])]
@@ -419,7 +423,7 @@ class TestBatchedScoring:
         scenario = cluster_scenario(3.5, 0.6)
         grid = tuple(i * 0.1 for i in range(9))
         whole = radius_sweep(scenario, grid, 700, np.random.default_rng(13))
-        with mock.patch.object(placement, "_SCORE_VALUES", budget):
+        with mock.patch.object(outage, "_SCORE_VALUES", budget):
             sliced = radius_sweep(scenario, grid, 700, np.random.default_rng(13))
         assert sliced == whole
 
@@ -432,7 +436,7 @@ class TestBatchedScoring:
         polar = antenna_polar(rng.random((400, 4)), rng.random((400, 4)) * 6.0)
         tracemalloc.start()
         try:
-            placement._score(scenario, polar, 0.05, 5000, 9)
+            outage.score_layouts(scenario, polar, 0.05, 5000, np.random.default_rng(9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
