@@ -11,10 +11,10 @@ exit code, stdout, stderr and --out CSV are compared. The commands are
 README's five, on its scenario block; `outage` on that scenario with a
 pinned `geometry.users` vector, as CI runs it; the four perfbench
 workloads' documents (`perfbench/workloads.py`, read only) at seeds 1 and
-20261017; `delay --simulate` on the fixed documents of SIM_SCENARIOS; and
-`delay --simulate`, `sweep`, `optimize` and `outage` on LINKED_SCENARIO.
-An argparse error (ERROR_ARGV) and a help page (HELP_ARGV) run between
-them.
+20261017; `delay --simulate` on the fixed documents of SIM_SCENARIOS;
+`delay --simulate`, `sweep`, `optimize` and `outage` on LINKED_SCENARIO;
+and the analytic `delay` cases of analytic_commands(). An argparse error
+(ERROR_ARGV) and a help page (HELP_ARGV) run between them.
 
 A second pass runs the same commands once more, in the same order, through
 `dasqos.cli.main(argv)` in this one interpreter on the working tree, and
@@ -155,11 +155,17 @@ def run_in_process(argv: list[str], cwd: Path) -> tuple:
     return code, stdout.buffer.getvalue(), stderr.buffer.getvalue(), _read(out)
 
 
+def readme_scenario() -> str:
+    """README's scenario block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```yaml\n# scenario.yaml\n(.*?)```", readme, re.S).group(1)
+
+
 def readme_commands(workdir: Path) -> list[list[str]]:
     """README's command lines, each optional [flag] left out and then put in,
     on its scenario block written to workdir, plus the pinned-user outage."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    scenario = re.search(r"```yaml\n# scenario.yaml\n(.*?)```", readme, re.S).group(1)
+    scenario = readme_scenario()
     (workdir / "scenario.yaml").write_text(scenario, encoding="utf-8")
     pinned = re.sub(r"^  antennas: .*\n", lambda m: m.group(0) + PINNED_USERS, scenario, flags=re.M)
     (workdir / "pinned.yaml").write_text(pinned, encoding="utf-8")
@@ -171,14 +177,18 @@ def readme_commands(workdir: Path) -> list[list[str]]:
     return argvs + [["outage", "--config", "pinned.yaml"]]
 
 
-def perfbench_commands(workdir: Path) -> list[list[str]]:
-    """The argv of each perfbench workload's document at each seed in SEEDS."""
+def _workloads() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
+    return WORKLOADS
+
+
+def perfbench_commands(workdir: Path) -> list[list[str]]:
+    """The argv of each perfbench workload's document at each seed in SEEDS."""
     argvs = []
     for seed in SEEDS:
-        for name, workload in WORKLOADS.items():
+        for name, workload in _workloads().items():
             seed_dir = workdir / f"{name}-{seed}"
             seed_dir.mkdir()
             argvs.append(workload.prepare(seed, str(seed_dir)).argv)
@@ -207,6 +217,27 @@ def linked_commands(workdir: Path) -> list[list[str]]:
     ]
 
 
+def analytic_commands(workdir: Path) -> list[list[str]]:
+    """Analytic `delay` cases that README's lines and perfbench's documents
+    leave out, written to workdir: `--flow` alone, a comma-list grid with
+    -0, the least subnormal and 1.5e20, perfbench's `delay-analytic`
+    document on a 3,001-point grid (12,004 rows), and README's scenario
+    under `higher_priority_mode: exact_poisson`."""
+    scenario = readme_scenario()
+    (workdir / "scenario.yaml").write_text(scenario, encoding="utf-8")
+    exact = scenario.replace("\nrun: {", "\nrun: {higher_priority_mode: exact_poisson, ")
+    (workdir / "exact.yaml").write_text(exact, encoding="utf-8")
+    (workdir / "analytic").mkdir()
+    long_grid = _workloads()["delay-analytic"].prepare(SEEDS[0], str(workdir / "analytic")).argv
+    long_grid[long_grid.index("--dth") + 1] = "0:150:0.05"
+    return [
+        ["delay", "--config", "scenario.yaml", "--dth", "0:30:1", "--flow", "2"],
+        ["delay", "--config", "scenario.yaml", "--dth=-0,5e-324,0.5,3,1.5e20"],
+        long_grid,
+        ["delay", "--config", "exact.yaml", "--dth", "0:30:1"],
+    ]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="compare CLI output bytes with a git ref")
     parser.add_argument("--base", metavar="REF", required=True, help="git ref to compare with")
@@ -228,6 +259,7 @@ def main(argv: list[str]) -> int:
             HELP_ARGV,
             *simulator_commands(workdir),
             *linked_commands(workdir),
+            *analytic_commands(workdir),
         ]
 
         def report(same: bool, command: list[str]) -> None:

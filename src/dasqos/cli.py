@@ -6,13 +6,18 @@ outage for pinned users or the expectation over user placement; optimize
 runs the stochastic placement search and echoes the final layout as a
 config snippet; sweep scores a shared-radius grid.
 
-Each CSV table is written with one %-format taken from its first row:
+A table of rows is written with one %-format taken from its first row:
 %.9g for a float cell (numpy float64 included), %s for any other, so every
 column of a table holds one cell type. The format is applied to all the
-table's cells at once, and a row of another width raises TypeError. The CSV
-path, --out or run.output, is opened without truncation before the command
-runs, so a path that cannot be written fails at once; a failed run neither
-truncates an existing file nor leaves a new one behind.
+table's cells at once, and a row of another width raises TypeError. The
+analytic delay curve builds no rows: each flow's block is one %-template,
+its id and the thresholds (formatted once, %.9g) already in place, applied
+to that flow's probabilities. Both write the same bytes as %.9g per float
+cell and str per other cell.
+
+The CSV path, --out or run.output, is opened without truncation before the
+command runs, so a path that cannot be written fails at once; a failed run
+neither truncates an existing file nor leaves a new one behind.
 
 Analytic delay, and scenario parsing, run without numpy; the commands that
 need it (delay --simulate, outage, optimize, sweep) import it when they run.
@@ -109,11 +114,13 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, step = values
     if step <= 0.0 or stop < start:
         raise ConfigError(f"grid needs stop >= start and step > 0: {text!r}")
-    steps = (stop - start) / step  # inf when the span overflows
+    # the last index, not the last value, is bounded: start + i*step can
+    # round past stop by more than a fixed slack (0:25664.1:7.7 by 3.6e-12),
+    # while the span in steps misses its whole number by ~1e-11 at most
+    steps = (stop - start) / step + 1e-9  # inf when the span overflows
     if not steps < MAX_GRID_POINTS:
         raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    grid = [start + i * step for i in range(round(steps) + 1)]
-    return [g for g in grid if g <= stop + 1e-12]
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def _claim_output(path: str) -> bool:
@@ -145,6 +152,11 @@ def _emit(header: list[str], rows: list[tuple], out: str | None) -> None:
             bad = next(i for i, row in enumerate(rows) if len(row) != width)
             raise TypeError(f"row {bad} has {len(rows[bad])} cells, the first row {width}")
         text += (fmt * len(rows)) % tuple(functools.reduce(operator.iconcat, rows, []))
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
+    """text to stdout, or to the --out file (ConfigError if it cannot be written)."""
     if out is None:
         sys.stdout.write(text)
         return
@@ -225,15 +237,17 @@ def cmd_delay(args, cfg: ScenarioConfig) -> None:
     rates = [(pr, delay_decay_rate(system, pr)) for pr in priorities]
 
     if not args.simulate:
-        # each threshold is formatted once for all flows; _emit writes the
-        # string as %s, the same bytes as its %.9g
-        labels = [format_float(d) for d in thresholds]
-        rows = [
-            (pr, label, math.exp(-rate * d))
-            for pr, rate in rates
-            for d, label in zip(thresholds, labels)
-        ]
-        _emit(["flow", "d_th", "prob_analytic"], rows, cfg.run.output)
+        # no rows: one row tail ",<d_th>,%.9g" per threshold, the thresholds
+        # formatted once (%.9g, format_float's bytes), then per flow one
+        # %-template, the flow id put before every tail, applied to its
+        # probabilities. "\n," occurs only between two tails, and d_th labels
+        # are numbers and flow ids ints, so neither holds a % of its own
+        tails = ",%.9g,%%.9g\n" * len(thresholds) % tuple(thresholds)
+        text = "flow,d_th,prob_analytic\n"
+        for pr, rate in rates:
+            template = f"{pr}{tails}".replace("\n,", f"\n{pr},")
+            text += template % tuple([math.exp(-rate * d) for d in thresholds])
+        _write(text, cfg.run.output)
         return
 
     from .slotsim import SimConfig, simulate

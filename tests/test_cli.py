@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ import dasqos
 from dasqos import cli, outage, placement
 from dasqos.cli import _emit, main
 from dasqos.config import format_float, parse_scenario
-from dasqos.delay import PrioritySystem
+from dasqos.delay import PrioritySystem, delay_decay_rate
 from dasqos.geometry import symmetric_circle
 from dasqos.outage import CellScenario
 from dasqos.traffic import DeterministicUnit, Poisson, TrafficFlow, TruncatedGeometric
@@ -714,7 +715,6 @@ def test_emit_rejects_a_ragged_row(lengths):
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["delay", "--dth", "0:3:1"], FLOWS_TEXT),
         (["delay", "--dth", "0:3:1", "--simulate"], FLOWS_TEXT),
         (["outage"], THREE_ANTENNA_TEXT),
         (["outage"], SWEEP_TEXT),
@@ -724,7 +724,6 @@ def test_emit_rejects_a_ragged_row(lengths):
         (["optimize"], PIN_OPT_TEXT),
     ],
     ids=[
-        "delay-analytic",
         "delay-simulate",
         "outage-pinned",
         "outage-sampled",
@@ -735,7 +734,8 @@ def test_emit_rejects_a_ragged_row(lengths):
     ],
 )
 def test_every_row_has_the_first_rows_cell_types(run, monkeypatch, argv, config):
-    # _emit takes its one %-format from the first row's cells
+    # _emit takes its one %-format from the first row's cells; the analytic
+    # delay curve builds no rows (test_analytic_delay_matches_per_row_oracle)
     tables = []
 
     def emit(header, rows, out):
@@ -749,6 +749,54 @@ def test_every_row_has_the_first_rows_cell_types(run, monkeypatch, argv, config)
     for row in rows:
         assert type(row) is tuple
         assert tuple(map(type, row)) == first
+
+
+# The flows of FOUR_FLOWS_TEXT, one YAML item each: any subset in order is a
+# stable system with gaps between its priorities.
+ANALYTIC_FLOWS = ["  - priority:" + item for item in FOUR_FLOWS_TEXT.split("  - priority:")[1:]]
+GRID_EDGES = [-0.0, 0.0, 5e-324, 0.05, 3.0, 1.5e20]
+
+
+@st.composite
+def threshold_grids(draw):
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(GRID_EDGES) | st.floats(0.0, 1e3), min_size=1, max_size=8))
+        return ",".join(map(repr, values))
+    start = draw(st.sampled_from(GRID_EDGES))
+    step = draw(st.sampled_from([0.05, 1.0, 7.7]))
+    return f"{start!r}:{start + draw(st.integers(0, 30)) * step!r}:{step!r}"
+
+
+@given(
+    flows=st.lists(st.sampled_from(range(4)), min_size=1, max_size=4, unique=True).map(sorted),
+    grid=threshold_grids(),
+    pick=st.none() | st.integers(0, 3),
+)
+@example(flows=[0, 1, 2, 3], grid="-0,5e-324,1.5e20,0.05", pick=None)
+@example(flows=[1, 3], grid="-0.0:14.0:7.7", pick=1)
+def test_analytic_delay_matches_per_row_oracle(flows, grid, pick):
+    # the analytic curve is written from per-flow templates, not rows; its
+    # bytes must be the per-cell oracle's on the rows the row-built table had
+    text = "flows:\n" + "".join(ANALYTIC_FLOWS[i] for i in flows)
+    cfg = parse_scenario(text)
+    system = PrioritySystem(cfg.require_flows(), cfg.run.higher_priority_mode)
+    priorities = [f.priority for f in system.flows]
+    argv = ["delay", f"--dth={grid}"]  # a grid may start with "-0"
+    if pick is not None:
+        priorities = [priorities[pick % len(priorities)]]
+        argv += ["--flow", str(priorities[0])]
+    thresholds = cli._parse_grid(grid)
+    rows = [
+        (pr, format_float(d), math.exp(-delay_decay_rate(system, pr) * d))
+        for pr in priorities
+        for d in thresholds
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scenario.yaml")
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--config", str(path)]) == 0
+    assert out.getvalue() == emit_text(["flow", "d_th", "prob_analytic"], rows)
 
 
 # sha256 of each README command's stdout and stderr; optimize runs the
@@ -1217,6 +1265,18 @@ class TestExitCodes:
             assert (code, stdout) == (2, ""), grid
             assert err == f"error: grid {grid!r} has more than {cli.MAX_GRID_POINTS} points\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, points",
+        [("0:25664.1:7.7", 3334), ("0:19999.8:0.2", 100_000), ("1:109999.9:1.1", 100_000)],
+    )
+    def test_grid_keeps_a_last_point_that_rounds_past_stop(self, grid, points):
+        # start + i*step overshoots stop by 3.6e-12 to 1.5e-11 here, more
+        # than the absolute 1e-12 slack that dropped the last point
+        start, stop, step = map(float, grid.split(":"))
+        values = cli._parse_grid(grid)
+        assert values == [start + i * step for i in range(points)]
+        assert values[-1] > stop
 
     @pytest.mark.parametrize(
         "argv, config",

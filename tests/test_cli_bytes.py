@@ -78,3 +78,19 @@ def test_linked_commands_run(tmp_path):
     assert [code for code, *_ in results] == [0, 0, 0, 0]
     assert results[0][2].startswith(b"linked attempt failure probability = ")
     assert results[0][1].startswith(b"flow,d_th,prob_sim,ci_low,ci_high,prob_analytic\n")
+
+
+def test_analytic_commands_run(tmp_path):
+    # each analytic case must write its curve, not stop at a fault that reads
+    # "identical" on both trees
+    argvs = cli_bytes.analytic_commands(tmp_path)
+    results = [cli_bytes.run_in_process(argv, tmp_path) for argv in argvs]
+    assert [(code, err) for code, _, err, _ in results] == [(0, b"")] * 4
+    flow2, listed, long_grid, exact = (out or csv for _, out, _, csv in results)
+    assert flow2.count(b"\n") == 32 and flow2.count(b"\n2,") == 31
+    labels = [line.split(b",")[1] for line in listed.splitlines()[1:6]]
+    assert labels == [b"-0", b"4.94065646e-324", b"0.5", b"3", b"1.5e+20"]
+    assert long_grid.count(b"\n") == 1 + 4 * 3001
+    # the mode reaches the data flow's curve: gaussian gives other bytes
+    gaussian = cli_bytes.run_in_process(argvs[-1][:2] + ["scenario.yaml"] + argvs[-1][3:], tmp_path)[1]
+    assert exact.count(b"\n") == gaussian.count(b"\n") == 1 + 2 * 31 and exact != gaussian
